@@ -19,9 +19,14 @@
 // twin. Decision parity (batch vs scalar, arena vs AoS) is asserted
 // in-binary: a fast path that changes answers is a bug, not a win.
 //
+// Only the batched coverage kernel is a layout speedup worth gating. The
+// analyze and touch_replan rows run one shared coverage-integral kernel on
+// both layouts, so their arena twins are exact-fingerprint parity rows and
+// their speedup column is informational.
+//
 //   micro_matrix [--reps N] [--passes K] [--seed S] [--json BENCH_micro.json]
-//                [--assert-speedup X]   # fail unless the batched coverage
-//                                       # AND arena replan speedups >= X
+//                [--assert-speedup X]   # fail unless coverage_batch runs
+//                                       # >= X times faster than coverage_scalar
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -192,8 +197,8 @@ int main(int argc, char** argv) {
         .add_string("--json", "PATH", "result document (default BENCH_micro.json)",
                     &json_path)
         .add_string("--assert-speedup", "X",
-                    "exit 1 unless batched coverage AND arena replan reach Xx "
-                    "(CI perf gate)",
+                    "exit 1 unless coverage_batch reaches Xx over "
+                    "coverage_scalar (CI perf gate)",
                     &assert_speedup_s);
   });
   const unsigned long long reps = reps_s.empty() ? 400 : parse_reps("--reps", reps_s);
@@ -325,8 +330,7 @@ int main(int argc, char** argv) {
   // The knapsack re-solve is layout-insensitive once it has its analysis (it
   // walks candidate lists, not page objects), so timing replan() alone shows
   // parity but no layout speedup. What actually runs on every touch event is
-  // analyze -> replan; that composite is the row, and it is what the
-  // --assert-speedup gate measures.
+  // analyze -> replan; that composite is the row.
   StageRow replan_aos;
   replan_aos.stage = "touch_replan_aos";
   replan_aos.ops = reps * preds.size();
@@ -541,19 +545,14 @@ int main(int argc, char** argv) {
     if (end == nullptr || *end != '\0' || want <= 0)
       CliOptions::fail("--assert-speedup", assert_speedup_s,
                        "expected a positive number");
-    const double batch = batch_row.speedup;
-    const double replan = replan_arena.speedup;
-    if (batch < want || replan < want) {
+    if (batch_row.speedup < want) {
       std::fprintf(stderr,
-                   "FAIL: speedup gate: coverage_batch %.2fx, "
-                   "touch_replan_arena %.2fx, required %.2fx\n",
-                   batch, replan, want);
+                   "FAIL: speedup gate: coverage_batch %.2fx, required %.2fx\n",
+                   batch_row.speedup, want);
       return 1;
     }
-    std::printf(
-        "speedup gate passed: coverage_batch %.2fx, touch_replan_arena "
-        "%.2fx >= %.2fx\n",
-        batch, replan, want);
+    std::printf("speedup gate passed: coverage_batch %.2fx >= %.2fx\n",
+                batch_row.speedup, want);
   }
   return 0;
 }

@@ -100,11 +100,18 @@ ScrollPrediction ScrollTracker::predict(const Gesture& gesture,
 
 namespace {
 
-// The per-object coverage math, shared by both analyze() overloads so the
-// indexed path is bit-identical to the linear scan by construction.
+// An involved object's coverage slot and corners (x1/y1 as the arena stores them).
+struct InvolvedRect {
+  std::size_t index;
+  double x0, y0, x1, y1;
+};
+
+// The per-object coverage math bar the integral, shared by both AoS analyze()
+// overloads so the indexed path is bit-identical to the linear scan.
 void analyze_object(const ScrollPrediction& prediction, const SweptRegion& sweep,
-                    const Rect& final_vp, double total_dist, double step,
-                    const Rect& rect, ObjectCoverage& cov) {
+                    const Rect& final_vp, double total_dist, std::size_t i,
+                    const Rect& rect, ObjectCoverage& cov,
+                    std::vector<InvolvedRect>& involved) {
   cov.in_initial_viewport = prediction.viewport0.overlaps(rect);
   cov.in_final_viewport = final_vp.overlaps(rect);
   cov.involved = intersects_swept_region(sweep, rect);
@@ -119,26 +126,12 @@ void analyze_object(const ScrollPrediction& prediction, const SweptRegion& sweep
   }
 
   cov.final_coverage = final_vp.overlap_area(rect);
-
-  if (prediction.duration_ms <= 0) {
-    // Degenerate scroll (click / fully clamped): only the standing
-    // viewport matters.
-    cov.coverage_integral = 0;
-    return;
-  }
-  // Midpoint-rule integral of s_i(t) over the animation — the discrete sum
-  // Σ_{t=1}^{T} s_i(t) of Eq. (7) with configurable resolution.
-  double integral = 0;
-  for (double t = step / 2; t < prediction.duration_ms; t += step) {
-    double s = prediction.viewport_at(t).overlap_area(rect);
-    integral += s * step;
-  }
-  cov.coverage_integral = integral;
+  involved.push_back({i, rect.x, rect.y, rect.right(), rect.bottom()});
 }
 
-// SoA tail of analyze_object: given the batched first-overlap fraction for
+// SoA twin of analyze_object: given the batched first-overlap fraction for
 // each listed arena object, fill in viewport membership, entry time, and the
-// final-viewport coverage, and return the involved subset. Every expression
+// final-viewport coverage, and queue the involved subset. Every expression
 // mirrors analyze_object / Rect::overlaps / Rect::overlap_area term for term
 // (the arena's x1/y1 store the exact x + w / y + h sums those recompute), so
 // the results are bit-identical to the AoS path.
@@ -148,7 +141,7 @@ void analyze_arena_objects(const ScrollPrediction& prediction,
                            const std::size_t* indices, std::size_t count,
                            const double* frac,
                            std::vector<ObjectCoverage>& coverages,
-                           std::vector<std::size_t>& involved) {
+                           std::vector<InvolvedRect>& involved) {
   const Rect& vp0 = prediction.viewport0;
   const double vp0_right = vp0.right(), vp0_bottom = vp0.bottom();
   const double fin_right = final_vp.right(), fin_bottom = final_vp.bottom();
@@ -176,28 +169,33 @@ void analyze_arena_objects(const ScrollPrediction& prediction,
     double dy = std::min(fin_bottom, arena.y1(i)) - std::max(final_vp.y, arena.y0(i));
     double dx = std::min(fin_right, arena.x1(i)) - std::max(final_vp.x, arena.x0(i));
     cov.final_coverage = (dx <= 0 || dy <= 0) ? 0 : dx * dy;
-    involved.push_back(i);
+    involved.push_back({i, arena.x0(i), arena.y0(i), arena.x1(i), arena.y1(i)});
   }
 }
 
-// Midpoint-rule coverage integral over the involved arena objects. The t
-// loop stays outermost in ascending order, so each object accumulates its
-// per-step areas in exactly the order the scalar analyze_object does.
-void accumulate_arena_integral(const ScrollPrediction& prediction, double step,
-                               const ObjectArena& arena,
-                               const std::vector<std::size_t>& involved,
-                               std::vector<ObjectCoverage>& coverages) {
-  if (prediction.duration_ms <= 0) return;
-  for (double t = step / 2; t < prediction.duration_ms; t += step) {
+// Midpoint-rule sum Σ_t s_i(t)·step of Eq. (7) for every involved object in
+// ONE trajectory pass: viewport_at (a std::pow on a fling) runs once per step,
+// not once per step per object. t is outermost and ascending and the Eq. (6)
+// terms are Rect::overlap_area's, so each object's sum is bit-identical to a
+// per-object loop over viewport_at(t).overlap_area(rect) (DESIGN.md §17.5).
+void accumulate_coverage_integral(const ScrollPrediction& prediction, double step,
+                                  const std::vector<InvolvedRect>& involved,
+                                  std::vector<ObjectCoverage>& coverages) {
+  static obs::Counter& samples_total =
+      obs::metrics().counter("core.tracker.trajectory_samples_total");
+  if (involved.empty()) return;
+  std::uint64_t samples = 0;
+  for (double t = step / 2; t < prediction.duration_ms; t += step, ++samples) {
     const Rect vp = prediction.viewport_at(t);
     const double vr = vp.right(), vb = vp.bottom();
-    for (std::size_t i : involved) {
-      double dy = std::min(vb, arena.y1(i)) - std::max(vp.y, arena.y0(i));
-      double dx = std::min(vr, arena.x1(i)) - std::max(vp.x, arena.x0(i));
+    for (const InvolvedRect& o : involved) {
+      double dy = std::min(vb, o.y1) - std::max(vp.y, o.y0);
+      double dx = std::min(vr, o.x1) - std::max(vp.x, o.x0);
       double s = (dx <= 0 || dy <= 0) ? 0 : dx * dy;
-      coverages[i].coverage_integral += s * step;
+      coverages[o.index].coverage_integral += s * step;
     }
   }
+  samples_total.inc(samples);
 }
 
 }  // namespace
@@ -260,12 +258,14 @@ ScrollAnalysis ScrollTracker::analyze(const ScrollPrediction& prediction,
   const double step = params_.coverage_step_ms;
   MFHTTP_CHECK(step > 0);
 
+  std::vector<InvolvedRect> involved;
   for (std::size_t i = 0; i < objects.size(); ++i) {
     ObjectCoverage& cov = analysis.coverages[i];
     cov.object_index = i;
-    analyze_object(prediction, sweep, final_vp, total_dist, step,
-                   objects[i].rect, cov);
+    analyze_object(prediction, sweep, final_vp, total_dist, i, objects[i].rect,
+                   cov, involved);
   }
+  accumulate_coverage_integral(prediction, step, involved, analysis.coverages);
   return analysis;
 }
 
@@ -299,9 +299,11 @@ ScrollAnalysis ScrollTracker::analyze(const ScrollPrediction& prediction,
   const double y_hi = std::max(prediction.viewport0.bottom(), final_vp.bottom());
   std::vector<std::size_t> candidates;
   index.query(y_lo, y_hi, candidates);
+  std::vector<InvolvedRect> involved;
   for (std::size_t i : candidates)
-    analyze_object(prediction, sweep, final_vp, total_dist, step,
-                   objects[i].rect, analysis.coverages[i]);
+    analyze_object(prediction, sweep, final_vp, total_dist, i, objects[i].rect,
+                   analysis.coverages[i], involved);
+  accumulate_coverage_integral(prediction, step, involved, analysis.coverages);
   candidates_total.inc(candidates.size());
   pruned_total.inc(objects.size() - candidates.size());
   return analysis;
@@ -328,13 +330,12 @@ ScrollAnalysis ScrollTracker::analyze(const ScrollPrediction& prediction,
   std::vector<double> frac(n);
   geom::first_overlap_fraction_batch(sweep, arena.rects(), frac.data());
 
-  std::vector<std::size_t> involved;
+  std::vector<InvolvedRect> involved;
   involved.reserve(n);
   analyze_arena_objects(prediction, final_vp, total_dist, arena,
                         /*indices=*/nullptr, n, frac.data(),
                         analysis.coverages, involved);
-  accumulate_arena_integral(prediction, step, arena, involved,
-                            analysis.coverages);
+  accumulate_coverage_integral(prediction, step, involved, analysis.coverages);
   return analysis;
 }
 
@@ -390,13 +391,12 @@ ScrollAnalysis ScrollTracker::analyze(const ScrollPrediction& prediction,
   std::vector<double> frac(candidates.size());
   geom::first_overlap_fraction_batch(sweep, gathered, frac.data());
 
-  std::vector<std::size_t> involved;
+  std::vector<InvolvedRect> involved;
   involved.reserve(candidates.size());
   analyze_arena_objects(prediction, final_vp, total_dist, arena,
                         candidates.data(), candidates.size(), frac.data(),
                         analysis.coverages, involved);
-  accumulate_arena_integral(prediction, step, arena, involved,
-                            analysis.coverages);
+  accumulate_coverage_integral(prediction, step, involved, analysis.coverages);
   candidates_total.inc(candidates.size());
   pruned_total.inc(arena.size() - candidates.size());
   return analysis;

@@ -136,8 +136,9 @@ class ScrollTracker {
 
   // SoA fast path: identical results, bit for bit, to the AoS overloads, but
   // the involvement test and first-overlap fraction run through the batched
-  // geom::coverage_batch kernels and the coverage integral reads the arena's
-  // contiguous corner arrays instead of chasing MediaObject pointers.
+  // geom::coverage_batch kernels over the arena's contiguous corner arrays.
+  // All four overloads share one coverage-integral pass that samples the
+  // viewport trajectory once per step for every involved object.
   ScrollAnalysis analyze(const ScrollPrediction& prediction,
                          const ObjectArena& arena) const;
 

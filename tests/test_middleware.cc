@@ -138,6 +138,25 @@ TEST(Middleware, ScrollGestureProducesPolicy) {
   EXPECT_TRUE(mw.last_analysis().has_value());
 }
 
+TEST(Middleware, LastAnalysisInsideCallbackIsTheDeliveredGesture) {
+  Middleware mw(middleware_params(), column_objects(60),
+                BandwidthTrace::constant(1e6), nullptr);
+  std::vector<TimeMs> seen;
+  mw.set_policy_callback([&](const ScrollAnalysis& a, const DownloadPolicy& p) {
+    ASSERT_TRUE(mw.last_analysis().has_value());
+    ASSERT_TRUE(mw.last_policy().has_value());
+    const ScrollAnalysis& stored = *mw.last_analysis();
+    EXPECT_EQ(stored.prediction.start_time_ms, a.prediction.start_time_ms);
+    EXPECT_EQ(stored.coverages.size(), a.coverages.size());
+    EXPECT_EQ(mw.last_policy()->decisions.size(), p.decisions.size());
+    EXPECT_EQ(mw.last_policy()->objective, p.objective);
+    seen.push_back(stored.prediction.start_time_ms);
+  });
+  mw.on_gesture(fling_gesture({0, -4000}, 1000));
+  mw.on_gesture(fling_gesture({0, -3000}, 5000));
+  EXPECT_EQ(seen, (std::vector<TimeMs>{1000, 5000}));
+}
+
 TEST(Middleware, ClickDoesNotProducePolicy) {
   Middleware mw(middleware_params(), column_objects(10),
                 BandwidthTrace::constant(1e6), nullptr);

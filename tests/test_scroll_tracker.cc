@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 
+#include "core/object_arena.h"
 #include "core/scroll_tracker.h"
+#include "obs/metrics.h"
+#include "util/rng.h"
 
 namespace mfhttp {
 namespace {
@@ -300,6 +305,141 @@ TEST(ScrollTracker, HorizontalScrollInvolvesSideObjects) {
   EXPECT_GT(pred.displacement.x, 0);
   EXPECT_TRUE(analysis.coverages[0].involved);
   EXPECT_FALSE(analysis.coverages[1].involved);
+}
+
+// ---------- bitwise oracle for the shared trajectory pass ----------
+
+// The paper-literal per-object math: every involved object walks the whole
+// trajectory on its own, evaluating viewport_at(t) at each step of Eq. (7).
+// The tracker samples the trajectory once per gesture and shares each sample
+// across the involved objects; only the loop nesting differs, so every field
+// must match bit for bit.
+ObjectCoverage oracle_coverage(const ScrollPrediction& pred, double step,
+                               const Rect& rect) {
+  ObjectCoverage cov;
+  const SweptRegion sweep = pred.sweep();
+  const Rect final_vp = pred.final_viewport();
+  cov.in_initial_viewport = pred.viewport0.overlaps(rect);
+  cov.in_final_viewport = final_vp.overlaps(rect);
+  cov.involved = intersects_swept_region(sweep, rect);
+  if (!cov.involved) return cov;
+  cov.entry_time_ms =
+      cov.in_initial_viewport
+          ? 0
+          : pred.animation.time_for_distance(first_overlap_fraction(sweep, rect) *
+                                             pred.displacement.norm());
+  cov.final_coverage = final_vp.overlap_area(rect);
+  for (double t = step / 2; t < pred.duration_ms; t += step)
+    cov.coverage_integral += pred.viewport_at(t).overlap_area(rect) * step;
+  return cov;
+}
+
+enum class OracleCase { kFling, kDrag, kBottomClamped, kDiagonal, kZeroDuration };
+
+TEST(ScrollTracker, SharedTrajectoryMatchesPerObjectOracleBitwise) {
+  const Rect page{0, 0, 1440, 30'000};
+  Rng rng(7);
+  std::size_t involved_checked = 0;
+  for (int trial = 0; trial < 6; ++trial) {
+    // Random page: overlapping objects, some off the page's left edge, a few
+    // zero-width (degenerate) ones.
+    std::vector<MediaObject> objects;
+    for (int i = 0; i < 120; ++i) {
+      const double w = rng.chance(0.05) ? 0 : rng.uniform(40, 1400);
+      const Rect r{rng.uniform(-200, 1400), rng.uniform(0, 29'000), w,
+                   rng.uniform(40, 1500)};
+      objects.push_back(make_single_version_object(
+          "o" + std::to_string(i), r, 10'000, "http://s.example/" + std::to_string(i)));
+    }
+    const ObjectArena arena(objects);
+    const ObjectIntervalIndex index(objects);
+
+    for (double step : {0.5, 1.0, 4.0}) {
+      for (OracleCase c : {OracleCase::kFling, OracleCase::kDrag,
+                           OracleCase::kBottomClamped, OracleCase::kDiagonal,
+                           OracleCase::kZeroDuration}) {
+        ScrollTracker::Params p = tracker_params(page);
+        p.coverage_step_ms = step;
+        Rect viewport = kViewport.translated({0, rng.uniform(0, 20'000)});
+        const Rect at_bottom = kViewport.translated({0, page.bottom() - kViewport.h});
+        Gesture g;
+        switch (c) {
+          case OracleCase::kFling:
+            g = fling_gesture({0, rng.uniform(-12'000, 12'000)});
+            break;
+          case OracleCase::kDrag:
+            g = fling_gesture({0, rng.uniform(-150, 150)});
+            g.kind = GestureKind::kDrag;
+            break;
+          case OracleCase::kBottomClamped:
+            viewport = at_bottom.translated({0, -rng.uniform(0, 800)});
+            g = fling_gesture({0, -rng.uniform(6'000, 16'000)});
+            break;
+          case OracleCase::kDiagonal:
+            p.content_bounds.reset();  // both axes keep moving
+            g = fling_gesture({rng.uniform(-8'000, 8'000), rng.uniform(-8'000, 8'000)});
+            break;
+          case OracleCase::kZeroDuration:
+            viewport = at_bottom;  // flinging further down goes nowhere
+            g = fling_gesture({0, -rng.uniform(1'000, 9'000)});
+            break;
+        }
+        const ScrollTracker tracker(p);
+        const ScrollPrediction pred = tracker.predict(g, viewport);
+        if (c == OracleCase::kBottomClamped) {
+          ASSERT_LT(pred.duration_ms, pred.animation.duration_ms());
+        }
+        if (c == OracleCase::kZeroDuration) {
+          ASSERT_EQ(pred.duration_ms, 0);
+        }
+
+        const ScrollAnalysis analyses[] = {
+            tracker.analyze(pred, objects), tracker.analyze(pred, objects, index),
+            tracker.analyze(pred, arena), tracker.analyze(pred, arena, index)};
+        for (std::size_t i = 0; i < objects.size(); ++i) {
+          const ObjectCoverage want = oracle_coverage(pred, step, objects[i].rect);
+          involved_checked += want.involved ? 1 : 0;
+          for (std::size_t k = 0; k < std::size(analyses); ++k) {
+            const ObjectCoverage& got = analyses[k].coverages[i];
+            SCOPED_TRACE(::testing::Message()
+                         << "trial " << trial << " step " << step << " case "
+                         << static_cast<int>(c) << " overload " << k << " object " << i);
+            EXPECT_EQ(got.object_index, i);
+            EXPECT_EQ(got.involved, want.involved);
+            EXPECT_EQ(got.in_initial_viewport, want.in_initial_viewport);
+            EXPECT_EQ(got.in_final_viewport, want.in_final_viewport);
+            EXPECT_EQ(got.entry_time_ms, want.entry_time_ms);
+            EXPECT_EQ(got.final_coverage, want.final_coverage);
+            EXPECT_EQ(got.coverage_integral, want.coverage_integral);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(involved_checked, 500u);  // the oracle actually exercised integrals
+}
+
+TEST(ScrollTracker, TrajectorySamplesCountedOncePerStep) {
+  obs::Counter& samples = obs::metrics().counter("core.tracker.trajectory_samples_total");
+  ScrollTracker::Params p = tracker_params();
+  p.coverage_step_ms = 4.0;
+  ScrollTracker tracker(p);
+  std::vector<MediaObject> objects = column_of_objects(40);
+  ScrollPrediction pred = tracker.predict(fling_gesture({0, -4000}), kViewport);
+  std::uint64_t steps = 0;
+  for (double t = 2.0; t < pred.duration_ms; t += 4.0) ++steps;
+  ASSERT_GT(steps, 0u);
+
+  // However many objects are involved, the trajectory is sampled once per step.
+  std::uint64_t before = samples.value();
+  ScrollAnalysis analysis = tracker.analyze(pred, objects);
+  EXPECT_GT(analysis.involved_by_entry_time().size(), 1u);
+  EXPECT_EQ(samples.value() - before, steps);
+
+  // Nothing involved: no samples.
+  before = samples.value();
+  tracker.analyze(pred, std::vector<MediaObject>{});
+  EXPECT_EQ(samples.value() - before, 0u);
 }
 
 // ---------- cross-device property sweep ----------
