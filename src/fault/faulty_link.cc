@@ -129,17 +129,19 @@ void FaultyLink::on_inner_progress(TransferId id, Bytes chunk, bool complete) {
       sit->second.pending = Simulator::kInvalidEvent;
       start_inner(id, remaining);
     });
-    sh.on_progress(chunk, false);
-    return;
-  }
-
-  if (complete) {
+  } else if (complete) {
     ProgressFn cb = std::move(sh.on_progress);
     shadows_.erase(it);
     cb(chunk, true);
     return;
   }
-  sh.on_progress(chunk, false);
+
+  // Called from a local so a callback cancelling this transfer cannot
+  // destroy the running callable; it goes back only if the transfer survived.
+  ProgressFn cb = std::move(sh.on_progress);
+  cb(chunk, false);
+  if (auto back = shadows_.find(id); back != shadows_.end())
+    back->second.on_progress = std::move(cb);
 }
 
 bool FaultyLink::cancel(TransferId id) {

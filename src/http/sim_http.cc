@@ -27,11 +27,10 @@ HttpFetcher::FetchId SimHttpOrigin::fetch(const HttpRequest& request,
   TimeMs request_ms = sim_.now();
 
   Inflight& fl = inflight_[id];
-  fl.pending_event = sim_.schedule_after(params_.request_delay_ms, [this, id, path,
-                                                                    url_str, request_ms,
-                                                                    if_none_match,
-                                                                    cbs = std::move(
-                                                                        callbacks)] {
+  // Runs once, so it hands url_str and cbs on to the link callback by move.
+  fl.pending_event = sim_.schedule_after(
+      params_.request_delay_ms, [this, id, path, url_str, request_ms, if_none_match,
+                                 cbs = std::move(callbacks)]() mutable {
     auto it = inflight_.find(id);
     if (it == inflight_.end()) return;  // cancelled
     it->second.pending_event = Simulator::kInvalidEvent;
@@ -68,8 +67,8 @@ HttpFetcher::FetchId SimHttpOrigin::fetch(const HttpRequest& request,
     Bytes total = meta.body_size;
     int status = meta.status;
     it->second.transfer = link_->submit(
-        total, [this, id, url_str, request_ms, total, status, received,
-                cbs](Bytes chunk, bool complete) {
+        total, [this, id, url_str = std::move(url_str), request_ms, total, status,
+                received, cbs = std::move(cbs)](Bytes chunk, bool complete) {
           *received += chunk;
           if (cbs.on_progress) cbs.on_progress(chunk, *received, total);
           if (complete) {

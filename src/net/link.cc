@@ -1,7 +1,6 @@
 #include "net/link.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "obs/metrics.h"
 #include "util/check.h"
@@ -83,42 +82,32 @@ void Link::tick() {
       params_.bandwidth.bytes_between(quantum_start, now) + carry_bytes_;
 
   // Started transfers: priority first (kFifo serving order), then FIFO.
-  std::vector<std::pair<TransferId, Transfer*>> active;
+  active_.clear();
   for (auto& [id, t] : transfers_)
-    if (t.started) active.push_back({id, &t});
-  std::sort(active.begin(), active.end(), [](auto& a, auto& b) {
+    if (t.started) active_.push_back({id, &t});
+  std::sort(active_.begin(), active_.end(), [](auto& a, auto& b) {
     if (a.second->priority != b.second->priority)
       return a.second->priority > b.second->priority;
     return a.second->order < b.second->order;
   });
 
-  struct Delivery {
-    TransferId id;
-    ProgressFn fn;  // owned copy: callbacks may mutate the transfer table
-    Bytes bytes;
-    bool complete;
-  };
-  std::vector<Delivery> deliveries;
-  std::vector<TransferId> completed;
-
+  deliveries_.clear();
+  finished_.clear();
   auto give = [&](TransferId id, Transfer& t, double amount) {
     auto grant = static_cast<Bytes>(amount);
     grant = std::min(grant, t.remaining);
     if (grant <= 0) return 0.0;
     t.remaining -= grant;
     delivered_total_ += grant;
-    if (t.remaining == 0) {
-      deliveries.push_back({id, std::move(t.on_progress), grant, true});
-      completed.push_back(id);
-    } else {
-      deliveries.push_back({id, t.on_progress, grant, false});
-    }
+    const bool complete = t.remaining == 0;
+    deliveries_.push_back({id, grant, complete});
+    if (complete) finished_.push_back({id, std::move(t.on_progress)});
     return static_cast<double>(grant);
   };
 
   Bytes quantum_delivered = 0;
   if (params_.sharing == Sharing::kFifo) {
-    for (auto& [id, t] : active) {
+    for (auto& [id, t] : active_) {
       if (budget < 1) break;
       double used = give(id, *t, budget);
       budget -= used;
@@ -127,32 +116,35 @@ void Link::tick() {
   } else {
     // Water-filling fair share: repeatedly split remaining budget among
     // transfers that still want bytes.
-    std::vector<std::pair<TransferId, Transfer*>> wanting = active;
-    while (budget >= 1 && !wanting.empty()) {
-      double share = budget / static_cast<double>(wanting.size());
+    wanting_.assign(active_.begin(), active_.end());
+    while (budget >= 1 && !wanting_.empty()) {
+      double share = budget / static_cast<double>(wanting_.size());
       if (share < 1) share = 1;  // avoid infinite splitting
       double spent = 0;
-      std::vector<std::pair<TransferId, Transfer*>> still;
-      for (auto& [id, t] : wanting) {
+      still_.clear();
+      for (auto& [id, t] : wanting_) {
         if (budget - spent < 1) break;
         double used = give(id, *t, std::min(share, budget - spent));
         spent += used;
-        if (t->remaining > 0) still.push_back({id, t});
+        if (t->remaining > 0) still_.push_back({id, t});
       }
       budget -= spent;
       quantum_delivered += static_cast<Bytes>(spent);
       if (spent < 1) break;  // nobody could take more
-      wanting = std::move(still);
+      wanting_.swap(still_);
     }
   }
   // Carry only the sub-byte fraction: whole bytes left over mean the link
   // genuinely idled for part of the quantum, and idle capacity is not banked.
   carry_bytes_ = budget - static_cast<double>(static_cast<Bytes>(budget));
 
-  for (TransferId id : completed) {
-    transfers_.erase(id);
+  for (const Finished& f : finished_) {
+    transfers_.erase(f.id);
     note_transfer_completed();
   }
+  // Sorted by id so each delivery finds its finished callable by binary search.
+  std::sort(finished_.begin(), finished_.end(),
+            [](const Finished& a, const Finished& b) { return a.id < b.id; });
 
   if (quantum_delivered > 0) {
     static obs::Counter& delivered =
@@ -163,18 +155,28 @@ void Link::tick() {
     consumption_log_.emplace_back(quantum_start, quantum_delivered);
 
   // Fire callbacks after internal state is consistent (callbacks may submit
-  // or cancel transfers on this link). A callback cancelling a *sibling*
-  // transfer must silence the sibling's deliveries queued in this same
-  // quantum: a transfer that is in neither transfers_ nor this quantum's
-  // completed set was erased by cancel() mid-dispatch. Transfers that
-  // completed above keep all their deliveries (cancel() on them is a no-op
-  // reporting false), including non-final chunks from fair-share rounds.
-  const std::unordered_set<TransferId> completed_set(completed.begin(),
-                                                     completed.end());
-  for (Delivery& d : deliveries) {
-    if (!transfers_.contains(d.id) && !completed_set.contains(d.id)) continue;
-    d.fn(d.bytes, d.complete);
+  // or cancel transfers on this link). A transfer still in transfers_ gets
+  // its own callable, moved out for the call and put back only if the
+  // transfer survived it — so a callback cancelling its own transfer is
+  // safe. A transfer finished this quantum gets the callable moved out of
+  // it above, for every chunk including non-final fair-share rounds (cancel()
+  // on it is a no-op reporting false). A transfer in neither place was
+  // cancelled mid-dispatch and gets nothing more, even chunks it had earned.
+  for (const Delivery& d : deliveries_) {
+    if (auto it = transfers_.find(d.id); it != transfers_.end()) {
+      ProgressFn fn = std::move(it->second.on_progress);
+      fn(d.bytes, false);
+      if (auto back = transfers_.find(d.id); back != transfers_.end())
+        back->second.on_progress = std::move(fn);
+      continue;
+    }
+    auto f = std::lower_bound(
+        finished_.begin(), finished_.end(), d.id,
+        [](const Finished& e, TransferId id) { return e.id < id; });
+    if (f == finished_.end() || f->id != d.id) continue;
+    f->fn(d.bytes, d.complete);
   }
+  finished_.clear();
 
   bool any_started = std::any_of(transfers_.begin(), transfers_.end(),
                                  [](auto& kv) { return kv.second.started; });

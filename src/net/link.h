@@ -53,10 +53,16 @@ class Link {
   // clawed back; preemption applies from the next quantum).
   //
   // Virtual so fault decorators (fault/faulty_link.h) can interpose without
-  // touching this happy path. Progress callbacks may re-enter the link:
-  // submitting new transfers or cancelling siblings from inside a ProgressFn
-  // is safe, and a transfer cancelled that way receives no further callbacks
-  // (including deliveries already earned in the same quantum).
+  // touching this happy path.
+  //
+  // Each transfer keeps exactly one callable for its lifetime: every chunk,
+  // non-final and final, is delivered to that same object (never to a
+  // copy), so a stateful functor observes every delivery of its transfer.
+  // Progress callbacks may re-enter the link: submitting new transfers, or
+  // cancelling siblings or the transfer itself from inside a ProgressFn, is
+  // safe, and a transfer cancelled that way receives no further callbacks
+  // (including deliveries already earned in the same quantum). Driving the
+  // simulator from inside a ProgressFn is not supported. DESIGN.md §18.
   virtual TransferId submit(Bytes size, ProgressFn on_progress, int priority = 0);
 
   // Abort a transfer; no further callbacks. False if unknown/finished.
@@ -81,6 +87,18 @@ class Link {
     int priority = 0;     // higher is served first (kFifo)
     bool started = false; // latency elapsed, eligible for bandwidth
   };
+  // One chunk earned in a quantum; its callable is looked up at dispatch.
+  struct Delivery {
+    TransferId id;
+    Bytes bytes;
+    bool complete;
+  };
+  // A transfer that finished this quantum, with its callable moved out.
+  struct Finished {
+    TransferId id;
+    ProgressFn fn;
+  };
+  using Serving = std::pair<TransferId, Transfer*>;
 
   void arm_tick();
   void tick();
@@ -96,6 +114,11 @@ class Link {
   double carry_bytes_ = 0;
   Bytes delivered_total_ = 0;
   std::vector<std::pair<TimeMs, Bytes>> consumption_log_;
+  // Per-quantum scratch, cleared and refilled by tick(); kept as members so
+  // a steady-state quantum reuses their capacity instead of allocating.
+  std::vector<Serving> active_, wanting_, still_;
+  std::vector<Delivery> deliveries_;
+  std::vector<Finished> finished_;
 };
 
 }  // namespace mfhttp

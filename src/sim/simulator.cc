@@ -7,22 +7,44 @@ namespace mfhttp {
 Simulator::EventId Simulator::schedule_at(TimeMs time_ms, Callback cb) {
   MFHTTP_CHECK_MSG(time_ms >= now_, "cannot schedule events in the past");
   MFHTTP_CHECK(cb != nullptr);
-  EventId id = ++next_id_;
+  std::uint32_t slot;
+  if (free_.empty()) {
+    MFHTTP_CHECK(slots_.size() < 0xffffffffu);
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+  }
+  slots_[slot].cb = std::move(cb);
+  const EventId id = (EventId{slots_[slot].generation} << 32) | slot;
   queue_.push({time_ms, next_seq_++, id});
-  callbacks_.emplace(id, std::move(cb));
   return id;
 }
 
-bool Simulator::cancel(EventId id) { return callbacks_.erase(id) > 0; }
+Simulator::Callback Simulator::release(EventId id) {
+  const auto slot = static_cast<std::uint32_t>(id);
+  Slot& s = slots_[slot];
+  Callback cb = std::exchange(s.cb, nullptr);
+  if (++s.generation == 0) s.generation = 1;  // 0 would let slot 0 mint id 0
+  free_.push_back(slot);
+  return cb;
+}
+
+bool Simulator::cancel(EventId id) {
+  if (!pending(id)) return false;
+  // The slot is free before the closure dies, so a destructor that
+  // re-enters the simulator sees consistent state.
+  release(id);
+  return true;
+}
 
 bool Simulator::step() {
   while (!queue_.empty()) {
-    QueueEntry entry = queue_.top();
+    const QueueEntry entry = queue_.top();
     queue_.pop();
-    auto it = callbacks_.find(entry.id);
-    if (it == callbacks_.end()) continue;  // cancelled
-    Callback cb = std::move(it->second);
-    callbacks_.erase(it);
+    if (!pending(entry.id)) continue;  // cancelled
+    Callback cb = release(entry.id);
     MFHTTP_DCHECK(entry.time >= now_);
     now_ = entry.time;
     cb();
@@ -39,8 +61,8 @@ void Simulator::run() {
 void Simulator::run_until(TimeMs deadline_ms) {
   MFHTTP_CHECK(deadline_ms >= now_);
   while (!queue_.empty()) {
-    QueueEntry entry = queue_.top();
-    if (!callbacks_.contains(entry.id)) {
+    const QueueEntry& entry = queue_.top();
+    if (!pending(entry.id)) {
       queue_.pop();
       continue;
     }

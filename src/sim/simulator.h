@@ -8,12 +8,17 @@
 // Events at the same timestamp fire in scheduling order (FIFO), which keeps
 // causality intuitive: an event scheduled by another event at the same time
 // runs after it.
+//
+// Callbacks live in a slab of reusable slots, so a warm simulator schedules
+// and fires events without touching the heap (when the callback fits
+// std::function's small buffer). An EventId names a slot and the slot's
+// generation at scheduling time; firing or cancelling bumps the generation,
+// so an old id never aliases a later event in the same slot. DESIGN.md §18.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "util/check.h"
@@ -24,6 +29,7 @@ namespace mfhttp {
 class Simulator {
  public:
   using Callback = std::function<void()>;
+  // (generation << 32) | slot. Generations start at 1, so no live id is 0.
   using EventId = std::uint64_t;
   static constexpr EventId kInvalidEvent = 0;
 
@@ -41,11 +47,15 @@ class Simulator {
     return schedule_at(now_ + delay_ms, std::move(cb));
   }
 
-  // Cancel a pending event. Returns false if already fired or cancelled.
+  // Cancel a pending event. Returns false if already fired or cancelled
+  // (including an event cancelling itself from inside its own callback).
   bool cancel(EventId id);
 
-  bool pending(EventId id) const { return callbacks_.contains(id); }
-  std::size_t pending_count() const { return callbacks_.size(); }
+  bool pending(EventId id) const {
+    const std::uint64_t slot = id & 0xffffffffu;
+    return slot < slots_.size() && slots_[slot].generation == (id >> 32);
+  }
+  std::size_t pending_count() const { return slots_.size() - free_.size(); }
 
   // Run the next event; returns false when the queue is empty.
   bool step();
@@ -68,11 +78,19 @@ class Simulator {
     }
   };
 
+  struct Slot {
+    Callback cb;
+    std::uint32_t generation = 1;
+  };
+
+  // Empties a live slot onto the free list; returns its callback.
+  Callback release(EventId id);
+
   TimeMs now_ = 0;
   std::uint64_t next_seq_ = 1;
-  EventId next_id_ = 1;
   std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> queue_;
-  std::unordered_map<EventId, Callback> callbacks_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;  // reusable slot indices, LIFO
 };
 
 }  // namespace mfhttp

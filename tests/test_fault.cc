@@ -243,6 +243,33 @@ TEST_F(FaultyLinkFixture, CancelSilencesFaultedTransfer) {
   EXPECT_EQ(calls_after_cancel, 0);
 }
 
+TEST_F(FaultyLinkFixture, SelfCancelFromNonFinalChunkEndsCallbacks) {
+  // A faulted transfer's callback cancels its own transfer mid-body, then
+  // reads its capture: the running callable must outlive the cancel (ASan
+  // flags it otherwise), and the transfer gets nothing more.
+  FaultPlan plan;
+  plan.transfer.truncate_rate = 1.0;
+  plan.transfer.truncate_fraction = 0.9;  // never reached: cancelled first
+  FaultyLink& l = make_link(plan);
+  FaultyLink::TransferId self = Link::kInvalidTransfer;
+  int calls = 0;
+  std::string label(64, 'x');  // heap-allocated capture
+  std::size_t label_seen = 0;
+  self = l.submit(50'000, [&, label](Bytes, bool complete) {
+    ++calls;
+    EXPECT_FALSE(complete);
+    if (calls == 3) {
+      EXPECT_TRUE(l.cancel(self));
+      EXPECT_FALSE(l.cancel(self));
+      label_seen = label.size();
+    }
+  });
+  sim.run();
+  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(label_seen, label.size());
+  EXPECT_EQ(l.active_transfers(), 0u);
+}
+
 TEST_F(FaultyLinkFixture, SamePlanSameSeedSameByteTrace) {
   auto run_once = [](std::uint64_t seed) {
     Simulator sim;

@@ -1,6 +1,8 @@
 // Tests for bandwidth traces and the rate-limited link.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "net/bandwidth_trace.h"
 #include "net/link.h"
 #include "sim/simulator.h"
@@ -351,6 +353,81 @@ TEST(Link, CancelSiblingFromCompletionCallbackSilencesIt) {
   sim.run();
   EXPECT_EQ(victim_calls_after_cancel, 0);
   EXPECT_EQ(link.active_transfers(), 0u);
+}
+
+TEST(Link, SelfCancelFromNonFinalChunkEndsCallbacks) {
+  // FaultyLink's truncation path: the ProgressFn cancels its own transfer
+  // mid-body. The running callable must survive its transfer's erasure (the
+  // captured string is read after the cancel, which ASan would flag), and
+  // the transfer gets nothing more.
+  for (Link::Sharing sharing : {Link::Sharing::kFifo, Link::Sharing::kFairShare}) {
+    Simulator sim;
+    Link::Params p = fifo_params(100'000);
+    p.sharing = sharing;
+    Link link(sim, p);
+    Link::TransferId self = Link::kInvalidTransfer;
+    int calls = 0;
+    std::string label(64, 'x');  // heap-allocated capture
+    std::size_t label_seen = 0;
+    self = link.submit(50'000, [&, label](Bytes, bool complete) {
+      ++calls;
+      EXPECT_FALSE(complete);
+      if (calls == 3) {
+        EXPECT_TRUE(link.cancel(self));
+        EXPECT_FALSE(link.cancel(self));
+        label_seen = label.size();
+      }
+    });
+    // A sibling keeps the link ticking after the cancel.
+    bool sibling_done = false;
+    link.submit(20'000, [&](Bytes, bool c) { sibling_done = sibling_done || c; });
+    sim.run();
+    EXPECT_EQ(calls, 3);
+    EXPECT_EQ(label_seen, label.size());
+    EXPECT_TRUE(sibling_done);
+    EXPECT_EQ(link.active_transfers(), 0u);
+  }
+}
+
+// Counts every chunk it is handed; reports what it saw at completion.
+struct CountingProgress {
+  int* calls_at_complete;
+  Bytes* bytes_at_complete;
+  int calls = 0;
+  Bytes bytes = 0;
+  void operator()(Bytes chunk, bool complete) {
+    ++calls;
+    bytes += chunk;
+    if (complete) {
+      *calls_at_complete = calls;
+      *bytes_at_complete = bytes;
+    }
+  }
+};
+
+TEST(Link, StatefulFunctorObservesEveryDelivery) {
+  // Each transfer keeps one callable: the state a functor builds up over
+  // non-final chunks is the state its final call sees. Fair share with
+  // 3 transfers at 100 KB/s splits 500 B/quantum unevenly, so transfers
+  // also take multi-round chunks within one quantum.
+  for (Link::Sharing sharing : {Link::Sharing::kFifo, Link::Sharing::kFairShare}) {
+    Simulator sim;
+    Link::Params p = fifo_params(100'000);
+    p.sharing = sharing;
+    Link link(sim, p);
+    constexpr int kTransfers = 3;
+    const Bytes sizes[kTransfers] = {7'001, 12'345, 30'000};
+    int final_calls[kTransfers] = {};
+    Bytes final_bytes[kTransfers] = {};
+    for (int i = 0; i < kTransfers; ++i)
+      link.submit(sizes[i], CountingProgress{&final_calls[i], &final_bytes[i]});
+    sim.run();
+    for (int i = 0; i < kTransfers; ++i) {
+      EXPECT_EQ(final_bytes[i], sizes[i]) << "transfer " << i;
+      // At most 500 B per 5 ms quantum, so every transfer takes many chunks.
+      EXPECT_GE(final_calls[i], sizes[i] / 500) << "transfer " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -141,6 +141,70 @@ TEST(Simulator, CascadedEvents) {
   EXPECT_EQ(sim.now(), 99 * 7);
 }
 
+TEST(Simulator, StaleIdStaysDeadAfterSlotReuse) {
+  // A fired or cancelled event's slot is reused by the next schedule; the old
+  // id must not alias the new event.
+  Simulator sim;
+  auto fired_id = sim.schedule_at(1, [] {});
+  sim.run();
+  int fired_after_fire = 0;
+  auto reuse_fired = sim.schedule_at(2, [&] { ++fired_after_fire; });
+  EXPECT_FALSE(sim.pending(fired_id));
+  EXPECT_FALSE(sim.cancel(fired_id));
+  EXPECT_TRUE(sim.pending(reuse_fired));
+
+  auto cancelled_id = sim.schedule_at(3, [] { FAIL() << "cancelled event ran"; });
+  EXPECT_TRUE(sim.cancel(cancelled_id));
+  int fired_after_cancel = 0;
+  auto reuse_cancelled = sim.schedule_at(4, [&] { ++fired_after_cancel; });
+  EXPECT_FALSE(sim.pending(cancelled_id));
+  EXPECT_FALSE(sim.cancel(cancelled_id));
+  EXPECT_TRUE(sim.pending(reuse_cancelled));
+  EXPECT_NE(reuse_cancelled, cancelled_id);
+
+  sim.run();
+  EXPECT_EQ(fired_after_fire, 1);
+  EXPECT_EQ(fired_after_cancel, 1);
+  EXPECT_EQ(sim.pending_count(), 0u);
+}
+
+TEST(Simulator, PendingCountExactAcrossScheduleCancelFire) {
+  Simulator sim;
+  std::vector<Simulator::EventId> ids;
+  for (int i = 0; i < 8; ++i) {
+    ids.push_back(sim.schedule_at(10 + i, [] {}));
+    EXPECT_EQ(sim.pending_count(), ids.size());
+  }
+  EXPECT_TRUE(sim.cancel(ids[2]));
+  EXPECT_TRUE(sim.cancel(ids[5]));
+  EXPECT_FALSE(sim.cancel(ids[5]));
+  EXPECT_EQ(sim.pending_count(), 6u);
+  // The first live event fires; the cancelled ones never count again.
+  EXPECT_TRUE(sim.step());
+  EXPECT_EQ(sim.pending_count(), 5u);
+  sim.schedule_at(11, [] {});  // reuses a freed slot
+  EXPECT_EQ(sim.pending_count(), 6u);
+  sim.run_until(13);
+  EXPECT_EQ(sim.pending_count(), 3u);
+  sim.run();
+  EXPECT_EQ(sim.pending_count(), 0u);
+}
+
+TEST(Simulator, CancellingOwnIdFromInsideCallbackReturnsFalse) {
+  Simulator sim;
+  Simulator::EventId self = Simulator::kInvalidEvent;
+  bool cancel_result = true;
+  bool pending_inside = true;
+  self = sim.schedule_at(5, [&] {
+    pending_inside = sim.pending(self);
+    cancel_result = sim.cancel(self);
+  });
+  sim.run();
+  EXPECT_FALSE(pending_inside);
+  EXPECT_FALSE(cancel_result);
+  EXPECT_EQ(sim.pending_count(), 0u);
+}
+
 TEST(Simulator, ManyEventsStressOrder) {
   Simulator sim;
   TimeMs last = -1;
