@@ -2,10 +2,10 @@
 // acceptance artifact (DESIGN.md §17). One row per stage, every stage on a
 // fixed seed:
 //
-//   coverage_scalar / coverage_batch   per-object swept-viewport kernels vs
-//                                      the SoA batch over the arena
-//   analyze_aos / analyze_arena        full ScrollTracker::analyze
-//   touch_replan_aos / _arena          the full per-touch production path:
+//   coverage_scalar                    per-object swept-viewport kernel
+//                                      (first_overlap_fraction)
+//   analyze_aos                        full ScrollTracker::analyze
+//   touch_replan_aos                   the full per-touch production path:
 //                                      analyze + FlowController re-solve
 //   header_parse                       HttpParser over a typical request
 //   header_lookup                      HeaderMap get_view/contains/
@@ -15,18 +15,9 @@
 //
 // Each row carries an FNV-1a fingerprint over the stage's results — a pure
 // function of the seed, gated exact by tools/bench_gate.py — plus wall
-// ns/op and, on the SoA rows, the same-run speedup over the scalar/AoS
-// twin. Decision parity (batch vs scalar, arena vs AoS) is asserted
-// in-binary: a fast path that changes answers is a bug, not a win.
-//
-// Only the batched coverage kernel is a layout speedup worth gating. The
-// analyze and touch_replan rows run one shared coverage-integral kernel on
-// both layouts, so their arena twins are exact-fingerprint parity rows and
-// their speedup column is informational.
+// ns/op. The header_lookup row's allocation count is asserted in-binary.
 //
 //   micro_matrix [--reps N] [--passes K] [--seed S] [--json BENCH_micro.json]
-//                [--assert-speedup X]   # fail unless coverage_batch runs
-//                                       # >= X times faster than coverage_scalar
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -39,9 +30,7 @@
 
 #include "cli/standard_options.h"
 #include "core/flow_controller.h"
-#include "core/object_arena.h"
 #include "core/scroll_tracker.h"
-#include "geom/coverage_batch.h"
 #include "geom/swept_region.h"
 #include "http/parser.h"
 #include "util/json.h"
@@ -97,17 +86,14 @@ struct StageRow {
   std::string stage;
   unsigned long long ops = 0;
   double ns_per_op = 0;
-  double speedup = 0;              // 0: no scalar twin
   std::uint64_t fingerprint = 0;
   long long allocs_per_op = -1;    // -1: not measured for this stage
-  bool has_parity = false;
-  bool parity_ok = false;
 };
 
 // Best-of-K timing: each stage's reps loop runs `passes` times and the
 // fastest pass is reported. Min-time is the standard defense against
 // scheduler preemption and frequency dips on shared runners — one slow pass
-// in either twin would otherwise swing the reported speedup ratio by 2-4x.
+// would otherwise swing a row's ns/op by 2-4x.
 template <typename Body>
 double best_ns_per_op(unsigned long long passes, unsigned long long ops,
                       Body&& body) {
@@ -187,7 +173,7 @@ unsigned long long parse_reps(const char* flag, const std::string& s) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string reps_s, seed_s, passes_s, json_path, assert_speedup_s;
+  std::string reps_s, seed_s, passes_s, json_path;
   cli::StandardOptions standard_options(argc, argv, [&](CliOptions& options) {
     options.add_string("--reps", "N", "repetitions per stage (default 400)", &reps_s)
         .add_string("--passes", "K",
@@ -195,11 +181,7 @@ int main(int argc, char** argv) {
                     &passes_s)
         .add_string("--seed", "S", "corpus/gesture seed (default 1)", &seed_s)
         .add_string("--json", "PATH", "result document (default BENCH_micro.json)",
-                    &json_path)
-        .add_string("--assert-speedup", "X",
-                    "exit 1 unless coverage_batch reaches Xx over "
-                    "coverage_scalar (CI perf gate)",
-                    &assert_speedup_s);
+                    &json_path);
   });
   const unsigned long long reps = reps_s.empty() ? 400 : parse_reps("--reps", reps_s);
   const unsigned long long passes =
@@ -216,7 +198,6 @@ int main(int argc, char** argv) {
   for (const WebPage& p : corpus)
     if (p.images.size() > page->images.size()) page = &p;
   const std::vector<MediaObject>& objects = page->images;
-  ObjectArena arena(objects);
 
   ScrollTracker::Params tp;
   tp.scroll = ScrollConfig(device);
@@ -236,11 +217,9 @@ int main(int argc, char** argv) {
               objects.size(), page->site.c_str(), reps,
               static_cast<unsigned long long>(seed));
   std::vector<StageRow> rows;
-  bool all_parity_ok = true;
 
-  // ---- coverage: scalar per-object loop vs SoA batch ----
+  // ---- coverage: scalar per-object loop ----
   std::vector<double> frac_scalar(objects.size());
-  std::vector<double> frac_batch(objects.size());
   StageRow scalar_row;
   scalar_row.stage = "coverage_scalar";
   scalar_row.ops = reps * sweeps.size() * objects.size();
@@ -259,31 +238,7 @@ int main(int argc, char** argv) {
   }
   rows.push_back(scalar_row);
 
-  StageRow batch_row;
-  batch_row.stage = "coverage_batch";
-  batch_row.ops = scalar_row.ops;
-  {
-    const geom::RectSoA soa = arena.rects();
-    batch_row.ns_per_op = best_ns_per_op(passes, batch_row.ops, [&] {
-      for (unsigned long long rep = 0; rep < reps; ++rep)
-        for (const SweptRegion& sweep : sweeps)
-          geom::first_overlap_fraction_batch(sweep, soa, frac_batch.data());
-    });
-    std::uint64_t h = kFnvOffset;
-    for (const SweptRegion& sweep : sweeps) {
-      geom::first_overlap_fraction_batch(sweep, soa, frac_batch.data());
-      for (std::size_t i = 0; i < objects.size(); ++i) fnv_double(h, frac_batch[i]);
-    }
-    batch_row.fingerprint = h;
-    batch_row.speedup =
-        batch_row.ns_per_op > 0 ? scalar_row.ns_per_op / batch_row.ns_per_op : 0;
-    batch_row.has_parity = true;
-    batch_row.parity_ok = batch_row.fingerprint == scalar_row.fingerprint;
-    all_parity_ok = all_parity_ok && batch_row.parity_ok;
-  }
-  rows.push_back(batch_row);
-
-  // ---- full analyze: AoS vs arena ----
+  // ---- full analyze ----
   StageRow analyze_aos;
   analyze_aos.stage = "analyze_aos";
   analyze_aos.ops = reps * preds.size();
@@ -302,35 +257,9 @@ int main(int argc, char** argv) {
   }
   rows.push_back(analyze_aos);
 
-  StageRow analyze_arena;
-  analyze_arena.stage = "analyze_arena";
-  analyze_arena.ops = analyze_aos.ops;
-  {
-    analyze_arena.ns_per_op = best_ns_per_op(passes, analyze_arena.ops, [&] {
-      for (unsigned long long rep = 0; rep < reps; ++rep)
-        for (const ScrollPrediction& pred : preds) {
-          ScrollAnalysis a = tracker.analyze(pred, arena);
-          (void)a;
-        }
-    });
-    std::uint64_t h = kFnvOffset;
-    for (const ScrollPrediction& pred : preds)
-      fnv_analysis(h, tracker.analyze(pred, arena));
-    analyze_arena.fingerprint = h;
-    analyze_arena.speedup = analyze_arena.ns_per_op > 0
-                                ? analyze_aos.ns_per_op / analyze_arena.ns_per_op
-                                : 0;
-    analyze_arena.has_parity = true;
-    analyze_arena.parity_ok = analyze_arena.fingerprint == analyze_aos.fingerprint;
-    all_parity_ok = all_parity_ok && analyze_arena.parity_ok;
-  }
-  rows.push_back(analyze_arena);
-
   // ---- per-touch replan: the §3.4.2 production path (analyze + re-solve) ----
-  // The knapsack re-solve is layout-insensitive once it has its analysis (it
-  // walks candidate lists, not page objects), so timing replan() alone shows
-  // parity but no layout speedup. What actually runs on every touch event is
-  // analyze -> replan; that composite is the row.
+  // What actually runs on every touch event is analyze -> replan; that
+  // composite is the row.
   StageRow replan_aos;
   replan_aos.stage = "touch_replan_aos";
   replan_aos.ops = reps * preds.size();
@@ -353,34 +282,6 @@ int main(int argc, char** argv) {
     replan_aos.fingerprint = h;
   }
   rows.push_back(replan_aos);
-
-  StageRow replan_arena;
-  replan_arena.stage = "touch_replan_arena";
-  replan_arena.ops = replan_aos.ops;
-  {
-    FlowController fc{FlowController::Params{}};
-    for (const ScrollPrediction& pred : preds)
-      fc.replan(tracker.analyze(pred, arena), arena, bandwidth);  // warm
-    replan_arena.ns_per_op = best_ns_per_op(passes, replan_arena.ops, [&] {
-      for (unsigned long long rep = 0; rep < reps; ++rep)
-        for (const ScrollPrediction& pred : preds) {
-          DownloadPolicy p =
-              fc.replan(tracker.analyze(pred, arena), arena, bandwidth);
-          (void)p;
-        }
-    });
-    std::uint64_t h = kFnvOffset;
-    for (const ScrollPrediction& pred : preds)
-      fnv_policy(h, fc.replan(tracker.analyze(pred, arena), arena, bandwidth));
-    replan_arena.fingerprint = h;
-    replan_arena.speedup = replan_arena.ns_per_op > 0
-                               ? replan_aos.ns_per_op / replan_arena.ns_per_op
-                               : 0;
-    replan_arena.has_parity = true;
-    replan_arena.parity_ok = replan_arena.fingerprint == replan_aos.fingerprint;
-    all_parity_ok = all_parity_ok && replan_arena.parity_ok;
-  }
-  rows.push_back(replan_arena);
 
   // ---- header parse ----
   const std::string request_text = typical_request_text();
@@ -480,19 +381,15 @@ int main(int argc, char** argv) {
 
   // ---- report ----
   const bool zero_alloc_lookups = header_lookup.allocs_per_op == 0;
-  std::printf("%19s %14s %10s %8s %20s %7s %6s\n", "stage", "ops", "ns/op",
-              "speedup", "fingerprint", "allocs", "parity");
+  std::printf("%19s %14s %10s %20s %7s\n", "stage", "ops", "ns/op",
+              "fingerprint", "allocs");
   for (const StageRow& row : rows) {
-    char speedup_s[24] = "-";
-    if (row.speedup > 0)
-      std::snprintf(speedup_s, sizeof(speedup_s), "%.2fx", row.speedup);
     char allocs_s[24] = "-";
     if (row.allocs_per_op >= 0)
       std::snprintf(allocs_s, sizeof(allocs_s), "%lld", row.allocs_per_op);
-    std::printf("%19s %14llu %10.1f %8s %020llx %7s %6s\n", row.stage.c_str(),
-                row.ops, row.ns_per_op, speedup_s,
-                static_cast<unsigned long long>(row.fingerprint), allocs_s,
-                row.has_parity ? (row.parity_ok ? "yes" : "NO") : "-");
+    std::printf("%19s %14llu %10.1f %020llx %7s\n", row.stage.c_str(),
+                row.ops, row.ns_per_op,
+                static_cast<unsigned long long>(row.fingerprint), allocs_s);
   }
 
   JsonWriter w;
@@ -502,7 +399,6 @@ int main(int argc, char** argv) {
   w.key("reps").value(reps);
   w.key("site").value(page->site);
   w.key("objects").value(objects.size());
-  w.key("all_parity_ok").value(all_parity_ok);
   w.key("zero_alloc_lookups").value(zero_alloc_lookups);
   w.key("rows").begin_array();
   for (const StageRow& row : rows) {
@@ -510,14 +406,12 @@ int main(int argc, char** argv) {
     w.key("stage").value(row.stage);
     w.key("ops").value(row.ops);
     w.key("ns_per_op").value(row.ns_per_op);
-    if (row.speedup > 0) w.key("speedup").value(row.speedup);
     // Hex string: fingerprints are 64-bit and JSON numbers are doubles.
     char fp[24];
     std::snprintf(fp, sizeof(fp), "%016llx",
                   static_cast<unsigned long long>(row.fingerprint));
     w.key("fingerprint").value(fp);
     if (row.allocs_per_op >= 0) w.key("allocs_per_op").value(row.allocs_per_op);
-    if (row.has_parity) w.key("parity_ok").value(row.parity_ok);
     w.end_object();
   }
   w.end_array();
@@ -530,29 +424,10 @@ int main(int argc, char** argv) {
   std::fclose(f);
   std::printf("\nwrote %s\n", json_path.c_str());
 
-  if (!all_parity_ok) {
-    std::fprintf(stderr, "FAIL: a SoA stage diverged from its scalar twin\n");
-    return 1;
-  }
   if (!zero_alloc_lookups) {
     std::fprintf(stderr, "FAIL: header lookups allocated (%lld allocs/op)\n",
                  header_lookup.allocs_per_op);
     return 1;
-  }
-  if (!assert_speedup_s.empty()) {
-    char* end = nullptr;
-    const double want = std::strtod(assert_speedup_s.c_str(), &end);
-    if (end == nullptr || *end != '\0' || want <= 0)
-      CliOptions::fail("--assert-speedup", assert_speedup_s,
-                       "expected a positive number");
-    if (batch_row.speedup < want) {
-      std::fprintf(stderr,
-                   "FAIL: speedup gate: coverage_batch %.2fx, required %.2fx\n",
-                   batch_row.speedup, want);
-      return 1;
-    }
-    std::printf("speedup gate passed: coverage_batch %.2fx >= %.2fx\n",
-                batch_row.speedup, want);
   }
   return 0;
 }

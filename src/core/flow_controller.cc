@@ -43,56 +43,6 @@ DownloadPolicy FlowController::replan(const ScrollAnalysis& analysis,
   return policy;
 }
 
-DownloadPolicy FlowController::optimize(const ScrollAnalysis& analysis,
-                                        const ObjectArena& arena,
-                                        const BandwidthTrace& bandwidth) const {
-  BuildBuffers buffers;
-  DownloadPolicy policy = plan_arena(analysis, arena, bandwidth, nullptr, buffers);
-  if (arena_parity_check_) check_arena_parity(analysis, arena, bandwidth, policy);
-  return policy;
-}
-
-DownloadPolicy FlowController::replan(const ScrollAnalysis& analysis,
-                                      const ObjectArena& arena,
-                                      const BandwidthTrace& bandwidth) {
-  static obs::Counter& replans_total =
-      obs::metrics().counter("core.flow.replans_total");
-  static obs::Counter& full_reuse_total =
-      obs::metrics().counter("core.flow.replan_full_reuse_total");
-  replans_total.inc();
-  const std::uint64_t reuses_before = scratch_.full_reuses;
-  DownloadPolicy policy = plan_arena(analysis, arena, bandwidth, &scratch_, buffers_);
-  if (scratch_.full_reuses != reuses_before) full_reuse_total.inc();
-  if (arena_parity_check_) check_arena_parity(analysis, arena, bandwidth, policy);
-  return policy;
-}
-
-void FlowController::check_arena_parity(const ScrollAnalysis& analysis,
-                                        const ObjectArena& arena,
-                                        const BandwidthTrace& bandwidth,
-                                        const DownloadPolicy& arena_policy) const {
-  MFHTTP_CHECK_MSG(arena.has_source(),
-                   "parity mode needs the arena's source objects alive");
-  BuildBuffers buffers;
-  DownloadPolicy legacy =
-      plan(analysis, arena.source(), bandwidth, nullptr, buffers);
-  MFHTTP_CHECK_MSG(legacy.decisions.size() == arena_policy.decisions.size(),
-                   "arena parity: decision count diverged");
-  for (std::size_t k = 0; k < legacy.decisions.size(); ++k) {
-    const DownloadDecision& a = arena_policy.decisions[k];
-    const DownloadDecision& b = legacy.decisions[k];
-    MFHTTP_CHECK_MSG(a.object_index == b.object_index &&
-                         a.version == b.version &&
-                         a.entry_time_ms == b.entry_time_ms &&
-                         a.qoe == b.qoe && a.cost == b.cost &&
-                         a.value == b.value,
-                     "arena parity: decision diverged from the AoS layout");
-  }
-  MFHTTP_CHECK_MSG(legacy.objective == arena_policy.objective &&
-                       legacy.total_bytes == arena_policy.total_bytes,
-                   "arena parity: objective/bytes diverged");
-}
-
 DownloadPolicy FlowController::plan(const ScrollAnalysis& analysis,
                                     const std::vector<MediaObject>& objects,
                                     const BandwidthTrace& bandwidth,
@@ -174,14 +124,12 @@ DownloadPolicy FlowController::plan(const ScrollAnalysis& analysis,
     }
   }
 
-  Params::Solver solver =
-      params_.use_greedy ? Params::Solver::kGreedy : params_.solver;
   KnapsackSolution sol;
   {
     static obs::Histogram& solve_ms = obs::metrics().histogram(
         "core.flow.solve_ms", obs::latency_ms_bounds());
     obs::ScopedTimer timer(solve_ms);
-    switch (solver) {
+    switch (params_.solver) {
       case Params::Solver::kGreedy:
         sol = solve_prefix_knapsack_greedy(items);
         break;
@@ -232,161 +180,6 @@ DownloadPolicy FlowController::plan(const ScrollAnalysis& analysis,
   bytes_total.inc(static_cast<std::uint64_t>(policy.total_bytes));
   MFHTTP_DEBUG << "flow policy: " << policy.decisions.size() << " involved, "
                << policy.total_bytes << " bytes, objective " << policy.objective;
-  return policy;
-}
-
-// The SoA twin of plan(): identical control flow and identical arithmetic,
-// but every per-version read comes from the arena's flat arrays. Kept next
-// to plan() on purpose — a change to one must land in both (the parity mode
-// and tests/test_arena.cc enforce that they cannot drift apart silently).
-DownloadPolicy FlowController::plan_arena(const ScrollAnalysis& analysis,
-                                          const ObjectArena& arena,
-                                          const BandwidthTrace& bandwidth,
-                                          KnapsackScratch* scratch,
-                                          BuildBuffers& buffers) const {
-  MFHTTP_CHECK(analysis.coverages.size() == arena.size());
-  static obs::Counter& policies_total =
-      obs::metrics().counter("core.flow.policies_total");
-  policies_total.inc();
-  DownloadPolicy policy;
-
-  std::vector<std::size_t> involved = analysis.involved_by_entry_time();
-  if (!speculation_enabled_) {
-    static obs::Counter& speculation_dropped = obs::metrics().counter(
-        "core.flow.speculation_dropped_total");
-    std::vector<std::size_t> kept;
-    for (std::size_t idx : involved) {
-      const ObjectCoverage& cov = analysis.coverages[idx];
-      if (cov.in_initial_viewport || cov.in_final_viewport)
-        kept.push_back(idx);
-      else
-        speculation_dropped.inc();
-    }
-    involved = std::move(kept);
-  }
-  if (involved.empty()) return policy;
-
-  if (degraded_) return degraded_policy_arena(analysis, arena, involved);
-
-  const ScrollPrediction& pred = analysis.prediction;
-  const double S = pred.viewport0.area();
-  const double T = pred.duration_ms;
-  const TimeMs start = pred.start_time_ms;
-
-  double c_m = max_cost(params_.cost, arena, involved, bandwidth, start, T);
-
-  std::vector<KnapsackItem>& items = buffers.items;
-  items.resize(involved.size());
-  Bytes total_top_weight = 0;
-  for (std::size_t idx : involved) total_top_weight += arena.top_size(idx);
-
-  std::vector<double>& qoe_cache = buffers.qoe;
-  std::vector<double>& cost_cache = buffers.cost;
-  qoe_cache.clear();
-  cost_cache.clear();
-  std::size_t slot = 0;
-  for (std::size_t idx : involved) {
-    const ObjectCoverage& cov = analysis.coverages[idx];
-    const double r_m = arena.top_resolution(idx);
-    const std::size_t versions = arena.version_count(idx);
-
-    KnapsackItem& item = items[slot++];
-    item.values.clear();
-    item.weights.clear();
-    for (std::size_t j = 0; j < versions; ++j) {
-      double q = qoe_score(params_.qoe, cov, S, T,
-                           arena.version_resolution(idx, j), r_m);
-      double c = c_m > 0 ? params_.cost(arena.version_size(idx, j)) / c_m : 0.0;
-      item.values.push_back(params_.weights.p * q - params_.weights.q * c);
-      item.weights.push_back(arena.version_size(idx, j));
-      qoe_cache.push_back(q);
-      cost_cache.push_back(c);
-    }
-    if (params_.ignore_bandwidth_constraint) {
-      item.capacity = 2 * total_top_weight + 1;
-    } else {
-      double w = bandwidth.bytes_between(
-          start, start + static_cast<TimeMs>(std::ceil(
-                             std::max(0.0, cov.entry_time_ms))));
-      item.capacity = static_cast<Bytes>(w);
-    }
-  }
-
-  Params::Solver solver =
-      params_.use_greedy ? Params::Solver::kGreedy : params_.solver;
-  KnapsackSolution sol;
-  {
-    static obs::Histogram& solve_ms = obs::metrics().histogram(
-        "core.flow.solve_ms", obs::latency_ms_bounds());
-    obs::ScopedTimer timer(solve_ms);
-    switch (solver) {
-      case Params::Solver::kGreedy:
-        sol = solve_prefix_knapsack_greedy(items);
-        break;
-      case Params::Solver::kBranchAndBound:
-        sol = solve_prefix_knapsack_bnb(items).solution;
-        break;
-      case Params::Solver::kDp:
-        sol = scratch != nullptr
-                  ? solve_prefix_knapsack_incremental(
-                        items, params_.capacity_unit_bytes, scratch)
-                  : solve_prefix_knapsack(items, params_.capacity_unit_bytes);
-        break;
-    }
-  }
-
-  std::size_t cache_pos = 0;
-  for (std::size_t k = 0; k < involved.size(); ++k) {
-    const std::size_t idx = involved[k];
-    DownloadDecision d;
-    d.object_index = idx;
-    d.entry_time_ms = analysis.coverages[idx].entry_time_ms;
-    d.version = sol.chosen[k];
-    if (d.version >= 0) {
-      std::size_t flat = cache_pos + static_cast<std::size_t>(d.version);
-      d.qoe = qoe_cache[flat];
-      d.cost = cost_cache[flat];
-      d.value = params_.weights.p * d.qoe - params_.weights.q * d.cost;
-      policy.total_bytes +=
-          arena.version_size(idx, static_cast<std::size_t>(d.version));
-    }
-    cache_pos += arena.version_count(idx);
-    policy.decisions.push_back(d);
-  }
-  policy.objective = sol.total_value;
-  static obs::Counter& allowed_total =
-      obs::metrics().counter("core.flow.objects_allowed_total");
-  static obs::Counter& skipped_total =
-      obs::metrics().counter("core.flow.objects_skipped_total");
-  static obs::Counter& bytes_total =
-      obs::metrics().counter("core.flow.policy_bytes_total");
-  std::size_t downloads = 0;
-  for (const DownloadDecision& d : policy.decisions)
-    if (d.download()) ++downloads;
-  allowed_total.inc(downloads);
-  skipped_total.inc(policy.decisions.size() - downloads);
-  bytes_total.inc(static_cast<std::uint64_t>(policy.total_bytes));
-  MFHTTP_DEBUG << "flow policy (arena): " << policy.decisions.size()
-               << " involved, " << policy.total_bytes << " bytes, objective "
-               << policy.objective;
-  return policy;
-}
-
-DownloadPolicy FlowController::degraded_policy_arena(
-    const ScrollAnalysis& analysis, const ObjectArena& arena,
-    const std::vector<std::size_t>& involved) const {
-  static obs::Counter& degraded_total =
-      obs::metrics().counter("core.flow.degraded_policies_total");
-  degraded_total.inc();
-  DownloadPolicy policy;
-  for (std::size_t idx : involved) {
-    DownloadDecision d;
-    d.object_index = idx;
-    d.entry_time_ms = analysis.coverages[idx].entry_time_ms;
-    d.version = 0;
-    policy.total_bytes += arena.version_size(idx, 0);
-    policy.decisions.push_back(d);
-  }
   return policy;
 }
 

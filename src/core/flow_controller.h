@@ -7,7 +7,6 @@
 
 #include "core/knapsack.h"
 #include "core/media_object.h"
-#include "core/object_arena.h"
 #include "core/qoe.h"
 #include "core/scroll_tracker.h"
 #include "net/bandwidth_trace.h"
@@ -65,8 +64,6 @@ class FlowController {
     // branch-and-bound, or the greedy value-density heuristic (ablations).
     enum class Solver { kDp, kBranchAndBound, kGreedy };
     Solver solver = Solver::kDp;
-    // Back-compat alias for Solver::kGreedy.
-    bool use_greedy = false;
     // Drop Eq. 13 entirely — §5.1.2: "As bandwidth is rarely the bottleneck
     // for web browsing, we release the bandwidth constraint".
     bool ignore_bandwidth_constraint = false;
@@ -106,24 +103,6 @@ class FlowController {
                         const std::vector<MediaObject>& objects,
                         const BandwidthTrace& bandwidth);
 
-  // SoA fast path: same policies, bit for bit, as the AoS overloads, with
-  // the knapsack instance built from the arena's flat size/resolution
-  // arrays instead of per-object version vectors. `analysis` must cover the
-  // same objects the arena was rebuilt from (object_index == arena index).
-  DownloadPolicy optimize(const ScrollAnalysis& analysis,
-                          const ObjectArena& arena,
-                          const BandwidthTrace& bandwidth) const;
-  DownloadPolicy replan(const ScrollAnalysis& analysis,
-                        const ObjectArena& arena,
-                        const BandwidthTrace& bandwidth);
-
-  // Parity mode: every arena plan also runs the legacy AoS path on
-  // arena.source() and checks the decisions are bit-identical. Used by the
-  // parity tests and the microbench fixtures; costs a full extra solve per
-  // plan, so it stays off in production wiring.
-  void set_arena_parity_check(bool on) { arena_parity_check_ = on; }
-  bool arena_parity_check() const { return arena_parity_check_; }
-
   // Re-solve telemetry for benches and tests (counts full/prefix DP reuse).
   const KnapsackScratch& replan_scratch() const { return scratch_; }
 
@@ -148,26 +127,13 @@ class FlowController {
                       const std::vector<MediaObject>& objects,
                       const BandwidthTrace& bandwidth, KnapsackScratch* scratch,
                       BuildBuffers& buffers) const;
-  DownloadPolicy plan_arena(const ScrollAnalysis& analysis,
-                            const ObjectArena& arena,
-                            const BandwidthTrace& bandwidth,
-                            KnapsackScratch* scratch,
-                            BuildBuffers& buffers) const;
   DownloadPolicy degraded_policy(const ScrollAnalysis& analysis,
                                  const std::vector<MediaObject>& objects,
                                  const std::vector<std::size_t>& involved) const;
-  DownloadPolicy degraded_policy_arena(
-      const ScrollAnalysis& analysis, const ObjectArena& arena,
-      const std::vector<std::size_t>& involved) const;
-  void check_arena_parity(const ScrollAnalysis& analysis,
-                          const ObjectArena& arena,
-                          const BandwidthTrace& bandwidth,
-                          const DownloadPolicy& arena_policy) const;
 
   Params params_;
   bool degraded_ = false;
   bool speculation_enabled_ = true;
-  bool arena_parity_check_ = false;
   KnapsackScratch scratch_;
   BuildBuffers buffers_;
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/object_arena.h"
 #include "util/check.h"
 
 namespace mfhttp {
@@ -54,22 +53,6 @@ double max_cost(const CostFunction& cost, const std::vector<MediaObject>& object
   for (std::size_t i : involved) {
     MFHTTP_CHECK(i < objects.size());
     all_top += objects[i].top_version().size;
-  }
-  double capacity = bandwidth.bytes_between(
-      scroll_start_ms,
-      scroll_start_ms + static_cast<TimeMs>(std::ceil(duration_ms)));
-  auto cap_bytes = static_cast<Bytes>(capacity);
-  return cost(std::min(all_top, cap_bytes));
-}
-
-double max_cost(const CostFunction& cost, const ObjectArena& arena,
-                const std::vector<std::size_t>& involved,
-                const BandwidthTrace& bandwidth, TimeMs scroll_start_ms,
-                double duration_ms) {
-  Bytes all_top = 0;
-  for (std::size_t i : involved) {
-    MFHTTP_CHECK(i < arena.size());
-    all_top += arena.top_size(i);
   }
   double capacity = bandwidth.bytes_between(
       scroll_start_ms,

@@ -52,12 +52,4 @@ double max_cost(const CostFunction& cost, const std::vector<MediaObject>& object
                 const BandwidthTrace& bandwidth, TimeMs scroll_start_ms,
                 double duration_ms);
 
-// Same normalizer over an arena snapshot (top sizes read from the SoA
-// arrays); bit-identical to the AoS overload on the same objects.
-class ObjectArena;
-double max_cost(const CostFunction& cost, const ObjectArena& arena,
-                const std::vector<std::size_t>& involved,
-                const BandwidthTrace& bandwidth, TimeMs scroll_start_ms,
-                double duration_ms);
-
 }  // namespace mfhttp

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/object_arena.h"
-#include "geom/coverage_batch.h"
 #include "obs/metrics.h"
 #include "util/check.h"
 
@@ -100,13 +98,14 @@ ScrollPrediction ScrollTracker::predict(const Gesture& gesture,
 
 namespace {
 
-// An involved object's coverage slot and corners (x1/y1 as the arena stores them).
+// An involved object's coverage slot and corners (x1/y1 are the rect's
+// right()/bottom() sums, computed once instead of once per trajectory step).
 struct InvolvedRect {
   std::size_t index;
   double x0, y0, x1, y1;
 };
 
-// The per-object coverage math bar the integral, shared by both AoS analyze()
+// The per-object coverage math bar the integral, shared by both analyze()
 // overloads so the indexed path is bit-identical to the linear scan.
 void analyze_object(const ScrollPrediction& prediction, const SweptRegion& sweep,
                     const Rect& final_vp, double total_dist, std::size_t i,
@@ -127,50 +126,6 @@ void analyze_object(const ScrollPrediction& prediction, const SweptRegion& sweep
 
   cov.final_coverage = final_vp.overlap_area(rect);
   involved.push_back({i, rect.x, rect.y, rect.right(), rect.bottom()});
-}
-
-// SoA twin of analyze_object: given the batched first-overlap fraction for
-// each listed arena object, fill in viewport membership, entry time, and the
-// final-viewport coverage, and queue the involved subset. Every expression
-// mirrors analyze_object / Rect::overlaps / Rect::overlap_area term for term
-// (the arena's x1/y1 store the exact x + w / y + h sums those recompute), so
-// the results are bit-identical to the AoS path.
-void analyze_arena_objects(const ScrollPrediction& prediction,
-                           const Rect& final_vp, double total_dist,
-                           const ObjectArena& arena,
-                           const std::size_t* indices, std::size_t count,
-                           const double* frac,
-                           std::vector<ObjectCoverage>& coverages,
-                           std::vector<InvolvedRect>& involved) {
-  const Rect& vp0 = prediction.viewport0;
-  const double vp0_right = vp0.right(), vp0_bottom = vp0.bottom();
-  const double fin_right = final_vp.right(), fin_bottom = final_vp.bottom();
-  for (std::size_t k = 0; k < count; ++k) {
-    const std::size_t i = indices != nullptr ? indices[k] : k;
-    ObjectCoverage& cov = coverages[i];
-    cov.in_initial_viewport = vp0.x < arena.x1(i) && arena.x0(i) < vp0_right &&
-                              vp0.y < arena.y1(i) && arena.y0(i) < vp0_bottom;
-    cov.in_final_viewport = final_vp.x < arena.x1(i) &&
-                            arena.x0(i) < fin_right &&
-                            final_vp.y < arena.y1(i) &&
-                            arena.y0(i) < fin_bottom;
-    // The batch kernel returns a negative fraction exactly when the scalar
-    // intersects_swept_region is false, so the sign IS the involvement bit.
-    cov.involved = frac[k] >= 0;
-    if (!cov.involved) continue;
-
-    if (cov.in_initial_viewport) {
-      cov.entry_time_ms = 0;
-    } else {
-      cov.entry_time_ms =
-          prediction.animation.time_for_distance(frac[k] * total_dist);
-    }
-
-    double dy = std::min(fin_bottom, arena.y1(i)) - std::max(final_vp.y, arena.y0(i));
-    double dx = std::min(fin_right, arena.x1(i)) - std::max(final_vp.x, arena.x0(i));
-    cov.final_coverage = (dx <= 0 || dy <= 0) ? 0 : dx * dy;
-    involved.push_back({i, arena.x0(i), arena.y0(i), arena.x1(i), arena.y1(i)});
-  }
 }
 
 // Midpoint-rule sum Σ_t s_i(t)·step of Eq. (7) for every involved object in
@@ -208,21 +163,6 @@ void ObjectIntervalIndex::rebuild(const std::vector<MediaObject>& objects) {
     const Rect& r = objects[i].rect;
     entries_.push_back({r.top(), r.bottom(), i});
     max_height_ = std::max(max_height_, r.h);
-  }
-  std::sort(entries_.begin(), entries_.end(), [](const Entry& a, const Entry& b) {
-    return a.top != b.top ? a.top < b.top : a.index < b.index;
-  });
-}
-
-void ObjectIntervalIndex::rebuild(const ObjectArena& arena) {
-  entries_.clear();
-  entries_.reserve(arena.size());
-  max_height_ = 0;
-  for (std::size_t i = 0; i < arena.size(); ++i) {
-    // top = y0, bottom = the stored y + h sum — the same doubles
-    // rebuild(objects) reads off each Rect.
-    entries_.push_back({arena.y0(i), arena.y1(i), i});
-    max_height_ = std::max(max_height_, arena.height(i));
   }
   std::sort(entries_.begin(), entries_.end(), [](const Entry& a, const Entry& b) {
     return a.top != b.top ? a.top < b.top : a.index < b.index;
@@ -306,99 +246,6 @@ ScrollAnalysis ScrollTracker::analyze(const ScrollPrediction& prediction,
   accumulate_coverage_integral(prediction, step, involved, analysis.coverages);
   candidates_total.inc(candidates.size());
   pruned_total.inc(objects.size() - candidates.size());
-  return analysis;
-}
-
-ScrollAnalysis ScrollTracker::analyze(const ScrollPrediction& prediction,
-                                      const ObjectArena& arena) const {
-  static obs::Counter& analyses_total =
-      obs::metrics().counter("core.tracker.analyses_total");
-  analyses_total.inc();
-  ScrollAnalysis analysis;
-  analysis.prediction = prediction;
-  const std::size_t n = arena.size();
-  analysis.coverages.resize(n);
-  for (std::size_t i = 0; i < n; ++i) analysis.coverages[i].object_index = i;
-
-  const SweptRegion sweep = prediction.sweep();
-  const Rect final_vp = prediction.final_viewport();
-  const double total_dist = prediction.displacement.norm();
-  const double step = params_.coverage_step_ms;
-  MFHTTP_CHECK(step > 0);
-  if (n == 0) return analysis;
-
-  std::vector<double> frac(n);
-  geom::first_overlap_fraction_batch(sweep, arena.rects(), frac.data());
-
-  std::vector<InvolvedRect> involved;
-  involved.reserve(n);
-  analyze_arena_objects(prediction, final_vp, total_dist, arena,
-                        /*indices=*/nullptr, n, frac.data(),
-                        analysis.coverages, involved);
-  accumulate_coverage_integral(prediction, step, involved, analysis.coverages);
-  return analysis;
-}
-
-ScrollAnalysis ScrollTracker::analyze(const ScrollPrediction& prediction,
-                                      const ObjectArena& arena,
-                                      const ObjectIntervalIndex& index) const {
-  static obs::Counter& analyses_total =
-      obs::metrics().counter("core.tracker.analyses_total");
-  static obs::Counter& candidates_total =
-      obs::metrics().counter("core.tracker.index_candidates_total");
-  static obs::Counter& pruned_total =
-      obs::metrics().counter("core.tracker.index_pruned_total");
-  analyses_total.inc();
-  MFHTTP_CHECK_MSG(index.size() == arena.size(),
-                   "interval index is stale: rebuild() after layout changes");
-  ScrollAnalysis analysis;
-  analysis.prediction = prediction;
-  analysis.coverages.resize(arena.size());
-  for (std::size_t i = 0; i < arena.size(); ++i)
-    analysis.coverages[i].object_index = i;
-
-  const SweptRegion sweep = prediction.sweep();
-  const Rect final_vp = prediction.final_viewport();
-  const double total_dist = prediction.displacement.norm();
-  const double step = params_.coverage_step_ms;
-  MFHTTP_CHECK(step > 0);
-
-  const double y_lo = std::min(prediction.viewport0.top(), final_vp.top());
-  const double y_hi = std::max(prediction.viewport0.bottom(), final_vp.bottom());
-  std::vector<std::size_t> candidates;
-  index.query(y_lo, y_hi, candidates);
-
-  // Gather the candidate rows so the batch kernel reads one contiguous run.
-  geom::RectSoA soa = arena.rects();
-  std::vector<double> gx0(candidates.size()), gy0(candidates.size());
-  std::vector<double> gx1(candidates.size()), gy1(candidates.size());
-  std::vector<double> gdeg(candidates.size());
-  for (std::size_t k = 0; k < candidates.size(); ++k) {
-    const std::size_t i = candidates[k];
-    gx0[k] = soa.x0[i];
-    gy0[k] = soa.y0[i];
-    gx1[k] = soa.x1[i];
-    gy1[k] = soa.y1[i];
-    gdeg[k] = soa.degenerate[i];
-  }
-  geom::RectSoA gathered;
-  gathered.x0 = gx0.data();
-  gathered.y0 = gy0.data();
-  gathered.x1 = gx1.data();
-  gathered.y1 = gy1.data();
-  gathered.degenerate = gdeg.data();
-  gathered.count = candidates.size();
-  std::vector<double> frac(candidates.size());
-  geom::first_overlap_fraction_batch(sweep, gathered, frac.data());
-
-  std::vector<InvolvedRect> involved;
-  involved.reserve(candidates.size());
-  analyze_arena_objects(prediction, final_vp, total_dist, arena,
-                        candidates.data(), candidates.size(), frac.data(),
-                        analysis.coverages, involved);
-  accumulate_coverage_integral(prediction, step, involved, analysis.coverages);
-  candidates_total.inc(candidates.size());
-  pruned_total.inc(arena.size() - candidates.size());
   return analysis;
 }
 

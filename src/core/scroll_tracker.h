@@ -19,8 +19,6 @@
 
 namespace mfhttp {
 
-class ObjectArena;
-
 // Full prediction of one scrolling animation, made at finger release.
 struct ScrollPrediction {
   Gesture gesture;
@@ -83,8 +81,6 @@ class ObjectIntervalIndex {
   }
 
   void rebuild(const std::vector<MediaObject>& objects);
-  // Same index, built from an arena snapshot instead of the AoS vector.
-  void rebuild(const ObjectArena& arena);
   std::size_t size() const { return entries_.size(); }
 
   // Indices (ascending object top, ties by index) of all objects whose
@@ -123,7 +119,9 @@ class ScrollTracker {
   // viewport at release time, in content coordinates.
   ScrollPrediction predict(const Gesture& gesture, const Rect& viewport) const;
 
-  // Identify involved objects and compute their coverage trajectories.
+  // Identify involved objects and compute their coverage trajectories. Both
+  // overloads share one coverage-integral pass that samples the viewport
+  // trajectory once per step for every involved object.
   ScrollAnalysis analyze(const ScrollPrediction& prediction,
                          const std::vector<MediaObject>& objects) const;
 
@@ -132,21 +130,6 @@ class ScrollTracker {
   // hot path on large pages. `index` must be built from the same `objects`.
   ScrollAnalysis analyze(const ScrollPrediction& prediction,
                          const std::vector<MediaObject>& objects,
-                         const ObjectIntervalIndex& index) const;
-
-  // SoA fast path: identical results, bit for bit, to the AoS overloads, but
-  // the involvement test and first-overlap fraction run through the batched
-  // geom::coverage_batch kernels over the arena's contiguous corner arrays.
-  // All four overloads share one coverage-integral pass that samples the
-  // viewport trajectory once per step for every involved object.
-  ScrollAnalysis analyze(const ScrollPrediction& prediction,
-                         const ObjectArena& arena) const;
-
-  // Batched AND index-pruned: candidates from the y-corridor query, SoA math
-  // on the gathered candidate set. `index` must be built from `arena` (or
-  // equivalently from its source objects).
-  ScrollAnalysis analyze(const ScrollPrediction& prediction,
-                         const ObjectArena& arena,
                          const ObjectIntervalIndex& index) const;
 
  private:

@@ -41,9 +41,13 @@ class Rng {
     return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
   }
 
-  // Normal with the given mean/stddev.
+  // Normal with the given mean/stddev (>= 0; stddev 0 returns the mean).
+  // std::normal_distribution requires stddev > 0, so scale a standard normal
+  // instead: libstdc++ computes z * stddev + mean the same way, so the result
+  // and the engine bits consumed are identical for stddev > 0.
   double normal(double mean, double stddev) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    MFHTTP_CHECK(stddev >= 0);
+    return std::normal_distribution<double>()(engine_) * stddev + mean;
   }
 
   // Normal truncated to [lo, hi] by resampling (clamps after 64 tries).

@@ -205,7 +205,7 @@ TEST(FlowController, GreedyModeProducesFeasibleLowerBound) {
 
   FlowController::Params dp_params;
   FlowController::Params greedy_params;
-  greedy_params.use_greedy = true;
+  greedy_params.solver = FlowController::Params::Solver::kGreedy;
 
   DownloadPolicy dp = FlowController(dp_params).optimize(analysis, objects, bw);
   DownloadPolicy greedy = FlowController(greedy_params).optimize(analysis, objects, bw);

@@ -4,9 +4,6 @@
 // sampling-based ground-truth oracle.
 #include <gtest/gtest.h>
 
-#include <limits>
-
-#include "geom/coverage_batch.h"
 #include "geom/rect.h"
 #include "geom/swept_region.h"
 #include "geom/vec2.h"
@@ -273,127 +270,6 @@ TEST_P(SweptRegionProperty, FirstOverlapFractionIsEarliest) {
     for (double t = 0; t < f - 1e-6; t += f / 20 + 1e-9)
       EXPECT_DOUBLE_EQ(s.at(t).overlap_area(obj), 0.0);
   }
-}
-
-// ---------- coverage_batch vs scalar oracle ----------
-
-// SoA mirror of a rect list, built the way core/object_arena.cc builds it:
-// x1/y1 hold the double-precision sums x + w / y + h, degenerate guards come
-// from the original extents (-inf live, +inf degenerate).
-struct BatchFixture {
-  std::vector<double> x0, y0, x1, y1, degenerate;
-
-  explicit BatchFixture(const std::vector<Rect>& rects) {
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    for (const Rect& r : rects) {
-      x0.push_back(r.x);
-      y0.push_back(r.y);
-      x1.push_back(r.x + r.w);
-      y1.push_back(r.y + r.h);
-      degenerate.push_back(r.empty() ? kInf : -kInf);
-    }
-  }
-
-  geom::RectSoA soa() const {
-    geom::RectSoA s;
-    s.x0 = x0.data();
-    s.y0 = y0.data();
-    s.x1 = x1.data();
-    s.y1 = y1.data();
-    s.degenerate = degenerate.data();
-    s.count = x0.size();
-    return s;
-  }
-};
-
-// The batch kernels must be BIT-identical to the scalar functions — the
-// arena planner asserts decision parity downstream, which only holds if the
-// geometry layer produces the exact same doubles. Hence EXPECT_EQ on the
-// fractions, not EXPECT_NEAR.
-TEST_P(SweptRegionProperty, BatchMatchesScalarBitExact) {
-  Rng rng(GetParam() + 91);
-  for (int iter = 0; iter < 100; ++iter) {
-    SweptRegion s{Rect{rng.uniform(-200, 200), rng.uniform(-200, 200),
-                       rng.uniform(50, 400), rng.uniform(50, 400)},
-                  Vec2{rng.uniform(-800, 800), rng.uniform(-800, 800)}};
-    // Exercise the hoisted d == 0 specializations too.
-    if (iter % 7 == 0) s.displacement.x = 0;
-    if (iter % 11 == 0) s.displacement.y = 0;
-    std::vector<Rect> objs;
-    const int n = 1 + static_cast<int>(rng.uniform(0, 40));
-    for (int i = 0; i < n; ++i) {
-      Rect r{rng.uniform(-1200, 1500), rng.uniform(-1200, 1500),
-             rng.uniform(-20, 300), rng.uniform(-20, 300)};  // some degenerate
-      objs.push_back(r);
-    }
-    BatchFixture fx(objs);
-    std::vector<std::uint8_t> involved(objs.size(), 0xee);
-    std::vector<double> fraction(objs.size(), -7.0);
-    const std::size_t count =
-        geom::intersects_swept_region_batch(s, fx.soa(), involved.data());
-    geom::first_overlap_fraction_batch(s, fx.soa(), fraction.data());
-
-    std::size_t expect_count = 0;
-    for (std::size_t i = 0; i < objs.size(); ++i) {
-      const bool scalar_in = intersects_swept_region(s, objs[i]);
-      expect_count += scalar_in ? 1 : 0;
-      EXPECT_EQ(involved[i] != 0, scalar_in) << "object " << i;
-      const double scalar_f = first_overlap_fraction(s, objs[i]);
-      if (scalar_f < 0) {
-        EXPECT_LT(fraction[i], 0.0) << "object " << i;
-      } else {
-        EXPECT_EQ(fraction[i], scalar_f) << "object " << i;  // bit-exact
-      }
-    }
-    EXPECT_EQ(count, expect_count);
-  }
-}
-
-TEST_P(SweptRegionProperty, BatchMatchesPaperOracleInQ1) {
-  Rng rng(GetParam() + 133);
-  for (int iter = 0; iter < 100; ++iter) {
-    SweptRegion s{Rect{rng.uniform(-100, 400), rng.uniform(-100, 400),
-                       rng.uniform(50, 300), rng.uniform(50, 300)},
-                  Vec2{rng.uniform(1, 900), rng.uniform(1, 900)}};
-    std::vector<Rect> objs;
-    for (int i = 0; i < 32; ++i)
-      objs.push_back(Rect{rng.uniform(-1200, 1500), rng.uniform(-1200, 1500),
-                          rng.uniform(10, 250), rng.uniform(10, 250)});
-    BatchFixture fx(objs);
-    std::vector<std::uint8_t> involved(objs.size(), 0);
-    geom::intersects_swept_region_batch(s, fx.soa(), involved.data());
-    for (std::size_t i = 0; i < objs.size(); ++i)
-      EXPECT_EQ(involved[i] != 0, paper_conditions_q1(s, objs[i]))
-          << "object " << i;
-  }
-}
-
-TEST(CoverageBatch, EmptyViewportNothingInvolved) {
-  SweptRegion s{Rect{0, 0, 0, 100}, Vec2{50, 50}};
-  BatchFixture fx({Rect{0, 0, 10, 10}, Rect{20, 20, 5, 5}});
-  std::vector<std::uint8_t> involved(2, 0xee);
-  std::vector<double> fraction(2, 9.0);
-  EXPECT_EQ(geom::intersects_swept_region_batch(s, fx.soa(), involved.data()),
-            0u);
-  geom::first_overlap_fraction_batch(s, fx.soa(), fraction.data());
-  EXPECT_EQ(involved[0], 0);
-  EXPECT_EQ(involved[1], 0);
-  EXPECT_LT(fraction[0], 0.0);
-  EXPECT_LT(fraction[1], 0.0);
-}
-
-TEST(CoverageBatch, NullDegenerateArrayMeansAllLive) {
-  SweptRegion s{Rect{0, 0, 100, 100}, Vec2{0, 200}};
-  std::vector<double> x0{10}, y0{150}, x1{60}, y1{200};
-  geom::RectSoA soa;
-  soa.x0 = x0.data();
-  soa.y0 = y0.data();
-  soa.x1 = x1.data();
-  soa.y1 = y1.data();
-  soa.count = 1;
-  std::uint8_t involved = 0;
-  EXPECT_EQ(geom::intersects_swept_region_batch(s, soa, &involved), 1u);
-  EXPECT_EQ(involved, 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SweptRegionProperty,

@@ -25,10 +25,12 @@
 #include "core/middleware.h"
 #include "core/scroll_tracker.h"
 #include "obs/metrics.h"
+#include "scenario/scenario_spec.h"
 #include "sim/multi_session.h"
 #include "sim/parallel_runner.h"
 #include "sim/session_world.h"
 #include "util/rng.h"
+#include "web/corpus.h"
 
 namespace mfhttp {
 namespace {
@@ -349,6 +351,22 @@ TEST(IntervalIndex, StaleIndexIsRejected) {
 
 // ---------- FlowController::replan ----------
 
+void expect_policy_eq(const DownloadPolicy& got, const DownloadPolicy& want) {
+  EXPECT_EQ(got.objective, want.objective);
+  EXPECT_EQ(got.total_bytes, want.total_bytes);
+  ASSERT_EQ(got.decisions.size(), want.decisions.size());
+  for (std::size_t i = 0; i < want.decisions.size(); ++i) {
+    const DownloadDecision& a = got.decisions[i];
+    const DownloadDecision& b = want.decisions[i];
+    EXPECT_EQ(a.object_index, b.object_index) << "decision " << i;
+    EXPECT_EQ(a.version, b.version) << "decision " << i;
+    EXPECT_EQ(a.entry_time_ms, b.entry_time_ms) << "decision " << i;
+    EXPECT_EQ(a.qoe, b.qoe) << "decision " << i;
+    EXPECT_EQ(a.cost, b.cost) << "decision " << i;
+    EXPECT_EQ(a.value, b.value) << "decision " << i;
+  }
+}
+
 TEST(Replan, BitIdenticalToOptimizeAcrossAGestureSequence) {
   Rng rng(41);
   ScrollTracker::Params tparams;
@@ -373,19 +391,46 @@ TEST(Replan, BitIdenticalToOptimizeAcrossAGestureSequence) {
     ScrollPrediction pred =
         tracker.predict(fling(rng.uniform(-8000, -1000)), viewport);
     ScrollAnalysis analysis = tracker.analyze(pred, objects);
-    DownloadPolicy a = stateless.optimize(analysis, objects, bandwidth);
-    DownloadPolicy b = stateful.replan(analysis, objects, bandwidth);
-    EXPECT_EQ(b.objective, a.objective);
-    EXPECT_EQ(b.total_bytes, a.total_bytes);
-    ASSERT_EQ(b.decisions.size(), a.decisions.size());
-    for (std::size_t i = 0; i < a.decisions.size(); ++i) {
-      EXPECT_EQ(b.decisions[i].object_index, a.decisions[i].object_index);
-      EXPECT_EQ(b.decisions[i].version, a.decisions[i].version);
-      EXPECT_EQ(b.decisions[i].qoe, a.decisions[i].qoe);
-      EXPECT_EQ(b.decisions[i].value, a.decisions[i].value);
-    }
+    expect_policy_eq(stateful.replan(analysis, objects, bandwidth),
+                     stateless.optimize(analysis, objects, bandwidth));
   }
   EXPECT_EQ(stateful.replan_scratch().solves, 12u);
+}
+
+// The fig7 corpus on the low-end device class: one stateful controller per
+// page sees the device's swipe ramp, an upward scroll and a diagonal at three
+// bandwidths in turn, so the scratch carries state across both gesture and
+// bandwidth changes.
+TEST(Replan, MatchesOptimizeAcrossLowEndCorpusAndBandwidths) {
+  FlowController::Params fparams;
+  FlowController stateless(fparams);
+  const auto device = scenario::DeviceClassSpec::named("phone_lowend");
+  ASSERT_TRUE(device.has_value());
+  ScrollTracker::Params lowend_params;
+  lowend_params.scroll = ScrollConfig(device->profile);
+  lowend_params.coverage_step_ms = 4.0;
+  const ScrollTracker lowend(lowend_params);
+  const Rect screen{0, 0, device->profile.screen_w_px, device->profile.screen_h_px};
+  std::vector<double> vys;
+  for (int r = 0; r < 3; ++r)
+    vys.push_back(-(device->swipe_speed_base_px_s + device->swipe_speed_step_px_s * r));
+  vys.push_back(device->swipe_speed_base_px_s);
+  Rng corpus_rng(0xA23Au ^ static_cast<std::uint64_t>(device->profile.screen_w_px));
+  for (const WebPage& page : generate_corpus(device->profile, corpus_rng)) {
+    FlowController page_stateful(fparams);
+    for (BytesPerSec rate : {120'000, 250'000, 1'000'000}) {
+      const BandwidthTrace trace = BandwidthTrace::constant(rate);
+      for (std::size_t k = 0; k <= vys.size(); ++k) {
+        Gesture g = fling(k < vys.size() ? vys[k] : -device->swipe_speed_base_px_s);
+        if (k == vys.size()) g.release_velocity.x = -400;  // slight diagonal
+        ScrollAnalysis analysis =
+            lowend.analyze(lowend.predict(g, screen), page.images);
+        SCOPED_TRACE(::testing::Message() << page.site << " @" << rate << " B/s gesture " << k);
+        expect_policy_eq(page_stateful.replan(analysis, page.images, trace),
+                         stateless.optimize(analysis, page.images, trace));
+      }
+    }
+  }
 }
 
 TEST(Replan, RepeatedIdenticalScrollHitsTheFullReusePath) {

@@ -5,11 +5,13 @@
 #include <cmath>
 #include <cstdint>
 #include <iterator>
+#include <vector>
 
-#include "core/object_arena.h"
 #include "core/scroll_tracker.h"
 #include "obs/metrics.h"
+#include "scenario/scenario_spec.h"
 #include "util/rng.h"
+#include "web/corpus.h"
 
 namespace mfhttp {
 namespace {
@@ -351,7 +353,6 @@ TEST(ScrollTracker, SharedTrajectoryMatchesPerObjectOracleBitwise) {
       objects.push_back(make_single_version_object(
           "o" + std::to_string(i), r, 10'000, "http://s.example/" + std::to_string(i)));
     }
-    const ObjectArena arena(objects);
     const ObjectIntervalIndex index(objects);
 
     for (double step : {0.5, 1.0, 4.0}) {
@@ -393,9 +394,8 @@ TEST(ScrollTracker, SharedTrajectoryMatchesPerObjectOracleBitwise) {
           ASSERT_EQ(pred.duration_ms, 0);
         }
 
-        const ScrollAnalysis analyses[] = {
-            tracker.analyze(pred, objects), tracker.analyze(pred, objects, index),
-            tracker.analyze(pred, arena), tracker.analyze(pred, arena, index)};
+        const ScrollAnalysis analyses[] = {tracker.analyze(pred, objects),
+                                           tracker.analyze(pred, objects, index)};
         for (std::size_t i = 0; i < objects.size(); ++i) {
           const ObjectCoverage want = oracle_coverage(pred, step, objects[i].rect);
           involved_checked += want.involved ? 1 : 0;
@@ -417,6 +417,121 @@ TEST(ScrollTracker, SharedTrajectoryMatchesPerObjectOracleBitwise) {
     }
   }
   EXPECT_GT(involved_checked, 500u);  // the oracle actually exercised integrals
+}
+
+// ---------- indexed vs linear analyze ----------
+
+// The interval index only prunes objects the exact math cannot involve, so
+// the indexed overload must equal the linear scan field for field — across
+// the fig7 corpus on every scenario device class, plus a page of degenerate
+// (zero-width / zero-height) rects next to a live one.
+void expect_analysis_eq(const ScrollAnalysis& linear, const ScrollAnalysis& indexed) {
+  ASSERT_EQ(linear.coverages.size(), indexed.coverages.size());
+  for (std::size_t i = 0; i < linear.coverages.size(); ++i) {
+    const ObjectCoverage& a = linear.coverages[i];
+    const ObjectCoverage& b = indexed.coverages[i];
+    SCOPED_TRACE(::testing::Message() << "object " << i);
+    EXPECT_EQ(a.object_index, b.object_index);
+    EXPECT_EQ(a.involved, b.involved);
+    EXPECT_EQ(a.entry_time_ms, b.entry_time_ms);
+    EXPECT_EQ(a.coverage_integral, b.coverage_integral);
+    EXPECT_EQ(a.final_coverage, b.final_coverage);
+    EXPECT_EQ(a.in_initial_viewport, b.in_initial_viewport);
+    EXPECT_EQ(a.in_final_viewport, b.in_final_viewport);
+  }
+}
+
+ScrollTracker::Params device_tracker_params(const DeviceProfile& device) {
+  ScrollTracker::Params p;
+  p.scroll = ScrollConfig(device);
+  p.coverage_step_ms = 4.0;
+  return p;
+}
+
+// One fig7 corpus instantiation per device class, deterministic by construction.
+std::vector<WebPage> device_corpus(const scenario::DeviceClassSpec& device) {
+  Rng rng(0xA23Au ^ static_cast<std::uint64_t>(device.profile.screen_w_px));
+  return generate_corpus(device.profile, rng);
+}
+
+// The device's fig7 swipe ramp, an upward scroll, and a slight diagonal.
+std::vector<Vec2> device_swipes(const scenario::DeviceClassSpec& device) {
+  std::vector<Vec2> velocities;
+  for (int r = 0; r < 3; ++r)
+    velocities.push_back(
+        {0, -(device.swipe_speed_base_px_s + device.swipe_speed_step_px_s * r)});
+  velocities.push_back({0, device.swipe_speed_base_px_s});
+  velocities.push_back({-400, -device.swipe_speed_base_px_s});
+  return velocities;
+}
+
+TEST(ScrollTracker, IndexedAnalyzeMatchesLinearAcrossCorpusAndDeviceGrid) {
+  std::size_t compared = 0;
+  for (const char* name :
+       {"phone_flagship", "phone_midrange", "phone_lowend", "tablet10"}) {
+    const auto device = scenario::DeviceClassSpec::named(name);
+    ASSERT_TRUE(device.has_value()) << name;
+    const ScrollTracker tracker(device_tracker_params(device->profile));
+    const Rect viewport{0, 0, device->profile.screen_w_px,
+                        device->profile.screen_h_px};
+    for (const WebPage& page : device_corpus(*device)) {
+      const ObjectIntervalIndex index(page.images);
+      for (const Vec2& v : device_swipes(*device)) {
+        SCOPED_TRACE(::testing::Message() << name << "/" << page.site << " v=("
+                                          << v.x << ", " << v.y << ")");
+        const ScrollPrediction pred = tracker.predict(fling_gesture(v), viewport);
+        expect_analysis_eq(tracker.analyze(pred, page.images),
+                           tracker.analyze(pred, page.images, index));
+        compared += page.images.size();
+      }
+    }
+  }
+  EXPECT_GT(compared, 1000u);
+}
+
+// The index prunes candidates but must hand back the same involved set, in the
+// same entry-time order, as the linear scan; every object is indexed.
+TEST(ScrollTracker, IndexedAnalyzeKeepsInvolvedOrderOnFlagshipCorpus) {
+  const auto device = scenario::DeviceClassSpec::named("phone_flagship");
+  ASSERT_TRUE(device.has_value());
+  const ScrollTracker tracker(device_tracker_params(device->profile));
+  const Rect viewport{0, 0, device->profile.screen_w_px, device->profile.screen_h_px};
+  std::size_t involved = 0;
+  for (const WebPage& page : device_corpus(*device)) {
+    const ObjectIntervalIndex index(page.images);
+    ASSERT_EQ(index.size(), page.images.size()) << page.site;
+    for (const Vec2& v : device_swipes(*device)) {
+      SCOPED_TRACE(::testing::Message() << page.site << " v=(" << v.x << ", " << v.y
+                                        << ")");
+      const ScrollPrediction pred = tracker.predict(fling_gesture(v), viewport);
+      const ScrollAnalysis linear = tracker.analyze(pred, page.images);
+      const ScrollAnalysis indexed = tracker.analyze(pred, page.images, index);
+      EXPECT_EQ(indexed.involved_by_entry_time(), linear.involved_by_entry_time());
+      involved += linear.involved_by_entry_time().size();
+    }
+  }
+  EXPECT_GT(involved, 0u);
+}
+
+// Zero-width and zero-height rects are never involved on either path, and do
+// not disturb the live object next to them.
+TEST(ScrollTracker, DegenerateRectsIndexedMatchesLinear) {
+  std::vector<MediaObject> objects;
+  objects.push_back(make_single_version_object("zero-w", Rect{100, 300, 0, 200},
+                                               1000, "http://s/a"));
+  objects.push_back(make_single_version_object("zero-h", Rect{100, 900, 300, 0},
+                                               1000, "http://s/b"));
+  objects.push_back(make_single_version_object("live", Rect{100, 1500, 300, 200},
+                                               1000, "http://s/c"));
+  const ScrollTracker tracker(device_tracker_params(kDevice));
+  const ObjectIntervalIndex index(objects);
+  const ScrollPrediction pred = tracker.predict(fling_gesture({0, -5000}), kViewport);
+  const ScrollAnalysis linear = tracker.analyze(pred, objects);
+  expect_analysis_eq(linear, tracker.analyze(pred, objects, index));
+  ASSERT_EQ(linear.coverages.size(), 3u);
+  EXPECT_FALSE(linear.coverages[0].involved);
+  EXPECT_FALSE(linear.coverages[1].involved);
+  EXPECT_TRUE(linear.coverages[2].involved);
 }
 
 TEST(ScrollTracker, TrajectorySamplesCountedOncePerStep) {

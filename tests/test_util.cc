@@ -103,6 +103,25 @@ TEST(Rng, ExponentialMean) {
   EXPECT_NEAR(sum / kDraws, 4.0, 0.15);
 }
 
+TEST(Rng, NormalWithZeroStddevIsTheMean) {
+  Rng rng(13);
+  for (double mean : {0.0, 1.0, -3.5, 1e6})
+    EXPECT_EQ(rng.normal(mean, 0.0), mean);
+}
+
+TEST(Rng, NormalMatchesStdNormalDistributionBitForBit) {
+  Rng rng(17);
+  Rng params(19);
+  for (int i = 0; i < 2000; ++i) {
+    const double mean = params.uniform(-1e3, 1e3);
+    const double stddev = params.uniform(1e-3, 1e3);
+    std::mt19937_64 reference = rng.engine();
+    const double want = std::normal_distribution<double>(mean, stddev)(reference);
+    EXPECT_EQ(rng.normal(mean, stddev), want) << "draw " << i;
+    EXPECT_TRUE(rng.engine() == reference) << "draw " << i;
+  }
+}
+
 // ---------- RunningStats ----------
 
 TEST(RunningStats, Empty) {

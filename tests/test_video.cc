@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "gesture/recognizer.h"
 #include "gesture/synthetic.h"
 #include "http/url.h"
+#include "util/rng.h"
 #include "video/dash.h"
 #include "video/projection.h"
 #include "video/scheduler.h"
@@ -504,6 +507,116 @@ TEST(StreamingSession, ReplayOverHttpCompletesInOrder) {
   double expected_ms =
       static_cast<double>(session.total_bytes) / kb_per_sec(500) * 1000.0;
   EXPECT_NEAR(static_cast<double>(prev), expected_ms, expected_ms * 0.15 + 200);
+}
+
+// ---------- tile scheduler vs trial-vector reference ----------
+
+// These keep their original suite name: they check the DASH tile-size arena
+// (VideoAsset::segment_sizes rows) and the one-pass scheduler built on it.
+
+// Reference reimplementation of the pre-arena MF-HTTP tile planner: build a
+// full trial quality vector per candidate and price it tile by tile through
+// segment_size(), exactly as the old per-quality loop did.
+TilePlan reference_tile_plan(const VideoAsset& video, int segment,
+                             const std::vector<bool>& visible,
+                             const SchedulerContext& context) {
+  const Bytes budget = context.budget;
+  const int tiles = video.grid().tile_count();
+  TilePlan plan;
+  plan.tile_quality.assign(static_cast<std::size_t>(tiles), -1);
+  plan.visible_count = TileGrid::count_visible(visible);
+  auto cost_of = [&](const std::vector<int>& tq) {
+    Bytes total = 0;
+    for (int t = 0; t < tiles; ++t)
+      if (tq[static_cast<std::size_t>(t)] >= 0)
+        total += video.segment_size(t, segment, tq[static_cast<std::size_t>(t)]);
+    return total;
+  };
+  auto trial = [&](int visible_q, int invisible_q) {
+    std::vector<int> tq(static_cast<std::size_t>(tiles));
+    for (int t = 0; t < tiles; ++t)
+      tq[static_cast<std::size_t>(t)] =
+          visible[static_cast<std::size_t>(t)] ? visible_q : invisible_q;
+    return tq;
+  };
+  if (context.degraded || context.brownout >= 2) {
+    auto tq = trial(0, -1);
+    Bytes cost = cost_of(tq);
+    if (cost <= budget) {
+      plan.tile_quality = tq;
+      plan.viewport_quality = 0;
+      plan.bytes = cost;
+    }
+    return plan;
+  }
+  for (int q = video.quality_count() - 1; q >= 0; --q) {
+    auto tq = trial(q, 0);
+    Bytes cost = cost_of(tq);
+    if (cost <= budget) {
+      plan.tile_quality = tq;
+      plan.viewport_quality = q;
+      plan.bytes = cost;
+      return plan;
+    }
+  }
+  auto tq = trial(0, -1);
+  Bytes cost = cost_of(tq);
+  if (cost <= budget) {
+    plan.tile_quality = tq;
+    plan.viewport_quality = 0;
+    plan.bytes = cost;
+  }
+  return plan;
+}
+
+TEST(ArenaParity, TileSchedulerMatchesTrialVectorReference) {
+  VideoAsset::Params vp;
+  vp.duration_s = 20;
+  vp.seed = 21;
+  VideoAsset video(vp);
+  MfHttpTileScheduler scheduler;
+  Rng rng(7);
+  const int tiles = video.grid().tile_count();
+  for (int segment = 0; segment < video.segment_count(); ++segment) {
+    std::vector<bool> visible(static_cast<std::size_t>(tiles));
+    for (int t = 0; t < tiles; ++t)
+      visible[static_cast<std::size_t>(t)] = rng.chance(0.4);
+    for (Bytes budget :
+         {Bytes{20'000}, Bytes{120'000}, Bytes{400'000}, Bytes{2'000'000}}) {
+      for (int mode = 0; mode < 3; ++mode) {
+        SchedulerContext context;
+        context.budget = budget;
+        context.degraded = mode == 1;
+        context.brownout = mode == 2 ? 2 : 0;
+        TilePlan got = scheduler.plan_segment(video, segment, visible, context);
+        TilePlan want = reference_tile_plan(video, segment, visible, context);
+        const std::string at = "segment " + std::to_string(segment) + " budget " +
+                               std::to_string(budget) + " mode " + std::to_string(mode);
+        EXPECT_EQ(got.tile_quality, want.tile_quality) << at;
+        EXPECT_EQ(got.viewport_quality, want.viewport_quality) << at;
+        EXPECT_EQ(got.bytes, want.bytes) << at;
+        EXPECT_EQ(got.visible_count, want.visible_count) << at;
+      }
+    }
+  }
+}
+
+TEST(ArenaParity, TileArenaRowsMatchScalarAccessor) {
+  VideoAsset::Params vp;
+  vp.duration_s = 8;
+  vp.seed = 5;
+  VideoAsset video(vp);
+  for (int s = 0; s < video.segment_count(); ++s) {
+    for (int q = 0; q < video.quality_count(); ++q) {
+      const Bytes* row = video.segment_sizes(s, q);
+      Bytes frame_total = 0;
+      for (int t = 0; t < video.grid().tile_count(); ++t) {
+        EXPECT_EQ(row[t], video.segment_size(t, s, q));
+        frame_total += row[t];
+      }
+      EXPECT_EQ(frame_total, video.whole_frame_segment_size(s, q));
+    }
+  }
 }
 
 }  // namespace
