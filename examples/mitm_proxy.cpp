@@ -55,8 +55,9 @@ int main(int argc, char** argv) {
     parser.feed(std::string_view(wire).substr(i, 7));
   while (parser.has_message()) {
     HttpRequest parsed = parser.take_request();
-    std::printf("parsed: %s %s (Host: %s)\n", parsed.method.c_str(),
-                parsed.target.c_str(), parsed.headers.get("Host")->c_str());
+    const std::string_view host = parsed.headers.get_view("Host").value_or("");
+    std::printf("parsed: %s %s (Host: %.*s)\n", parsed.method.c_str(),
+                parsed.target.c_str(), static_cast<int>(host.size()), host.data());
   }
 
   HttpParser resp_parser(HttpParser::Mode::kResponse);

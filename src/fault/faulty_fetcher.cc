@@ -8,15 +8,6 @@
 
 namespace mfhttp::fault {
 
-namespace {
-
-std::string request_url(const HttpRequest& request) {
-  if (auto url = request.url()) return url->to_string();
-  return request.target;
-}
-
-}  // namespace
-
 FaultyFetcher::FaultyFetcher(Simulator& sim, HttpFetcher* inner,
                              const FaultPlan& plan)
     : sim_(sim), inner_(inner), plan_(plan), rng_(plan.seed ^ 0x0f0f0f0f) {
@@ -39,7 +30,7 @@ HttpFetcher::FetchId FaultyFetcher::fetch(const HttpRequest& request,
   const FetchId id = next_id_++;
   Shadow& sh = shadows_[id];
   sh.callbacks = std::move(callbacks);
-  sh.url = request_url(request);
+  sh.url = request.canonical_url().text;
   sh.request_ms = sim_.now();
 
   // Seeded draws, strictly in request order.

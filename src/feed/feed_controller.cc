@@ -19,9 +19,8 @@ FeedController::FeedController(const Feed& feed, Rect initial_viewport,
 }
 
 InterceptDecision FeedController::on_request(const HttpRequest& request) {
-  auto url = request.url();
-  std::string url_str = url ? url->to_string() : request.target;
-  if (block_list_.contains(url_str)) return InterceptDecision::defer();
+  if (block_list_.contains(request.canonical_url().text))
+    return InterceptDecision::defer();
   return InterceptDecision::allow();
 }
 

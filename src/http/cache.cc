@@ -150,12 +150,6 @@ std::optional<HttpCache::Lookup> HttpCache::lookup(const std::string& url,
   return out;
 }
 
-std::optional<CachedObject> HttpCache::get(const std::string& url) {
-  auto hit = lookup(url, 0);
-  if (!hit.has_value() || hit->freshness != Freshness::kFresh) return std::nullopt;
-  return hit->object;
-}
-
 bool HttpCache::contains(const std::string& url) const {
   std::lock_guard<std::mutex> lock(mu_);
   return index_.contains(url);

@@ -145,10 +145,6 @@ class HttpCache {
   // recency and counts in stats. `now_ms` is simulated time.
   std::optional<Lookup> lookup(const std::string& url, TimeMs now_ms);
 
-  // Back-compat lookup at t=0: entries inserted via the legacy put() carry
-  // ttl 0 (immortal) so this behaves exactly like the historical LRU get().
-  std::optional<CachedObject> get(const std::string& url);
-
   // Peek without touching recency or stats (for tests/inspection).
   bool contains(const std::string& url) const;
 

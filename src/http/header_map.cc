@@ -47,12 +47,6 @@ std::optional<std::string_view> HeaderMap::get_view(std::string_view name) const
   return std::string_view(e->value_);
 }
 
-std::optional<std::string> HeaderMap::get(std::string_view name) const {
-  const Entry* e = find(name);
-  if (e == nullptr) return std::nullopt;
-  return e->value_;
-}
-
 std::vector<std::string> HeaderMap::get_all(std::string_view name) const {
   std::vector<std::string> out;
   const std::string_view canon = intern_header_name(name);

@@ -53,9 +53,6 @@ class HeaderMap {
   // never allocates. The view is invalidated by any mutation of the map.
   std::optional<std::string_view> get_view(std::string_view name) const;
 
-  // First value for `name`, copied (legacy convenience; allocates).
-  std::optional<std::string> get(std::string_view name) const;
-
   // All values for `name`.
   std::vector<std::string> get_all(std::string_view name) const;
 

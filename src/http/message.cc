@@ -1,8 +1,20 @@
 #include "http/message.h"
 
+#include <algorithm>
+
 #include "util/strings.h"
 
 namespace mfhttp {
+
+namespace {
+
+// Host characters that parse_url keeps verbatim as the whole authority: no
+// port, no path, nothing to lower-case.
+bool plain_host_char(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '.' || c == '-';
+}
+
+}  // namespace
 
 std::optional<Url> HttpRequest::url() const {
   if (starts_with(target, "http://") || starts_with(target, "https://"))
@@ -15,6 +27,39 @@ std::optional<Url> HttpRequest::url() const {
   absolute += *host;
   absolute += target;
   return parse_url(absolute);
+}
+
+CanonicalUrl HttpRequest::canonical_url() const {
+  CanonicalUrl out;
+  if (!target.empty() && target.front() == '/') {
+    auto host = headers.get_view("Host");
+    if (host && !host->empty() &&
+        std::all_of(host->begin(), host->end(), plain_host_char)) {
+      // url() would parse "http://" + Host + target into authority == Host
+      // (port 80, omitted again by to_string) and split the target at its
+      // first '?'; an empty query loses its '?' on the way back.
+      const std::size_t q = target.find('?');
+      const std::size_t keep = q + 1 == target.size() ? q : target.size();
+      out.text.reserve(7 + host->size() + keep);
+      out.text += "http://";
+      out.text += *host;
+      out.text.append(target, 0, keep);
+      out.path_begin = 7 + host->size();
+      out.path_size = std::min(q, target.size());
+      return out;
+    }
+  }
+  auto parsed = url();
+  if (!parsed) {
+    out.text = target;
+    out.path_size = target.size();
+    return out;
+  }
+  out.text = parsed->to_string();
+  // The authority never holds a '/', so the path starts at the first one.
+  out.path_begin = out.text.find('/', parsed->scheme.size() + 3);
+  out.path_size = parsed->path.size();
+  return out;
 }
 
 std::string HttpRequest::session() const {

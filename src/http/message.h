@@ -9,6 +9,18 @@
 
 namespace mfhttp {
 
+// A request's URL in canonical text form (Url::to_string() spelling), with
+// the span its path occupies inside that text.
+struct CanonicalUrl {
+  std::string text;
+  std::size_t path_begin = 0;
+  std::size_t path_size = 0;
+
+  std::string_view path() const {
+    return std::string_view(text).substr(path_begin, path_size);
+  }
+};
+
 struct HttpRequest {
   std::string method = "GET";
   std::string target = "/";  // origin-form or absolute-form (proxy requests)
@@ -19,6 +31,12 @@ struct HttpRequest {
   // Absolute URL of the request: absolute-form target if present, otherwise
   // reconstructed from the Host header (http scheme assumed).
   std::optional<Url> url() const;
+
+  // The one canonical URL of the request, in a single pass: `text` equals
+  // `url() ? url()->to_string() : target` and `path()` equals
+  // `url() ? url()->path : target`. The common origin-form target behind a
+  // plain lower-case Host is assembled directly, without building a Url.
+  CanonicalUrl canonical_url() const;
 
   // Multi-session serving identity (overload/admission.h). Carried as an
   // x-mfhttp-session header so it survives serialization and every proxy

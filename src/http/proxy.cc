@@ -1,7 +1,6 @@
 #include "http/proxy.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -52,11 +51,6 @@ MitmProxy::~MitmProxy() {
   }
 }
 
-std::string MitmProxy::url_of(const HttpRequest& request) {
-  auto url = request.url();
-  return url ? url->to_string() : request.target;
-}
-
 HttpFetcher::FetchId MitmProxy::fetch(const HttpRequest& request,
                                       FetchCallbacks callbacks) {
   MFHTTP_CHECK(callbacks.on_complete != nullptr);
@@ -64,7 +58,7 @@ HttpFetcher::FetchId MitmProxy::fetch(const HttpRequest& request,
   Pending& p = pending_[id];
   p.request = request;
   p.callbacks = std::move(callbacks);
-  p.url = url_of(request);
+  p.url = request.canonical_url().text;
   p.session = request.session();
   p.request_ms = sim_.now();
 
@@ -90,8 +84,7 @@ HttpFetcher::FetchId MitmProxy::fetch(const HttpRequest& request,
       violations.inc();
       MFHTTP_TRACE << "proxy 431 (" << (too_big ? "header bytes" : "header count")
                    << ") " << p.url;
-      p.reject_event = sim_.schedule_after(
-          params_.reject_delay_ms, [this, id] { finish_rejected(id, 431); });
+      schedule_reject(id, p, 431);
       return id;
     }
   }
@@ -122,9 +115,7 @@ HttpFetcher::FetchId MitmProxy::fetch(const HttpRequest& request,
       }
       MFHTTP_TRACE << "proxy " << (shed ? "shed" : "reject") << " (" << door.reason
                    << ") " << p.url;
-      const int status = shed ? 503 : 429;
-      p.reject_event = sim_.schedule_after(
-          params_.reject_delay_ms, [this, id, status] { finish_rejected(id, status); });
+      schedule_reject(id, p, shed ? 503 : 429);
       return id;
     }
   }
@@ -148,6 +139,7 @@ HttpFetcher::FetchId MitmProxy::fetch(const HttpRequest& request,
       auto url = parse_url(decision.rewrite_url);
       MFHTTP_CHECK_MSG(url.has_value(), "rewrite target must be an absolute URL");
       p.request = HttpRequest::get(*url);
+      p.fetch_url = p.request.canonical_url().text;
       start_upstream(id);
       break;
     }
@@ -166,8 +158,7 @@ HttpFetcher::FetchId MitmProxy::fetch(const HttpRequest& request,
         ++stats_.rejected;
         rejected_counter().inc();
         MFHTTP_TRACE << "proxy reject (deferred_full) " << p.url;
-        p.reject_event = sim_.schedule_after(
-            params_.reject_delay_ms, [this, id] { finish_rejected(id, 503); });
+        schedule_reject(id, p, 503);
         break;
       }
       p.defer_accounted = admission_ != nullptr;
@@ -214,9 +205,8 @@ void MitmProxy::start_upstream(FetchId id) {
   // entry. Stale entries inside the stale-while-revalidate window are served
   // immediately with a background refresh; stale entries beyond it block on
   // a conditional GET when they carry a validator.
-  const std::string fetch_url = url_of(p.request);
   if (cache_ != nullptr) {
-    if (auto hit = cache_->lookup(fetch_url, sim_.now())) {
+    if (auto hit = cache_->lookup(p.upstream_url(), sim_.now())) {
       if (hit->freshness == HttpCache::Freshness::kFresh) {
         serve_from_cache(id, hit->object);
         return;
@@ -226,7 +216,7 @@ void MitmProxy::start_upstream(FetchId id) {
         static obs::Counter& stale =
             obs::metrics().counter("http.proxy.stale_served_total");
         stale.inc();
-        background_revalidate(fetch_url, hit->object);
+        background_revalidate(p.upstream_url(), hit->object);
         serve_from_cache(id, hit->object);
         return;
       }
@@ -249,8 +239,7 @@ void MitmProxy::start_upstream(FetchId id) {
         ++stats_.rejected;
         rejected_counter().inc();
         MFHTTP_TRACE << "proxy reject (dispatch_full) " << p.url;
-        p.reject_event = sim_.schedule_after(
-            params_.reject_delay_ms, [this, id] { finish_rejected(id, 503); });
+        schedule_reject(id, p, 503);
         return;
       }
       p.queued = true;
@@ -262,7 +251,7 @@ void MitmProxy::start_upstream(FetchId id) {
   }
 
   FetchCallbacks up;
-  up.on_headers = [this, id, fetch_url](const SimResponseMeta& meta) {
+  up.on_headers = [this, id](const SimResponseMeta& meta) {
     auto pit = pending_.find(id);
     if (pit == pending_.end()) return;
     Pending& pd = pit->second;
@@ -277,7 +266,7 @@ void MitmProxy::start_upstream(FetchId id) {
       static obs::Counter& reval =
           obs::metrics().counter("http.proxy.revalidations_total");
       reval.inc();
-      cache_->revalidated(fetch_url, sim_.now());
+      cache_->revalidated(pd.upstream_url(), sim_.now());
       CachedObject validated = *pd.stale_object;
       pd.stale_object.reset();
       serve_from_cache(id, validated);
@@ -285,12 +274,11 @@ void MitmProxy::start_upstream(FetchId id) {
     }
     pd.stale_object.reset();  // changed upstream: the 200 body replaces it
 
-    if (pd.callbacks.on_headers) pd.callbacks.on_headers(meta);
-    if (!pending_.contains(id)) return;  // callback may cancel
+    if (!notify_headers(id, pd, meta)) return;
 
     // Begin streaming to the client as soon as upstream headers arrive
     // (cut-through forwarding; the client hop is the bottleneck).
-    start_client_transfer(id, meta, fetch_url);
+    start_client_transfer(id, meta, /*cache_admit=*/true);
   };
   up.on_complete = [this, id](const FetchResult& r) {
     // Proxy-side copy finished; normally the client-side transfer finishes
@@ -340,55 +328,80 @@ void MitmProxy::serve_from_cache(FetchId id, const CachedObject& object) {
   meta.body_size = object.size;
   meta.content_type = object.content_type;
   meta.etag = object.etag;
-  if (it->second.callbacks.on_headers) it->second.callbacks.on_headers(meta);
-  if (!pending_.contains(id)) return;  // callback may cancel
-  start_client_transfer(id, meta, /*cache_key=*/{});
+  if (!notify_headers(id, it->second, meta)) return;
+  start_client_transfer(id, meta, /*cache_admit=*/false);
+}
+
+bool MitmProxy::notify_headers(FetchId id, Pending& p, const SimResponseMeta& meta) {
+  if (p.callbacks.on_headers) {
+    // Moved out for the call: the callback may cancel this fetch, which
+    // destroys the record (and a callable still stored in it). A fetch
+    // reports headers once, so the callable is not put back.
+    auto on_headers = std::move(p.callbacks.on_headers);
+    on_headers(meta);
+  }
+  return pending_.contains(id);
 }
 
 void MitmProxy::start_client_transfer(FetchId id, const SimResponseMeta& meta,
-                                      std::string cache_key) {
+                                      bool cache_admit) {
   auto it = pending_.find(id);
   MFHTTP_CHECK(it != pending_.end());
-  const Bytes total = meta.body_size;
-  const int status = meta.status;
-  const std::string content_type = meta.content_type;
-  const std::string etag = meta.etag;
-  it->second.client_total = total;
-  it->second.client_received = 0;
-  it->second.client_transfer = client_link_->submit(
-      total,
-      [this, id, total, status, content_type, etag,
-       cache_key = std::move(cache_key)](Bytes chunk, bool complete) {
-        auto cit = pending_.find(id);
-        if (cit == pending_.end()) return;
-        cit->second.client_received += chunk;
-        stats_.bytes_to_client += chunk;
-        static obs::Counter& to_client =
-            obs::metrics().counter("http.proxy.bytes_to_client_total");
-        to_client.inc(static_cast<std::uint64_t>(chunk));
-        if (cit->second.callbacks.on_progress)
-          cit->second.callbacks.on_progress(chunk, cit->second.client_received,
-                                            total);
-        if (complete) {
-          Pending done = std::move(cit->second);
-          pending_.erase(cit);
-          FetchResult result;
-          result.url = done.url;
-          result.status = status;
-          result.body_size = done.client_received;
-          result.request_ms = done.request_ms;
-          result.complete_ms = sim_.now();
-          if (done.upstream_id != HttpFetcher::kInvalidFetch)
-            upstream_->cancel(done.upstream_id);  // upstream may lag the client
-          release_upstream_slot(done);
-          if (!cache_key.empty() && cache_ != nullptr && status == 200)
-            cache_->put(cache_key, CachedObject{total, status, content_type, etag},
-                        sim_.now());
-          done.callbacks.on_complete(result);
-          if (interceptor_) interceptor_->on_fetch_complete(result);
-        }
-      },
-      it->second.priority);
+  Pending& p = it->second;
+  p.status = meta.status;
+  p.content_type = meta.content_type;
+  p.etag = meta.etag;
+  p.cache_admit = cache_admit;
+  p.client_total = meta.body_size;
+  p.client_received = 0;
+  p.client_transfer = client_link_->submit(
+      meta.body_size,
+      [this, id](Bytes chunk, bool complete) { on_client_chunk(id, chunk, complete); },
+      p.priority);
+}
+
+void MitmProxy::on_client_chunk(FetchId id, Bytes chunk, bool complete) {
+  auto it = pending_.find(id);
+  if (it == pending_.end()) return;
+  Pending& p = it->second;
+  p.client_received += chunk;
+  stats_.bytes_to_client += chunk;
+  static obs::Counter& to_client =
+      obs::metrics().counter("http.proxy.bytes_to_client_total");
+  to_client.inc(static_cast<std::uint64_t>(chunk));
+  if (p.callbacks.on_progress) {
+    // Same re-entrancy rule as notify_headers: put back only if the fetch
+    // survived its own callback.
+    auto on_progress = std::move(p.callbacks.on_progress);
+    on_progress(chunk, p.client_received, p.client_total);
+    it = pending_.find(id);
+    if (it == pending_.end()) return;
+    it->second.callbacks.on_progress = std::move(on_progress);
+  }
+  if (!complete) return;
+  Pending& done = it->second;
+  if (done.upstream_id != HttpFetcher::kInvalidFetch)
+    upstream_->cancel(done.upstream_id);  // upstream may lag the client
+  release_upstream_slot(done);
+  if (done.cache_admit && cache_ != nullptr && done.status == 200)
+    cache_->put(done.upstream_url(),
+                CachedObject{done.client_total, done.status,
+                             std::move(done.content_type), std::move(done.etag)},
+                sim_.now());
+  FetchResult result;
+  result.status = done.status;
+  result.body_size = done.client_received;
+  finish(it, std::move(result));
+}
+
+void MitmProxy::finish(PendingMap::iterator it, FetchResult result) {
+  result.url = std::move(it->second.url);
+  result.request_ms = it->second.request_ms;
+  result.complete_ms = sim_.now();
+  auto on_complete = std::move(it->second.callbacks.on_complete);
+  pending_.erase(it);
+  on_complete(result);
+  if (interceptor_) interceptor_->on_fetch_complete(result);
 }
 
 void MitmProxy::background_revalidate(const std::string& url,
@@ -405,28 +418,7 @@ void MitmProxy::background_revalidate(const std::string& url,
   // Deliberately bypasses the admission slot: in the common (304) case this
   // round trip moves headers only, and the client it serves is already
   // streaming the stale copy.
-  auto meta = std::make_shared<SimResponseMeta>();
-  FetchCallbacks cbs;
-  cbs.on_headers = [meta](const SimResponseMeta& m) { *meta = m; };
-  cbs.on_complete = [this, url, meta](const FetchResult& r) {
-    revalidating_.erase(url);
-    if (cache_ == nullptr) return;
-    if (r.status == 304) {
-      ++stats_.revalidations;
-      static obs::Counter& reval =
-          obs::metrics().counter("http.proxy.revalidations_total");
-      reval.inc();
-      cache_->revalidated(url, sim_.now());
-    } else if (r.status == 200) {
-      ++stats_.revalidations;
-      static obs::Counter& reval =
-          obs::metrics().counter("http.proxy.revalidations_total");
-      reval.inc();
-      cache_->put(url, CachedObject{r.body_size, 200, meta->content_type, meta->etag},
-                  sim_.now());
-    }
-  };
-  upstream_->fetch(req, std::move(cbs));
+  start_warmup(url, /*prefetch=*/false, req);
 }
 
 bool MitmProxy::prefetch(const std::string& url) {
@@ -451,34 +443,66 @@ bool MitmProxy::prefetch(const std::string& url) {
   static obs::Counter& issued =
       obs::metrics().counter("http.proxy.prefetch_issued_total");
   issued.inc();
-  auto meta = std::make_shared<SimResponseMeta>();
-  FetchCallbacks cbs;
-  cbs.on_headers = [meta](const SimResponseMeta& m) { *meta = m; };
-  cbs.on_complete = [this, url, meta](const FetchResult& r) {
-    prefetching_.erase(url);
-    if (cache_ == nullptr) return;
-    if (r.status == 304) {
-      cache_->revalidated(url, sim_.now());
-    } else if (r.status == 200) {
-      cache_->put(url, CachedObject{r.body_size, 200, meta->content_type, meta->etag},
-                  sim_.now(), /*prefetched=*/true);
-    }
-  };
-  // Register before fetching: a fast-failing upstream may complete (and
-  // erase the registration) before fetch() returns.
-  prefetching_[url] = HttpFetcher::kInvalidFetch;
-  HttpFetcher::FetchId fid = upstream_->fetch(req, std::move(cbs));
-  auto it = prefetching_.find(url);
-  if (it != prefetching_.end()) it->second = fid;
+  start_warmup(url, /*prefetch=*/true, req);
   return true;
+}
+
+void MitmProxy::start_warmup(const std::string& url, bool prefetch,
+                             const HttpRequest& request) {
+  const std::uint64_t id = next_warmup_id_++;
+  Warmup& w = warmups_[id];
+  w.url = url;
+  w.prefetch = prefetch;
+  if (prefetch) prefetching_[url] = id;
+  FetchCallbacks cbs;
+  cbs.on_headers = [this, id](const SimResponseMeta& meta) {
+    auto it = warmups_.find(id);
+    if (it == warmups_.end()) return;
+    it->second.content_type = meta.content_type;
+    it->second.etag = meta.etag;
+  };
+  cbs.on_complete = [this, id](const FetchResult& r) { finish_warmup(id, r); };
+  const HttpFetcher::FetchId upstream_id = upstream_->fetch(request, std::move(cbs));
+  // A fast-failing upstream may already have completed (and erased) it.
+  if (auto it = warmups_.find(id); it != warmups_.end())
+    it->second.upstream_id = upstream_id;
+}
+
+void MitmProxy::finish_warmup(std::uint64_t id, const FetchResult& r) {
+  auto it = warmups_.find(id);
+  if (it == warmups_.end()) return;
+  Warmup w = std::move(it->second);
+  warmups_.erase(it);
+  if (w.prefetch)
+    prefetching_.erase(w.url);
+  else
+    revalidating_.erase(w.url);
+  if (cache_ == nullptr || (r.status != 304 && r.status != 200)) return;
+  if (!w.prefetch) {
+    ++stats_.revalidations;
+    static obs::Counter& reval =
+        obs::metrics().counter("http.proxy.revalidations_total");
+    reval.inc();
+  }
+  if (r.status == 304)
+    cache_->revalidated(w.url, sim_.now());
+  else
+    cache_->put(w.url,
+                CachedObject{r.body_size, 200, std::move(w.content_type),
+                             std::move(w.etag)},
+                sim_.now(), /*prefetched=*/w.prefetch);
 }
 
 bool MitmProxy::cancel_prefetch(const std::string& url) {
   auto it = prefetching_.find(url);
   if (it == prefetching_.end()) return false;
-  const HttpFetcher::FetchId fid = it->second;
+  auto wit = warmups_.find(it->second);
   prefetching_.erase(it);
-  if (fid != HttpFetcher::kInvalidFetch) upstream_->cancel(fid);
+  if (wit != warmups_.end()) {
+    const HttpFetcher::FetchId upstream_id = wit->second.upstream_id;
+    warmups_.erase(wit);
+    if (upstream_id != HttpFetcher::kInvalidFetch) upstream_->cancel(upstream_id);
+  }
   ++stats_.prefetch_cancelled;
   static obs::Counter& cancelled =
       obs::metrics().counter("http.proxy.prefetch_cancelled_total");
@@ -501,19 +525,19 @@ void MitmProxy::finish_failed(FetchId id, int status) {
     client_link_->cancel(p.client_transfer);
   static obs::Counter& failed = obs::metrics().counter("http.proxy.failed_total");
   failed.inc();
-  Pending done = std::move(p);
-  pending_.erase(it);
   FetchResult result;
-  result.url = done.url;
   result.status = status;
-  result.body_size = done.client_received;
-  result.request_ms = done.request_ms;
-  result.complete_ms = sim_.now();
-  done.callbacks.on_complete(result);
-  if (interceptor_) interceptor_->on_fetch_complete(result);
+  result.body_size = p.client_received;
+  finish(it, std::move(result));
 }
 
-void MitmProxy::finish_rejected(FetchId id, int status) {
+void MitmProxy::schedule_reject(FetchId id, Pending& p, int status) {
+  p.status = status;
+  p.reject_event =
+      sim_.schedule_after(params_.reject_delay_ms, [this, id] { finish_rejected(id); });
+}
+
+void MitmProxy::finish_rejected(FetchId id) {
   auto it = pending_.find(id);
   if (it == pending_.end()) return;
   Pending& p = it->second;
@@ -522,17 +546,10 @@ void MitmProxy::finish_rejected(FetchId id, int status) {
   unqueue(id, p);
   release_upstream_slot(p);
   disarm_watchdog(p);
-  Pending done = std::move(p);
-  pending_.erase(it);
   FetchResult result;
-  result.url = done.url;
-  result.status = status;
-  result.body_size = 0;
-  result.request_ms = done.request_ms;
-  result.complete_ms = sim_.now();
+  result.status = p.status;
   result.rejected = true;
-  done.callbacks.on_complete(result);
-  if (interceptor_) interceptor_->on_fetch_complete(result);
+  finish(it, std::move(result));
 }
 
 void MitmProxy::undefer_accounting(Pending& p) {
@@ -593,17 +610,10 @@ void MitmProxy::finish_blocked(FetchId id, int status) {
   unqueue(id, it->second);
   release_upstream_slot(it->second);
   disarm_watchdog(it->second);
-  Pending done = std::move(it->second);
-  pending_.erase(it);
   FetchResult result;
-  result.url = done.url;
   result.status = status;
-  result.body_size = 0;
-  result.request_ms = done.request_ms;
-  result.complete_ms = sim_.now();
   result.blocked = true;
-  done.callbacks.on_complete(result);
-  if (interceptor_) interceptor_->on_fetch_complete(result);
+  finish(it, std::move(result));
 }
 
 bool MitmProxy::cancel(FetchId id) {
@@ -643,6 +653,8 @@ std::size_t MitmProxy::release_rewritten(const std::string& url,
                                          int priority) {
   auto substitute = parse_url(substitute_url);
   MFHTTP_CHECK_MSG(substitute.has_value(), "substitute must be an absolute URL");
+  const HttpRequest substitute_request = HttpRequest::get(*substitute);
+  const std::string substitute_fetch_url = substitute_request.canonical_url().text;
   std::vector<FetchId> ids;
   for (auto& [id, p] : pending_)
     if (p.deferred && p.url == url) ids.push_back(id);
@@ -655,8 +667,10 @@ std::size_t MitmProxy::release_rewritten(const std::string& url,
         obs::metrics().counter("http.proxy.rewritten_total");
     rewritten.inc();
     MFHTTP_TRACE << "proxy release " << url << " as " << substitute_url;
-    pending_[id].request = HttpRequest::get(*substitute);
-    pending_[id].priority = priority;
+    Pending& p = pending_[id];
+    p.request = substitute_request;
+    p.fetch_url = substitute_fetch_url;
+    p.priority = priority;
     start_upstream(id);
   }
   return ids.size();

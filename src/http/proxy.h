@@ -174,13 +174,21 @@ class MitmProxy : public HttpFetcher {
   TimeMs now() const;
 
  private:
+  // Everything a client fetch carries from request to completion. The
+  // closures handed to the simulator, the client link and the upstream
+  // capture only (this, id) and find their state here, so they fit
+  // std::function's small buffer.
   struct Pending {
     HttpRequest request;
     FetchCallbacks callbacks;
-    std::string url;
+    std::string url;        // canonical URL of the client's request
+    std::string fetch_url;  // canonical URL fetched upstream; empty: `url`
     std::string session;  // x-mfhttp-session identity (admission control)
     TimeMs request_ms;
     int priority = 0;
+    // Status the client sees: the bounce's while a rejection is scheduled,
+    // the response's once the client stream starts.
+    int status = 0;
     bool deferred = false;
     bool defer_accounted = false;  // counted in AdmissionController defer bounds
     bool queued = false;           // parked in the dispatch queue
@@ -191,22 +199,45 @@ class MitmProxy : public HttpFetcher {
     Link::TransferId client_transfer = Link::kInvalidTransfer;
     Bytes client_total = 0;     // advertised by the headers that started it
     Bytes client_received = 0;  // delivered to the client so far
+    // Response metadata of the client stream, admitted to the cache under
+    // upstream_url() on completion when cache_admit is set (upstream
+    // responses; cache hits are not re-admitted).
+    std::string content_type;
+    std::string etag;
+    bool cache_admit = false;
     // Stale-but-revalidatable cache entry backing a blocking conditional GET;
     // served as-is if the upstream answers 304.
     std::optional<CachedObject> stale_object;
+
+    // The URL the cache and the upstream see (differs from `url` after a
+    // rewrite).
+    const std::string& upstream_url() const {
+      return fetch_url.empty() ? url : fetch_url;
+    }
   };
+  using PendingMap = std::map<FetchId, Pending>;
 
   void start_upstream(FetchId id);
   // Stream a cache hit to the client without touching the upstream.
   void serve_from_cache(FetchId id, const CachedObject& object);
-  // cache_key: URL under which to admit the response on completion; empty
-  // disables admission (cache hits, rewritten-away originals).
+  // cache_admit: admit the response under the upstream URL on completion.
   void start_client_transfer(FetchId id, const SimResponseMeta& meta,
-                             std::string cache_key);
+                             bool cache_admit);
+  // One client-link delivery of the response body.
+  void on_client_chunk(FetchId id, Bytes chunk, bool complete);
+  // Hand `meta` to the client's on_headers, which may cancel the fetch;
+  // false when it did.
+  bool notify_headers(FetchId id, Pending& p, const SimResponseMeta& meta);
+  // Schedule a fast bounce with `status` after the reject delay.
+  void schedule_reject(FetchId id, Pending& p, int status);
   void finish_blocked(FetchId id, int status);
   // Complete a request bounced by admission control: 429 (rate) or 503
-  // (shed / full queue), FetchResult::rejected set, no bytes moved.
-  void finish_rejected(FetchId id, int status);
+  // (shed / full queue), FetchResult::rejected set, no bytes moved. The
+  // status is the one schedule_reject stored.
+  void finish_rejected(FetchId id);
+  // Erase a finished fetch's record and report `result` — url and timing
+  // filled in from the record — to the client and the interceptor.
+  void finish(PendingMap::iterator it, FetchResult result);
   // Admission bookkeeping helpers; every teardown path funnels through
   // these so queue bounds and the concurrency cap can never leak.
   void undefer_accounting(Pending& p);
@@ -222,7 +253,20 @@ class MitmProxy : public HttpFetcher {
   // Fire-and-forget conditional refresh of a stale cache entry (the
   // stale-while-revalidate back half). Deduped per URL.
   void background_revalidate(const std::string& url, const CachedObject& object);
-  static std::string url_of(const HttpRequest& request);
+
+  // A cache warm-up in flight: a speculative prefetch or a background
+  // revalidation, fetched upstream straight into the cache. Its upstream
+  // callbacks capture (this, id) like a client fetch's.
+  struct Warmup {
+    std::string url;
+    bool prefetch = false;  // false: a stale-while-revalidate refresh
+    HttpFetcher::FetchId upstream_id = HttpFetcher::kInvalidFetch;
+    std::string content_type;  // from the upstream's headers
+    std::string etag;
+  };
+  // Register a warm-up of `url` and send `request` upstream for it.
+  void start_warmup(const std::string& url, bool prefetch, const HttpRequest& request);
+  void finish_warmup(std::uint64_t id, const FetchResult& result);
 
   Simulator& sim_;
   HttpFetcher* upstream_;
@@ -232,15 +276,17 @@ class MitmProxy : public HttpFetcher {
   LruCache* cache_ = nullptr;
   overload::AdmissionController* admission_ = nullptr;
   FetchId next_id_ = 1;
-  std::map<FetchId, Pending> pending_;  // ordered: deferred_urls in arrival order
+  PendingMap pending_;  // ordered: deferred_urls in arrival order
   // Admitted requests waiting for an upstream slot: highest priority first,
   // FIFO within a priority class (multimap keeps insertion order for equal
   // keys).
   std::multimap<int, FetchId, std::greater<int>> dispatch_queue_;
+  std::uint64_t next_warmup_id_ = 1;
+  std::unordered_map<std::uint64_t, Warmup> warmups_;
   // URLs with a background revalidation in flight (dedupe).
   std::unordered_set<std::string> revalidating_;
-  // In-flight speculative warm-ups, by URL, for cancellation.
-  std::unordered_map<std::string, HttpFetcher::FetchId> prefetching_;
+  // In-flight speculative warm-ups: URL to warm-up id, for cancellation.
+  std::unordered_map<std::string, std::uint64_t> prefetching_;
   Stats stats_;
 };
 

@@ -15,11 +15,6 @@ std::string breaker_key(const HttpRequest& request) {
   return request.target;
 }
 
-std::string request_url_string(const HttpRequest& request) {
-  if (auto url = request.url()) return url->to_string();
-  return request.target;
-}
-
 }  // namespace
 
 ResilientFetcher::ResilientFetcher(Simulator& sim, HttpFetcher* inner,
@@ -57,7 +52,7 @@ HttpFetcher::FetchId ResilientFetcher::fetch(const HttpRequest& request,
   a.request = request;
   a.callbacks = std::move(callbacks);
   a.key = breaker_key(request);
-  a.url = request_url_string(request);
+  a.url = request.canonical_url().text;
   a.request_ms = sim_.now();
 
   if (!breaker_.allow(a.key, sim_.now())) {

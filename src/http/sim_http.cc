@@ -1,6 +1,5 @@
 #include "http/sim_http.h"
 
-#include <memory>
 #include <utility>
 
 #include "util/check.h"
@@ -19,71 +18,80 @@ HttpFetcher::FetchId SimHttpOrigin::fetch(const HttpRequest& request,
                                           FetchCallbacks callbacks) {
   MFHTTP_CHECK(callbacks.on_complete != nullptr);
   FetchId id = next_id_++;
-  auto url = request.url();
-  std::string url_str = url ? url->to_string() : request.target;
-  std::string path = url ? url->path : request.target;
-  std::string if_none_match(
-      request.headers.get_view("If-None-Match").value_or(std::string_view{}));
-  TimeMs request_ms = sim_.now();
-
   Inflight& fl = inflight_[id];
-  // Runs once, so it hands url_str and cbs on to the link callback by move.
-  fl.pending_event = sim_.schedule_after(
-      params_.request_delay_ms, [this, id, path, url_str, request_ms, if_none_match,
-                                 cbs = std::move(callbacks)]() mutable {
-    auto it = inflight_.find(id);
-    if (it == inflight_.end()) return;  // cancelled
-    it->second.pending_event = Simulator::kInvalidEvent;
+  fl.url = request.canonical_url();
+  fl.if_none_match =
+      request.headers.get_view("If-None-Match").value_or(std::string_view{});
+  fl.request_ms = sim_.now();
+  fl.callbacks = std::move(callbacks);
+  fl.pending_event =
+      sim_.schedule_after(params_.request_delay_ms, [this, id] { respond(id); });
+  return id;
+}
 
-    const StoredObject* obj = store_->find(path);
-    const bool not_modified =
-        obj != nullptr && !obj->etag.empty() && if_none_match == obj->etag;
-    SimResponseMeta meta;
-    meta.status = obj ? (not_modified ? 304 : 200) : 404;
-    meta.body_size =
-        not_modified ? 0 : (obj ? obj->wire_size() : params_.error_body_size);
-    meta.content_type = obj ? obj->content_type : "text/plain";
-    meta.etag = obj ? obj->etag : "";
-    if (cbs.on_headers) cbs.on_headers(meta);
+void SimHttpOrigin::respond(FetchId id) {
+  auto it = inflight_.find(id);
+  if (it == inflight_.end()) return;  // cancelled
+  Inflight& fl = it->second;
+  fl.pending_event = Simulator::kInvalidEvent;
 
-    // The headers callback may have cancelled this fetch.
+  const StoredObject* obj = store_->find(fl.url.path());
+  const bool not_modified =
+      obj != nullptr && !obj->etag.empty() && fl.if_none_match == obj->etag;
+  SimResponseMeta meta;
+  meta.status = obj ? (not_modified ? 304 : 200) : 404;
+  meta.body_size =
+      not_modified ? 0 : (obj ? obj->wire_size() : params_.error_body_size);
+  meta.content_type = obj ? obj->content_type : "text/plain";
+  meta.etag = obj ? obj->etag : "";
+  fl.status = meta.status;
+  fl.total = meta.body_size;
+  if (fl.callbacks.on_headers) {
+    // Moved out for the call: the callback may cancel this fetch, which
+    // destroys the record (and a callable still stored in it).
+    auto on_headers = std::move(fl.callbacks.on_headers);
+    on_headers(meta);
     it = inflight_.find(id);
     if (it == inflight_.end()) return;
+  }
 
-    if (not_modified) {
-      // 304 carries headers only: complete without touching the link.
-      inflight_.erase(it);
-      FetchResult result;
-      result.url = url_str;
-      result.status = 304;
-      result.body_size = 0;
-      result.request_ms = request_ms;
-      result.complete_ms = sim_.now();
-      cbs.on_complete(result);
-      return;
-    }
+  if (not_modified) {
+    // 304 carries headers only: complete without touching the link.
+    finish(it);
+    return;
+  }
+  it->second.transfer = link_->submit(
+      meta.body_size,
+      [this, id](Bytes chunk, bool complete) { on_chunk(id, chunk, complete); });
+}
 
-    auto received = std::make_shared<Bytes>(0);
-    Bytes total = meta.body_size;
-    int status = meta.status;
-    it->second.transfer = link_->submit(
-        total, [this, id, url_str = std::move(url_str), request_ms, total, status,
-                received, cbs = std::move(cbs)](Bytes chunk, bool complete) {
-          *received += chunk;
-          if (cbs.on_progress) cbs.on_progress(chunk, *received, total);
-          if (complete) {
-            inflight_.erase(id);
-            FetchResult result;
-            result.url = url_str;
-            result.status = status;
-            result.body_size = *received;
-            result.request_ms = request_ms;
-            result.complete_ms = sim_.now();
-            cbs.on_complete(result);
-          }
-        });
-  });
-  return id;
+void SimHttpOrigin::on_chunk(FetchId id, Bytes chunk, bool complete) {
+  auto it = inflight_.find(id);
+  if (it == inflight_.end()) return;
+  Inflight& fl = it->second;
+  fl.received += chunk;
+  if (fl.callbacks.on_progress) {
+    // Same re-entrancy rule as on_headers: put back only if the fetch
+    // survived its own callback.
+    auto on_progress = std::move(fl.callbacks.on_progress);
+    on_progress(chunk, fl.received, fl.total);
+    it = inflight_.find(id);
+    if (it == inflight_.end()) return;
+    it->second.callbacks.on_progress = std::move(on_progress);
+  }
+  if (complete) finish(it);
+}
+
+void SimHttpOrigin::finish(InflightMap::iterator it) {
+  FetchResult result;
+  result.url = std::move(it->second.url.text);
+  result.status = it->second.status;
+  result.body_size = it->second.received;
+  result.request_ms = it->second.request_ms;
+  result.complete_ms = sim_.now();
+  auto on_complete = std::move(it->second.callbacks.on_complete);
+  inflight_.erase(it);
+  on_complete(result);
 }
 
 bool SimHttpOrigin::cancel(FetchId id) {

@@ -85,17 +85,35 @@ class SimHttpOrigin : public HttpFetcher {
   std::size_t inflight() const { return inflight_.size(); }
 
  private:
+  // Everything a fetch carries from request to completion. The closures
+  // handed to the simulator and the link capture only (this, id) and find
+  // their state here, so they fit std::function's small buffer.
   struct Inflight {
     Simulator::EventId pending_event = Simulator::kInvalidEvent;
     Link::TransferId transfer = Link::kInvalidTransfer;
+    CanonicalUrl url;
+    std::string if_none_match;
+    TimeMs request_ms = 0;
+    Bytes received = 0;
+    Bytes total = 0;
+    int status = 0;
+    FetchCallbacks callbacks;
   };
+  using InflightMap = std::unordered_map<FetchId, Inflight>;
+
+  // The request delay elapsed: answer from the store.
+  void respond(FetchId id);
+  // One link delivery of the response body.
+  void on_chunk(FetchId id, Bytes chunk, bool complete);
+  // Erase the record and report the fetch to its client.
+  void finish(InflightMap::iterator it);
 
   Simulator& sim_;
   const ObjectStore* store_;
   Link* link_;
   Params params_;
   FetchId next_id_ = 1;
-  std::unordered_map<FetchId, Inflight> inflight_;
+  InflightMap inflight_;
 };
 
 }  // namespace mfhttp

@@ -198,8 +198,7 @@ HttpFetcher::FetchId SocketTransport::SocketOrigin::fetch(
     const HttpRequest& request, FetchCallbacks callbacks) {
   MFHTTP_CHECK(callbacks.on_complete != nullptr);
   FetchId id = next_id_++;
-  auto url = request.url();
-  std::string url_str = url ? url->to_string() : request.target;
+  std::string url_str = request.canonical_url().text;
   TimeMs request_ms = sim_.now();
 
   // Real I/O happens here, synchronously, in zero sim time.
@@ -322,9 +321,8 @@ SocketTransport::SocketTransport(Simulator& sim, const ObjectStore* store,
   // otherwise wire_size() synthesized (or stored) body bytes.
   const Bytes error_body = origin_params.error_body_size;
   auto handler = [store, error_body](const HttpRequest& req) {
-    auto url = req.url();
-    const std::string path = url ? url->path : req.target;
-    const StoredObject* obj = store->find(path);
+    const CanonicalUrl url = req.canonical_url();
+    const StoredObject* obj = store->find(url.path());
     if (obj == nullptr) {
       return HttpResponse::make(
           404, "Not Found",

@@ -87,8 +87,8 @@ HttpResponse WireHttpServer::handle(const HttpRequest& request) const {
   if (handler_) return handler_(request);
   if (!iequals(request.method, "GET") && !iequals(request.method, "HEAD"))
     return HttpResponse::make(400, "", "method not supported");
-  auto url = request.url();
-  std::string path = url ? url->path : request.target;
+  const CanonicalUrl url = request.canonical_url();
+  const std::string_view path = url.path();
   const StoredObject* obj = store_->find(path);
   if (obj == nullptr) return HttpResponse::make(404, "", "no such object");
 
@@ -232,8 +232,7 @@ void WireMitmProxy::pump() {
         respond_blocked(request);
         break;
       case InterceptDecision::Action::kDefer: {
-        auto url = request.url();
-        deferred_url_ = url ? url->to_string() : request.target;
+        deferred_url_ = request.canonical_url().text;
         deferred_ = std::move(request);
         MFHTTP_TRACE << "wire proxy: deferred " << *deferred_url_;
         return;  // connection stalls until release()
@@ -250,9 +249,7 @@ void WireMitmProxy::forward_upstream(const HttpRequest& request) {
 
 void WireMitmProxy::respond_blocked(const HttpRequest& request) {
   ++blocked_;
-  auto url = request.url();
-  MFHTTP_TRACE << "wire proxy: blocked "
-               << (url ? url->to_string() : request.target);
+  MFHTTP_TRACE << "wire proxy: blocked " << request.canonical_url().text;
   client_tx_->send(
       HttpResponse::make(403, "", "blocked by middleware policy").serialize());
 }

@@ -137,7 +137,9 @@ Decision AdmissionController::on_request(const std::string& session, int priorit
     }
   }
 
-  if (!session_bucket(session).try_take(now_ms)) {
+  // A disabled per-session bucket always admits, so none is created for it:
+  // the map would otherwise grow by one node per session ever seen.
+  if (params_.session_rate_per_s > 0 && !session_bucket(session).try_take(now_ms)) {
     rejected_counter().inc();
     return {Verdict::kReject, "session_rate"};
   }

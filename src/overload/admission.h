@@ -174,6 +174,9 @@ class AdmissionController {
   void apply_budget(const AdmissionParams& sliced);
 
   int inflight_upstream() const { return inflight_upstream_; }
+  // Per-session token buckets created so far (none while per-session
+  // limiting is disabled).
+  std::size_t session_bucket_count() const { return session_buckets_.size(); }
   int deferred_total() const { return deferred_total_; }
   const AdmissionParams& params() const { return params_; }
 

@@ -49,8 +49,7 @@ BlockListController::BlockListController(const WebPage& page, Rect initial_viewp
 }
 
 InterceptDecision BlockListController::on_request(const HttpRequest& request) {
-  auto url = request.url();
-  std::string url_str = url ? url->to_string() : request.target;
+  const std::string url_str = request.canonical_url().text;
   // Degraded: stop gating entirely — everything flows. One hash lookup
   // answers both "is this an image?" and "is it parked?".
   auto it = url_to_image_.find(url_str);

@@ -7,6 +7,7 @@
 
 #include <memory>
 
+#include "http/message.h"
 #include "http/parser.h"
 #include "http/url.h"
 #include "http/wire.h"
@@ -48,6 +49,14 @@ HttpRequest random_request(Rng& rng) {
   return req;
 }
 
+// The canonicaliser against its definition, on whatever the parser yields.
+void expect_canonical_matches_reference(const HttpRequest& req) {
+  const CanonicalUrl got = req.canonical_url();
+  const auto url = req.url();
+  EXPECT_EQ(got.text, url ? url->to_string() : req.target);
+  EXPECT_EQ(got.path(), url ? url->path : req.target);
+}
+
 HttpResponse random_response(Rng& rng) {
   static const int kCodes[] = {200, 201, 301, 400, 403, 404, 500};
   HttpResponse resp = HttpResponse::make(
@@ -84,7 +93,8 @@ TEST_P(ParserFuzz, RequestsRoundTripAtRandomSplits) {
       EXPECT_EQ(got.method, expected.method);
       EXPECT_EQ(got.target, expected.target);
       EXPECT_EQ(got.body, expected.body);
-      EXPECT_EQ(got.headers.get("Host"), expected.headers.get("Host"));
+      EXPECT_EQ(got.headers.get_view("Host"), expected.headers.get_view("Host"));
+      expect_canonical_matches_reference(got);
     }
   }
 }
@@ -125,6 +135,7 @@ TEST_P(ParserFuzz, GarbageNeverCrashesAndNeverFabricatesMessages) {
       HttpRequest req = parser.take_request();
       EXPECT_FALSE(req.method.empty());
       EXPECT_FALSE(req.target.empty());
+      expect_canonical_matches_reference(req);
     }
   }
 }
@@ -143,6 +154,36 @@ TEST_P(ParserFuzz, MutatedValidTrafficNeverCrashes) {
     HttpParser parser(HttpParser::Mode::kRequest);
     parser.feed(wire);
     parser.finish();  // no crash is the assertion
+    while (parser.has_message())
+      expect_canonical_matches_reference(parser.take_request());
+  }
+}
+
+TEST_P(ParserFuzz, CanonicalUrlMatchesReferenceOnMutatedStartLines) {
+  // Mutations aimed at the two fields the canonicaliser reads: the target
+  // and the Host value, so the parser hands over odd URLs, not just errors.
+  Rng rng(GetParam() + 4000);
+  static const char kUrlChars[] = "/?:.@#%-_aAzZ09 hHtTpPsS";
+  for (int iter = 0; iter < 200; ++iter) {
+    HttpRequest req = random_request(rng);
+    if (rng.chance(0.3))
+      req.target = (rng.chance(0.5) ? "http://" : "https://") +
+                   random_token(rng, 10) + req.target;
+    std::string host(req.headers.get_view("Host").value_or(""));
+    for (std::string* field : {&req.target, &host}) {
+      const int edits = static_cast<int>(rng.uniform_int(0, 3));
+      for (int i = 0; i < edits && !field->empty(); ++i) {
+        const std::size_t at = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(field->size()) - 1));
+        (*field)[at] = kUrlChars[rng.uniform_int(0, sizeof(kUrlChars) - 2)];
+      }
+    }
+    req.headers.set("Host", host);
+    HttpParser parser(HttpParser::Mode::kRequest);
+    parser.feed(req.serialize());
+    parser.finish();
+    while (parser.has_message())
+      expect_canonical_matches_reference(parser.take_request());
   }
 }
 

@@ -8,6 +8,7 @@
 #include "http/object_store.h"
 #include "http/parser.h"
 #include "http/url.h"
+#include "util/rng.h"
 
 namespace mfhttp {
 namespace {
@@ -17,9 +18,9 @@ namespace {
 TEST(HeaderMap, CaseInsensitiveGet) {
   HeaderMap h;
   h.add("Content-Type", "text/html");
-  EXPECT_EQ(h.get("content-type"), "text/html");
-  EXPECT_EQ(h.get("CONTENT-TYPE"), "text/html");
-  EXPECT_FALSE(h.get("content-length").has_value());
+  EXPECT_EQ(h.get_view("content-type"), "text/html");
+  EXPECT_EQ(h.get_view("CONTENT-TYPE"), "text/html");
+  EXPECT_FALSE(h.get_view("content-length").has_value());
 }
 
 TEST(HeaderMap, DuplicatesPreserved) {
@@ -30,7 +31,7 @@ TEST(HeaderMap, DuplicatesPreserved) {
   ASSERT_EQ(all.size(), 2u);
   EXPECT_EQ(all[0], "a=1");
   EXPECT_EQ(all[1], "b=2");
-  EXPECT_EQ(h.get("Set-Cookie"), "a=1");  // first wins
+  EXPECT_EQ(h.get_view("Set-Cookie"), "a=1");  // first wins
 }
 
 TEST(HeaderMap, SetReplacesAll) {
@@ -39,7 +40,7 @@ TEST(HeaderMap, SetReplacesAll) {
   h.add("X", "2");
   h.set("x", "3");
   EXPECT_EQ(h.get_all("X").size(), 1u);
-  EXPECT_EQ(h.get("X"), "3");
+  EXPECT_EQ(h.get_view("X"), "3");
 }
 
 TEST(HeaderMap, RemoveCountsRemoved) {
@@ -125,7 +126,7 @@ TEST(HttpRequest, GetFactorySetsHostAndTarget) {
   auto req = HttpRequest::get("http://site.example/img/1.jpg?v=2");
   EXPECT_EQ(req.method, "GET");
   EXPECT_EQ(req.target, "/img/1.jpg?v=2");
-  EXPECT_EQ(req.headers.get("Host"), "site.example");
+  EXPECT_EQ(req.headers.get_view("Host"), "site.example");
   auto url = req.url();
   ASSERT_TRUE(url.has_value());
   EXPECT_EQ(url->to_string(), "http://site.example/img/1.jpg?v=2");
@@ -133,9 +134,88 @@ TEST(HttpRequest, GetFactorySetsHostAndTarget) {
 
 TEST(HttpRequest, NonDefaultPortInHost) {
   auto req = HttpRequest::get("http://site.example:8081/x");
-  EXPECT_EQ(req.headers.get("Host"), "site.example:8081");
+  EXPECT_EQ(req.headers.get_view("Host"), "site.example:8081");
   ASSERT_TRUE(req.url().has_value());
   EXPECT_EQ(req.url()->port, 8081);
+}
+
+// ---------- canonical URL ----------
+
+// The reference canonical_url() must reproduce: parse, then print.
+void expect_canonical_matches_reference(const HttpRequest& req) {
+  const CanonicalUrl got = req.canonical_url();
+  const auto url = req.url();
+  EXPECT_EQ(got.text, url ? url->to_string() : req.target)
+      << "target=" << req.target
+      << " host=" << req.headers.get_view("Host").value_or("<none>");
+  ASSERT_LE(got.path_begin + got.path_size, got.text.size());
+  EXPECT_EQ(got.path(), url ? url->path : req.target) << "target=" << req.target;
+}
+
+TEST(CanonicalUrl, OriginFormWithPlainHost) {
+  HttpRequest req = HttpRequest::get("http://origin.example/obj/7?x=1");
+  const CanonicalUrl c = req.canonical_url();
+  EXPECT_EQ(c.text, "http://origin.example/obj/7?x=1");
+  EXPECT_EQ(c.path(), "/obj/7");
+}
+
+TEST(CanonicalUrl, EmptyQueryLosesItsQuestionMark) {
+  HttpRequest req;
+  req.target = "/a?";
+  req.headers.set("Host", "h.example");
+  EXPECT_EQ(req.canonical_url().text, "http://h.example/a");
+  expect_canonical_matches_reference(req);
+}
+
+TEST(CanonicalUrl, FallsBackToTargetWithoutUsableHost) {
+  HttpRequest req;
+  req.target = "/only/target?q";
+  EXPECT_EQ(req.canonical_url().text, "/only/target?q");
+  EXPECT_EQ(req.canonical_url().path(), "/only/target?q");
+  req.headers.set("Host", "");
+  EXPECT_EQ(req.canonical_url().text, "/only/target?q");
+  req.headers.set("Host", "h:99999");  // port out of range: no URL
+  EXPECT_EQ(req.canonical_url().text, "/only/target?q");
+}
+
+TEST(CanonicalUrl, MatchesParseAndToStringOverSeededCorpus) {
+  static const char* const kHosts[] = {
+      "origin.example", "a", "Origin.Example", "ORIGIN.EXAMPLE", "MiXeD-9.example",
+      "h.example:80", "h.example:8080", "h.example:443", "H.example:08080",
+      "h.example:", "h.example:x", "h.example:99999", ":80", "h:1:2", "a/b",
+      "a?b", "h_x.example", "h example", "[::1]:8080", "xn--bcher-kva.example",
+      "h.example.", "-", "0.0.0.0"};
+  static const char* const kTargets[] = {
+      "/", "/obj/1", "/obj/1?x=1", "/a?", "/?", "/a??", "/a?b?c", "/a#frag",
+      "/a//b", "/a:b", "*", "", "foo", "?x", "//x", "http://h.example/p",
+      "HTTP://h.example/p", "http://H.Example:80/p?q", "https://h.example/p",
+      "https://h.example:443/p?", "https://h.example:8443", "http://h.example",
+      "http://h.example?x", "http://", "http:///p", "http://h:/p",
+      "http://h:65536/p", "ftp://h.example/p", "http://h.example:8080/a?b"};
+  Rng rng(15);
+  for (int iter = 0; iter < 4000; ++iter) {
+    HttpRequest req;
+    const int shape = static_cast<int>(rng.uniform_int(0, 3));
+    if (shape == 3) {
+      // Random bytes for both fields.
+      for (int i = 0, n = static_cast<int>(rng.uniform_int(0, 24)); i < n; ++i)
+        req.target += static_cast<char>(rng.uniform_int(1, 255));
+      std::string host;
+      for (int i = 0, n = static_cast<int>(rng.uniform_int(0, 12)); i < n; ++i)
+        host += static_cast<char>(rng.uniform_int(32, 126));
+      req.headers.set("Host", host);
+    } else {
+      req.target = kTargets[rng.uniform_int(
+          0, static_cast<std::int64_t>(std::size(kTargets)) - 1)];
+      if (shape == 1 && !req.target.empty() && req.target[0] == '/')
+        req.target += "/" + std::to_string(rng.uniform_int(0, 1'000'000));
+      if (shape != 2)  // shape 2: no Host header
+        req.headers.set("Host", kHosts[rng.uniform_int(
+                                    0, static_cast<std::int64_t>(std::size(kHosts)) - 1)]);
+    }
+    expect_canonical_matches_reference(req);
+    if (HasFailure()) return;  // one counterexample is enough
+  }
 }
 
 TEST(HttpRequest, SerializeAddsContentLength) {
@@ -153,7 +233,7 @@ TEST(HttpRequest, SerializeAddsContentLength) {
 TEST(HttpResponse, MakeSetsReasonAndLength) {
   auto resp = HttpResponse::make(404, "", "gone");
   EXPECT_EQ(resp.reason, "Not Found");
-  EXPECT_EQ(resp.headers.get("Content-Length"), "4");
+  EXPECT_EQ(resp.headers.get_view("Content-Length"), "4");
   std::string wire = resp.serialize();
   EXPECT_NE(wire.find("HTTP/1.1 404 Not Found\r\n"), std::string::npos);
 }
@@ -175,7 +255,7 @@ TEST(HttpParser, SimpleGetRequest) {
   EXPECT_EQ(req.method, "GET");
   EXPECT_EQ(req.target, "/x");
   EXPECT_EQ(req.version, "HTTP/1.1");
-  EXPECT_EQ(req.headers.get("Host"), "h");
+  EXPECT_EQ(req.headers.get_view("Host"), "h");
   EXPECT_TRUE(req.body.empty());
 }
 
@@ -193,7 +273,7 @@ TEST(HttpParser, ByteAtATime) {
   ASSERT_TRUE(p.has_message());
   HttpRequest req = p.take_request();
   EXPECT_EQ(req.body, "hello");
-  EXPECT_EQ(req.headers.get("X-A"), "b");
+  EXPECT_EQ(req.headers.get_view("X-A"), "b");
 }
 
 TEST(HttpParser, PipelinedRequests) {
@@ -208,7 +288,7 @@ TEST(HttpParser, ToleratesBareLf) {
   HttpParser p(HttpParser::Mode::kRequest);
   ASSERT_TRUE(p.feed("GET /x HTTP/1.1\nHost: h\n\n"));
   ASSERT_TRUE(p.has_message());
-  EXPECT_EQ(p.take_request().headers.get("Host"), "h");
+  EXPECT_EQ(p.take_request().headers.get_view("Host"), "h");
 }
 
 TEST(HttpParser, SkipsBlankLinesBetweenMessages) {
@@ -235,7 +315,7 @@ TEST(HttpParser, MalformedHeader) {
 TEST(HttpParser, HeaderWhitespaceTrimmed) {
   HttpParser p(HttpParser::Mode::kRequest);
   ASSERT_TRUE(p.feed("GET /x HTTP/1.1\r\nX-K:   padded value  \r\n\r\n"));
-  EXPECT_EQ(p.take_request().headers.get("X-K"), "padded value");
+  EXPECT_EQ(p.take_request().headers.get_view("X-K"), "padded value");
 }
 
 // ---------- Parser: responses ----------
@@ -311,7 +391,7 @@ TEST(HttpParser, ChunkedWithTrailers) {
   ASSERT_TRUE(p.has_message());
   HttpResponse resp = p.take_response();
   EXPECT_EQ(resp.body, "abc");
-  EXPECT_EQ(resp.headers.get("X-Trailer"), "yes");
+  EXPECT_EQ(resp.headers.get_view("X-Trailer"), "yes");
 }
 
 TEST(HttpParser, ChunkedByteAtATime) {
@@ -368,8 +448,8 @@ TEST(HttpParser, SerializeParseRoundTrip) {
   HttpRequest back = p.take_request();
   EXPECT_EQ(back.method, req.method);
   EXPECT_EQ(back.target, req.target);
-  EXPECT_EQ(back.headers.get("Host"), req.headers.get("Host"));
-  EXPECT_EQ(back.headers.get("Accept"), "image/*");
+  EXPECT_EQ(back.headers.get_view("Host"), req.headers.get_view("Host"));
+  EXPECT_EQ(back.headers.get_view("Accept"), "image/*");
 }
 
 TEST(HttpParser, ResponseSerializeParseRoundTrip) {
@@ -380,7 +460,7 @@ TEST(HttpParser, ResponseSerializeParseRoundTrip) {
   HttpResponse back = p.take_response();
   EXPECT_EQ(back.status, 200);
   EXPECT_EQ(back.body, "payload");
-  EXPECT_EQ(back.headers.get("Content-Type"), "text/plain");
+  EXPECT_EQ(back.headers.get_view("Content-Type"), "text/plain");
 }
 
 // ---------- ObjectStore ----------

@@ -93,6 +93,32 @@ TEST(Admission, GlobalBucketCapsAggregateRate) {
                "global_rate");
 }
 
+TEST(Admission, DisabledSessionLimitKeepsNoPerSessionState) {
+  AdmissionParams p;  // per-session limiting off, as the front door runs it
+  p.session_rate_per_s = 0;
+  p.session_burst = 0;
+  AdmissionController admission(p);
+  for (int i = 0; i < 10'000; ++i)
+    ASSERT_TRUE(admission.on_request("s" + std::to_string(i), kPriorityViewport, 0)
+                    .admitted());
+  EXPECT_EQ(admission.session_bucket_count(), 0u);
+}
+
+TEST(Admission, EnabledSessionLimitStillLimitsEverySession) {
+  AdmissionParams p;
+  p.session_rate_per_s = 1;
+  p.session_burst = 1;
+  AdmissionController admission(p);
+  for (int i = 0; i < 10'000; ++i) {
+    const std::string session = "s" + std::to_string(i);
+    ASSERT_TRUE(admission.on_request(session, kPriorityViewport, 0).admitted());
+    const Decision again = admission.on_request(session, kPriorityViewport, 0);
+    ASSERT_EQ(again.verdict, Verdict::kReject) << session;
+    ASSERT_STREQ(again.reason, "session_rate");
+  }
+  EXPECT_EQ(admission.session_bucket_count(), 10'000u);
+}
+
 // Same seed + same request trace => identical admit trace. The guard jitter
 // is the only stochastic ingredient; it must come from the seeded Rng.
 TEST(Admission, SameSeedSameAdmitTrace) {

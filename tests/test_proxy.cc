@@ -321,5 +321,109 @@ TEST_F(ProxyFixture, ConcurrentFetchesShareClientLink) {
   EXPECT_GT(done_b, 330);
 }
 
+// ---------- re-entrancy: callbacks that tear down their own fetch ----------
+// The per-fetch state lives in the hop's record, and a callback is moved out
+// of it for the call, so a callback that cancels its own fetch must neither
+// see another callback nor outlive its own captures (sanitize job).
+
+TEST_F(ProxyFixture, OriginHeadersCallbackMayCancelItsOwnFetch) {
+  int headers = 0, progress = 0, completes = 0;
+  HttpFetcher::FetchId id = HttpFetcher::kInvalidFetch;
+  FetchCallbacks cbs;
+  cbs.on_headers = [&](const SimResponseMeta&) {
+    EXPECT_TRUE(origin->cancel(id));
+    ++headers;  // captures are still alive after the cancel
+  };
+  cbs.on_progress = [&](Bytes, Bytes, Bytes) { ++progress; };
+  cbs.on_complete = [&](const FetchResult&) { ++completes; };
+  id = origin->fetch(HttpRequest::get("http://site.example/img/a.jpg"), std::move(cbs));
+  sim.run();
+  EXPECT_EQ(headers, 1);
+  EXPECT_EQ(progress, 0);
+  EXPECT_EQ(completes, 0);
+  EXPECT_EQ(origin->inflight(), 0u);
+  EXPECT_EQ(server_link->active_transfers(), 0u);
+}
+
+TEST_F(ProxyFixture, OriginFinalProgressCallbackMayCancelItsOwnFetch) {
+  store.put("/img/tiny.jpg", 100, "image/jpeg");  // one chunk, marked final
+  int progress = 0, completes = 0;
+  HttpFetcher::FetchId id = HttpFetcher::kInvalidFetch;
+  FetchCallbacks cbs;
+  cbs.on_progress = [&](Bytes, Bytes, Bytes) {
+    origin->cancel(id);
+    ++progress;
+  };
+  cbs.on_complete = [&](const FetchResult&) { ++completes; };
+  id = origin->fetch(HttpRequest::get("http://site.example/img/tiny.jpg"),
+                     std::move(cbs));
+  sim.run();
+  EXPECT_EQ(progress, 1);
+  EXPECT_EQ(completes, 0);  // cancelled: no further callbacks
+  EXPECT_EQ(origin->inflight(), 0u);
+}
+
+TEST_F(ProxyFixture, ProxyProgressCallbackMayCancelItsOwnFetch) {
+  int progress = 0, completes = 0;
+  HttpFetcher::FetchId id = HttpFetcher::kInvalidFetch;
+  FetchCallbacks cbs;
+  cbs.on_progress = [&](Bytes, Bytes, Bytes) {
+    EXPECT_TRUE(proxy->cancel(id));
+    ++progress;  // captures are still alive after the cancel
+  };
+  cbs.on_complete = [&](const FetchResult&) { ++completes; };
+  id = proxy->fetch(HttpRequest::get("http://s.example/img/a.jpg"), std::move(cbs));
+  sim.run();
+  EXPECT_EQ(progress, 1);
+  EXPECT_EQ(completes, 0);
+  EXPECT_EQ(origin->inflight(), 0u);
+  EXPECT_EQ(client_link->active_transfers(), 0u);
+  EXPECT_EQ(server_link->active_transfers(), 0u);
+}
+
+TEST_F(ProxyFixture, ProxyFinalProgressCallbackMayCancelItsOwnFetch) {
+  store.put("/img/tiny.jpg", 100, "image/jpeg");
+  int progress = 0, completes = 0;
+  HttpFetcher::FetchId id = HttpFetcher::kInvalidFetch;
+  FetchCallbacks cbs;
+  cbs.on_progress = [&](Bytes, Bytes, Bytes) {
+    EXPECT_TRUE(proxy->cancel(id));
+    ++progress;
+  };
+  cbs.on_complete = [&](const FetchResult&) { ++completes; };
+  id = proxy->fetch(HttpRequest::get("http://s.example/img/tiny.jpg"), std::move(cbs));
+  sim.run();
+  EXPECT_EQ(progress, 1);
+  EXPECT_EQ(completes, 0);
+  EXPECT_EQ(origin->inflight(), 0u);
+}
+
+TEST_F(ProxyFixture, CompletionCallbackMayIssueANewFetchOnTheSameProxy) {
+  LruCache cache(1'000'000);
+  proxy->set_cache(&cache);
+  std::vector<FetchResult> results;
+  FetchCallbacks first;
+  first.on_complete = [&](const FetchResult& r) {
+    results.push_back(r);
+    // Same URL again: the response was admitted before this callback ran,
+    // so the follow-up is a cache hit.
+    FetchCallbacks again;
+    again.on_complete = [&](const FetchResult& r2) { results.push_back(r2); };
+    proxy->fetch(HttpRequest::get("http://s.example/img/b.jpg"), std::move(again));
+  };
+  proxy->fetch(HttpRequest::get("http://s.example/img/b.jpg"), std::move(first));
+  sim.run();
+  ASSERT_EQ(results.size(), 2u);
+  for (const FetchResult& r : results) {
+    EXPECT_EQ(r.url, "http://s.example/img/b.jpg");
+    EXPECT_EQ(r.status, 200);
+    EXPECT_EQ(r.body_size, 20'000);
+  }
+  EXPECT_EQ(results[1].request_ms, results[0].complete_ms);
+  EXPECT_EQ(proxy->stats().cache_hits, 1u);
+  EXPECT_EQ(origin->inflight(), 0u);
+  EXPECT_EQ(client_link->active_transfers(), 0u);
+}
+
 }  // namespace
 }  // namespace mfhttp

@@ -4,7 +4,8 @@
 // schedules and fires events, and a Link dispenses a quantum to transfers
 // already in flight, without touching the heap — as long as the callbacks
 // fit std::function's small buffer. These tests enforce that with a
-// counting global operator new.
+// counting global operator new. The ProxyAlloc cases hold one proxied GET,
+// from fetch() to on_complete, to a fixed allocation budget (DESIGN.md §19).
 //
 // The counter is a plain relaxed atomic: the tests run single-threaded and
 // only need exact counts between an AllocGuard's construction and delta().
@@ -15,7 +16,12 @@
 
 #include <gtest/gtest.h>
 
+#include "http/fetch_pipeline.h"
+#include "http/object_store.h"
+#include "http/proxy.h"
+#include "http/sim_http.h"
 #include "net/link.h"
+#include "overload/admission.h"
 #include "sim/simulator.h"
 
 namespace {
@@ -130,6 +136,119 @@ TEST(SimAlloc, ScheduleAndStepAreAllocationFree) {
   EXPECT_EQ(guard.delta(), 0u);
   EXPECT_EQ(fired, 1000);
   EXPECT_EQ(sim.pending_count(), 0u);
+}
+
+// A front-door shard's serving stack, wired as http/frontdoor.cc wires it:
+// an origin behind a FIFO server link, a fair-share client link, a
+// cost-aware cache, admission control with per-session limiting off, and an
+// interceptor that forwards the request's priority hint.
+class ProxyStack {
+ public:
+  static constexpr int kObjects = 64;
+
+  ProxyStack()
+      : server_link_(sim_, {BandwidthTrace::constant(20'000'000), 5, 5,
+                            Link::Sharing::kFifo}),
+        origin_(sim_, &store_, &server_link_, {10}) {
+    for (int i = 0; i < kObjects; ++i)
+      store_.put("/obj/" + std::to_string(i), 4'000 + 100 * i, "image/jpeg");
+    CacheParams cache;
+    cache.capacity_bytes = 16'000'000;
+    cache.cost_aware_admission = true;
+    overload::AdmissionParams admission;
+    admission.global_rate_per_s = 10'000;
+    admission.global_burst = 1'000;
+    admission.max_inflight_upstream = 4096;
+    admission.max_dispatch_queue = 16384;
+    pipeline_ = FetchPipelineBuilder(sim_, &origin_)
+                    .client_link(Link::Params{BandwidthTrace::constant(5'000'000),
+                                              20, 5, Link::Sharing::kFairShare})
+                    .with_cache(cache)
+                    .with_admission(admission)
+                    .interceptor(&hint_)
+                    .build();
+  }
+
+  static std::string url(int i) {
+    return "http://origin.example/obj/" + std::to_string(i);
+  }
+
+  // Serve one GET of object `i` to completion; returns the allocations made
+  // from fetch() up to the start of on_complete.
+  std::size_t fetch_counting(int i) {
+    HttpRequest req = HttpRequest::get(url(i));
+    req.set_session("s7");
+    req.set_priority_hint(overload::kPriorityViewport);
+    struct Probe {
+      const AllocGuard* guard = nullptr;
+      std::size_t allocs = 0;
+      int status = 0;
+    } probe;
+    FetchCallbacks cbs;
+    cbs.on_complete = [&probe](const FetchResult& r) {
+      probe.allocs = probe.guard->delta();
+      probe.status = r.status;
+    };
+    AllocGuard guard;
+    probe.guard = &guard;
+    pipeline_->proxy().fetch(req, std::move(cbs));
+    sim_.run();
+    EXPECT_EQ(probe.status, 200);
+    return probe.allocs;
+  }
+
+  MitmProxy& proxy() { return pipeline_->proxy(); }
+
+ private:
+  class HintInterceptor : public Interceptor {
+   public:
+    InterceptDecision on_request(const HttpRequest& request) override {
+      return InterceptDecision::allow(
+          request.priority_hint(overload::kPriorityViewport));
+    }
+  };
+
+  Simulator sim_;
+  ObjectStore store_;
+  Link server_link_;
+  SimHttpOrigin origin_;
+  HintInterceptor hint_;
+  std::unique_ptr<FetchPipeline> pipeline_;
+};
+
+// Warm every container the path touches: each of the first half of the
+// objects is missed once and hit once.
+void warm(ProxyStack& stack) {
+  for (int round = 0; round < 2; ++round)
+    for (int i = 0; i < ProxyStack::kObjects / 2; ++i) stack.fetch_counting(i);
+}
+
+// Budgets measured on the parse-once / capture-by-id path. A cache hit
+// allocates the pending-record node, the canonical URL and the client link's
+// transfer node; closures capture (this, id) and so stay in std::function's
+// small buffer.
+constexpr std::size_t kHitBudget = 3;
+// A miss adds the origin's record node and canonical URL, the server link's
+// transfer node, the cache entry (list node, index node, two URL copies) and
+// the admission filter's ghost-list entry for the new URL.
+constexpr std::size_t kMissBudget = 12;
+
+TEST(ProxyAlloc, CacheHitStaysWithinBudget) {
+  ProxyStack stack;
+  warm(stack);
+  const std::size_t hits_before = stack.proxy().stats().cache_hits;
+  const std::size_t allocs = stack.fetch_counting(3);
+  EXPECT_EQ(stack.proxy().stats().cache_hits, hits_before + 1);
+  EXPECT_LE(allocs, kHitBudget) << "allocations on the hit path";
+}
+
+TEST(ProxyAlloc, CacheMissStaysWithinBudget) {
+  ProxyStack stack;
+  warm(stack);
+  const std::size_t hits_before = stack.proxy().stats().cache_hits;
+  const std::size_t allocs = stack.fetch_counting(ProxyStack::kObjects - 1);
+  EXPECT_EQ(stack.proxy().stats().cache_hits, hits_before);
+  EXPECT_LE(allocs, kMissBudget) << "allocations on the miss path";
 }
 
 }  // namespace

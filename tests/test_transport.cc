@@ -264,7 +264,7 @@ TEST(AioHttpServer, ShedHookAnswers503) {
   std::vector<HttpResponse> responses = parse_responses(client.received);
   ASSERT_EQ(responses.size(), 1u);
   EXPECT_EQ(responses[0].status, 503);
-  EXPECT_EQ(responses[0].headers.get("x-mfhttp-shed").value_or(""), "admission");
+  EXPECT_EQ(responses[0].headers.get_view("x-mfhttp-shed").value_or(""), "admission");
   EXPECT_EQ(server.stats().shed, 1u);
 }
 

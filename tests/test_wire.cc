@@ -151,7 +151,7 @@ TEST_F(WireFixture, GetRealBody) {
   ASSERT_TRUE(resp.has_value());
   EXPECT_EQ(resp->status, 200);
   EXPECT_EQ(resp->body, "hello wire world");
-  EXPECT_EQ(resp->headers.get("Content-Type"), "text/plain");
+  EXPECT_EQ(resp->headers.get_view("Content-Type"), "text/plain");
   EXPECT_EQ(server->requests_served(), 1u);
 }
 
@@ -265,7 +265,7 @@ TEST_F(WireFixture, RangeRequestGets206WithSlice) {
   ASSERT_TRUE(resp.has_value());
   EXPECT_EQ(resp->status, 206);
   EXPECT_EQ(resp->body, "wire");  // "hello wire world"[6..9]
-  EXPECT_EQ(resp->headers.get("Content-Range"), "bytes 6-9/16");
+  EXPECT_EQ(resp->headers.get_view("Content-Range"), "bytes 6-9/16");
 }
 
 TEST_F(WireFixture, RangeSlicesOfSynthesizedBodyConcatenate) {
@@ -292,7 +292,7 @@ TEST_F(WireFixture, UnsatisfiableRangeGets416) {
   sim.run();
   ASSERT_TRUE(resp.has_value());
   EXPECT_EQ(resp->status, 416);
-  EXPECT_EQ(resp->headers.get("Content-Range"), "bytes */16");
+  EXPECT_EQ(resp->headers.get_view("Content-Range"), "bytes */16");
 }
 
 TEST_F(WireFixture, FullResponseAdvertisesAcceptRanges) {
@@ -301,7 +301,7 @@ TEST_F(WireFixture, FullResponseAdvertisesAcceptRanges) {
                [&](const HttpResponse& r) { resp = r; });
   sim.run();
   ASSERT_TRUE(resp.has_value());
-  EXPECT_EQ(resp->headers.get("Accept-Ranges"), "bytes");
+  EXPECT_EQ(resp->headers.get_view("Accept-Ranges"), "bytes");
 }
 
 // ---------- conditional requests ----------
@@ -319,7 +319,7 @@ TEST_F(WireFixture, ConditionalRevalidationGets304) {
                [&](const HttpResponse& r) { first = r; });
   sim.run();
   ASSERT_TRUE(first.has_value());
-  auto etag = first->headers.get("ETag");
+  auto etag = first->headers.get_view("ETag");
   ASSERT_TRUE(etag.has_value());
 
   HttpRequest revalidate = HttpRequest::get("http://h.example/hello.txt");
@@ -330,7 +330,7 @@ TEST_F(WireFixture, ConditionalRevalidationGets304) {
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->status, 304);
   EXPECT_TRUE(second->body.empty());
-  EXPECT_EQ(second->headers.get("ETag"), *etag);
+  EXPECT_EQ(second->headers.get_view("ETag"), *etag);
 }
 
 TEST_F(WireFixture, StaleEtagGetsFullResponse) {
@@ -469,12 +469,13 @@ TEST_F(WireProxyFixture, ReleaseWrongUrlFails) {
 TEST(LruCache, PutGetRoundTrip) {
   LruCache cache(1000);
   EXPECT_TRUE(cache.put("u1", {400, 200, "image/jpeg"}));
-  auto hit = cache.get("u1");
+  auto hit = cache.lookup("u1", 0);
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->size, 400);
-  EXPECT_EQ(hit->content_type, "image/jpeg");
+  EXPECT_EQ(hit->freshness, HttpCache::Freshness::kFresh);
+  EXPECT_EQ(hit->object.size, 400);
+  EXPECT_EQ(hit->object.content_type, "image/jpeg");
   EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_FALSE(cache.get("u2").has_value());
+  EXPECT_FALSE(cache.lookup("u2", 0).has_value());
   EXPECT_EQ(cache.stats().misses, 1u);
 }
 
@@ -482,7 +483,7 @@ TEST(LruCache, EvictsLeastRecentlyUsed) {
   LruCache cache(1000);
   cache.put("a", {400, 200, ""});
   cache.put("b", {400, 200, ""});
-  cache.get("a");                 // a is now most recent
+  cache.lookup("a", 0);            // a is now most recent
   cache.put("c", {400, 200, ""});  // must evict b
   EXPECT_TRUE(cache.contains("a"));
   EXPECT_FALSE(cache.contains("b"));
