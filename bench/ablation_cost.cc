@@ -8,6 +8,7 @@
 //   (b) Scheduling: Eq. 13 hints that selected objects download in viewport
 //       entry order (FIFO); parallel connections (fair share) are what
 //       browsers actually do. Measured on viewport load time.
+#include <algorithm>
 #include <cstdio>
 
 #include "core/energy.h"
@@ -65,7 +66,8 @@ int main(int argc, char** argv) {
 
   std::printf("=== Ablation (a): cost models over one 16k px/s fling (qq-like) ===\n");
   std::printf("(p = 1, q = 0.1; %zu images involved)\n\n",
-              analysis.involved_by_entry_time().size());
+              static_cast<std::size_t>(
+                  std::ranges::count(analysis.listed, true, &ObjectCoverage::involved)));
   std::printf("%-22s %12s %14s\n", "cost model", "downloads", "bytes (KB)");
 
   struct Model {

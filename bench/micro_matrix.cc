@@ -112,8 +112,14 @@ double best_ns_per_op(unsigned long long passes, unsigned long long ops,
   return best;
 }
 
-void fnv_analysis(std::uint64_t& h, const ScrollAnalysis& analysis) {
-  for (const ObjectCoverage& c : analysis.coverages) {
+// Hashes the analysis as one coverage per object, in object order: the
+// listed fields, or the defaults for an unlisted object.
+void fnv_analysis(std::uint64_t& h, const ScrollAnalysis& analysis,
+                  std::size_t object_count) {
+  std::vector<ObjectCoverage> dense(object_count);
+  for (std::size_t i = 0; i < object_count; ++i) dense[i].object_index = i;
+  for (const ObjectCoverage& c : analysis.listed) dense[c.object_index] = c;
+  for (const ObjectCoverage& c : dense) {
     fnv_u64(h, c.object_index);
     fnv_u64(h, (c.involved ? 1u : 0u) | (c.in_initial_viewport ? 2u : 0u) |
                    (c.in_final_viewport ? 4u : 0u));
@@ -252,7 +258,7 @@ int main(int argc, char** argv) {
     });
     std::uint64_t h = kFnvOffset;
     for (const ScrollPrediction& pred : preds)
-      fnv_analysis(h, tracker.analyze(pred, objects));
+      fnv_analysis(h, tracker.analyze(pred, objects), objects.size());
     analyze_aos.fingerprint = h;
   }
   rows.push_back(analyze_aos);

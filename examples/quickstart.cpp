@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
   ScrollAnalysis analysis = tracker.analyze(prediction, images);
   std::printf("\n%-8s %10s %12s %10s %8s\n", "image", "entry(ms)", "coverage",
               "in-final", "involved");
-  for (const ObjectCoverage& cov : analysis.coverages) {
+  for (const ObjectCoverage& cov : analysis.listed) {  // in entry order
     if (!cov.involved) continue;
     std::printf("%-8zu %10.0f %11.1f%% %10s %8s\n", cov.object_index,
                 cov.entry_time_ms,

@@ -48,29 +48,48 @@ DownloadPolicy FlowController::plan(const ScrollAnalysis& analysis,
                                     const BandwidthTrace& bandwidth,
                                     KnapsackScratch* scratch,
                                     BuildBuffers& buffers) const {
-  MFHTTP_CHECK(analysis.coverages.size() == objects.size());
   static obs::Counter& policies_total =
       obs::metrics().counter("core.flow.policies_total");
   policies_total.inc();
   DownloadPolicy policy;
 
-  std::vector<std::size_t> involved = analysis.involved_by_entry_time();
-  if (!speculation_enabled_) {
-    static obs::Counter& speculation_dropped = obs::metrics().counter(
-        "core.flow.speculation_dropped_total");
-    std::vector<std::size_t> kept;
-    for (std::size_t idx : involved) {
-      const ObjectCoverage& cov = analysis.coverages[idx];
-      if (cov.in_initial_viewport || cov.in_final_viewport)
-        kept.push_back(idx);
-      else
-        speculation_dropped.inc();
+  // The listed objects already come in entry order (Eq. 13's t_1 <= t_2
+  // <= ...); the knapsack takes the involved ones.
+  std::vector<std::size_t>& involved = buffers.involved;
+  std::vector<const ObjectCoverage*>& coverage = buffers.coverage;
+  involved.clear();
+  coverage.clear();
+  for (const ObjectCoverage& cov : analysis.listed) {
+    if (!cov.involved) continue;
+    MFHTTP_CHECK(cov.object_index < objects.size());
+    if (!speculation_enabled_ && !cov.in_initial_viewport &&
+        !cov.in_final_viewport) {
+      static obs::Counter& speculation_dropped = obs::metrics().counter(
+          "core.flow.speculation_dropped_total");
+      speculation_dropped.inc();
+      continue;
     }
-    involved = std::move(kept);
+    involved.push_back(cov.object_index);
+    coverage.push_back(&cov);
   }
   if (involved.empty()) return policy;
 
-  if (degraded_) return degraded_policy(analysis, objects, involved);
+  if (degraded_) {
+    static obs::Counter& degraded_total =
+        obs::metrics().counter("core.flow.degraded_policies_total");
+    degraded_total.inc();
+    for (const ObjectCoverage* cov : coverage) {
+      DownloadDecision d;
+      d.object_index = cov->object_index;
+      d.entry_time_ms = cov->entry_time_ms;
+      d.version = 0;  // lowest version: cheap and certain to arrive
+      policy.total_bytes += objects[cov->object_index].versions.front().size;
+      policy.decisions.push_back(d);
+    }
+    MFHTTP_DEBUG << "flow policy (degraded): " << policy.decisions.size()
+                 << " involved, " << policy.total_bytes << " bytes";
+    return policy;
+  }
 
   const ScrollPrediction& pred = analysis.prediction;
   const double S = pred.viewport0.area();
@@ -94,14 +113,13 @@ DownloadPolicy FlowController::plan(const ScrollAnalysis& analysis,
   std::vector<double>& cost_cache = buffers.cost;
   qoe_cache.clear();
   cost_cache.clear();
-  std::size_t slot = 0;
-  for (std::size_t idx : involved) {
-    const MediaObject& obj = objects[idx];
+  for (std::size_t k = 0; k < involved.size(); ++k) {
+    const MediaObject& obj = objects[involved[k]];
     MFHTTP_CHECK_MSG(obj.versions_sorted(), "versions must ascend by resolution");
-    const ObjectCoverage& cov = analysis.coverages[idx];
+    const ObjectCoverage& cov = *coverage[k];
     const double r_m = obj.top_version().resolution;
 
-    KnapsackItem& item = items[slot++];
+    KnapsackItem& item = items[k];
     item.values.clear();
     item.weights.clear();
     for (const MediaVersion& ver : obj.versions) {
@@ -153,7 +171,7 @@ DownloadPolicy FlowController::plan(const ScrollAnalysis& analysis,
     const MediaObject& obj = objects[idx];
     DownloadDecision d;
     d.object_index = idx;
-    d.entry_time_ms = analysis.coverages[idx].entry_time_ms;
+    d.entry_time_ms = coverage[k]->entry_time_ms;
     d.version = sol.chosen[k];
     if (d.version >= 0) {
       std::size_t flat = cache_pos + static_cast<std::size_t>(d.version);
@@ -188,46 +206,25 @@ std::vector<PrefetchCandidate> FlowController::prefetch_candidates(
     const DownloadPolicy& policy) const {
   std::vector<PrefetchCandidate> candidates;
   if (degraded_ || !speculation_enabled_) return candidates;
-  for (const DownloadDecision& d : policy.decisions) {
-    if (!d.download()) continue;
-    const ObjectCoverage& cov = analysis.coverages[d.object_index];
-    if (cov.in_initial_viewport) continue;  // already on screen: fetch, don't warm
-    const MediaObject& obj = objects[d.object_index];
-    const MediaVersion& ver = obj.versions[static_cast<std::size_t>(d.version)];
+  for (const ObjectCoverage& cov : analysis.listed) {  // in the policy's order
+    if (!cov.involved || cov.in_initial_viewport) continue;  // on screen: fetch
+    const DownloadDecision* d = policy.find(cov.object_index);
+    if (d == nullptr || !d->download()) continue;
+    const MediaObject& obj = objects[d->object_index];
+    const MediaVersion& ver = obj.versions[static_cast<std::size_t>(d->version)];
     PrefetchCandidate c;
-    c.object_index = d.object_index;
-    c.version = d.version;
+    c.object_index = d->object_index;
+    c.version = d->version;
     c.url = ver.url;
     c.bytes = ver.size;
-    c.entry_time_ms = std::max(0.0, d.entry_time_ms);
-    c.value = d.value;
+    c.entry_time_ms = std::max(0.0, d->entry_time_ms);
+    c.value = d->value;
     candidates.push_back(std::move(c));
   }
   static obs::Counter& candidates_total =
       obs::metrics().counter("core.flow.prefetch_candidates_total");
   candidates_total.inc(candidates.size());
   return candidates;
-}
-
-DownloadPolicy FlowController::degraded_policy(
-    const ScrollAnalysis& analysis, const std::vector<MediaObject>& objects,
-    const std::vector<std::size_t>& involved) const {
-  static obs::Counter& degraded_total =
-      obs::metrics().counter("core.flow.degraded_policies_total");
-  degraded_total.inc();
-  DownloadPolicy policy;
-  for (std::size_t idx : involved) {
-    const MediaObject& obj = objects[idx];
-    DownloadDecision d;
-    d.object_index = idx;
-    d.entry_time_ms = analysis.coverages[idx].entry_time_ms;
-    d.version = 0;  // lowest version: cheap and certain to arrive
-    policy.total_bytes += obj.versions.front().size;
-    policy.decisions.push_back(d);
-  }
-  MFHTTP_DEBUG << "flow policy (degraded): " << policy.decisions.size()
-               << " involved, " << policy.total_bytes << " bytes";
-  return policy;
 }
 
 }  // namespace mfhttp

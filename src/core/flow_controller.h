@@ -118,6 +118,8 @@ class FlowController {
  private:
   // Reusable buffers for the knapsack instance build (replan path).
   struct BuildBuffers {
+    std::vector<std::size_t> involved;            // object indices, entry order
+    std::vector<const ObjectCoverage*> coverage;  // their listed coverages
     std::vector<KnapsackItem> items;
     std::vector<double> qoe;   // per (item, version), row-major
     std::vector<double> cost;
@@ -127,9 +129,6 @@ class FlowController {
                       const std::vector<MediaObject>& objects,
                       const BandwidthTrace& bandwidth, KnapsackScratch* scratch,
                       BuildBuffers& buffers) const;
-  DownloadPolicy degraded_policy(const ScrollAnalysis& analysis,
-                                 const std::vector<MediaObject>& objects,
-                                 const std::vector<std::size_t>& involved) const;
 
   Params params_;
   bool degraded_ = false;

@@ -1,9 +1,10 @@
 #include "core/knapsack.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
+#include <bit>
+#include <cstdint>
 
+#include "obs/metrics.h"
 #include "util/check.h"
 
 namespace mfhttp {
@@ -20,6 +21,18 @@ void validate_instance(const std::vector<KnapsackItem>& items) {
                      "capacities must be nondecreasing (sort by entry time)");
     prev_cap = item.capacity;
   }
+}
+
+// The row's value and choice at capacity `l`: its last breakpoint at or
+// below l. Every row starts at l = 0, so one always exists.
+const KnapsackBreakpoint& point_at(const std::vector<KnapsackBreakpoint>& points,
+                                   std::size_t begin, std::size_t end,
+                                   long long l) {
+  auto it = std::upper_bound(
+      points.begin() + static_cast<std::ptrdiff_t>(begin),
+      points.begin() + static_cast<std::ptrdiff_t>(end), l,
+      [](long long x, const KnapsackBreakpoint& p) { return x < p.l; });
+  return *(it - 1);
 }
 
 }  // namespace
@@ -48,90 +61,15 @@ bool evaluate_selection(const std::vector<KnapsackItem>& items,
 
 KnapsackSolution solve_prefix_knapsack(const std::vector<KnapsackItem>& items,
                                        Bytes capacity_unit_bytes) {
-  validate_instance(items);
-  MFHTTP_CHECK(capacity_unit_bytes > 0);
-  KnapsackSolution solution;
-  solution.chosen.assign(items.size(), -1);
-  if (items.empty()) return solution;
-
-  const std::size_t n = items.size();
-  const Bytes unit = capacity_unit_bytes;
-  // Conservative discretization: weights round up, capacities round down.
-  auto weight_units = [&](Bytes w) -> long long { return (w + unit - 1) / unit; };
-  auto capacity_units = [&](Bytes c) -> long long { return c / unit; };
-
-  // Capacity axis never needs to exceed the total weight of one version per
-  // item (the c_M insight of §3.4.1), nor the last capacity.
-  long long max_item_units = 0;
-  for (const KnapsackItem& item : items) {
-    long long w = std::numeric_limits<long long>::max();
-    for (Bytes wi : item.weights) w = std::min(w, weight_units(wi));
-    // use the largest weight so the axis can hold any choice
-    long long wmax = 0;
-    for (Bytes wi : item.weights) wmax = std::max(wmax, weight_units(wi));
-    max_item_units += wmax;
-  }
-  const long long U =
-      std::min(capacity_units(items.back().capacity), max_item_units);
-  MFHTTP_CHECK(U >= 0);
-  const std::size_t width = static_cast<std::size_t>(U) + 1;
-
-  // M[i][l] per Eq. 14, rolled over i; choice[i][l] records the version
-  // picked (or -1) for backtracking.
-  std::vector<double> prev(width, 0.0), cur(width, 0.0);
-  std::vector<std::vector<int>> choice(n, std::vector<int>(width, -1));
-
-  std::vector<long long> caps(n);
-  for (std::size_t i = 0; i < n; ++i)
-    caps[i] = std::min<long long>(capacity_units(items[i].capacity), U);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    // Budget available to the first i items (clamp of Eq. 14).
-    const long long cap_prev = i == 0 ? caps[0] : caps[i - 1];
-    for (long long l = 0; l <= U; ++l) {
-      // Skip object i.
-      double best = prev[static_cast<std::size_t>(std::min(l, cap_prev))];
-      int best_j = -1;
-      for (std::size_t j = 0; j < items[i].weights.size(); ++j) {
-        long long w = weight_units(items[i].weights[j]);
-        if (w > l) continue;
-        long long rem = std::min(l - w, cap_prev);
-        double v = prev[static_cast<std::size_t>(rem)] + items[i].values[j];
-        if (v > best) {
-          best = v;
-          best_j = static_cast<int>(j);
-        }
-      }
-      cur[static_cast<std::size_t>(l)] = best;
-      choice[i][static_cast<std::size_t>(l)] = best_j;
-    }
-    std::swap(prev, cur);
-  }
-
-  // Backtrack from the full final budget.
-  long long l = caps[n - 1];
-  for (std::size_t ii = n; ii-- > 0;) {
-    const long long cap_prev = ii == 0 ? caps[0] : caps[ii - 1];
-    int j = choice[ii][static_cast<std::size_t>(l)];
-    solution.chosen[ii] = j;
-    if (j >= 0) {
-      long long w = weight_units(items[ii].weights[static_cast<std::size_t>(j)]);
-      l = std::min(l - w, cap_prev);
-    } else {
-      l = std::min(l, cap_prev);
-    }
-    MFHTTP_DCHECK(l >= 0);
-  }
-
-  KnapsackSolution checked;
-  bool feasible = evaluate_selection(items, solution.chosen, &checked);
-  MFHTTP_CHECK_MSG(feasible, "DP produced infeasible selection");
-  return checked;
+  KnapsackScratch scratch;
+  return solve_prefix_knapsack_incremental(items, capacity_unit_bytes, &scratch);
 }
 
 KnapsackSolution solve_prefix_knapsack_incremental(
     const std::vector<KnapsackItem>& items, Bytes capacity_unit_bytes,
     KnapsackScratch* scratch) {
+  static obs::Counter& breakpoints_total =
+      obs::metrics().counter("core.flow.breakpoints_total");
   MFHTTP_CHECK(scratch != nullptr);
   validate_instance(items);
   MFHTTP_CHECK(capacity_unit_bytes > 0);
@@ -139,21 +77,12 @@ KnapsackSolution solve_prefix_knapsack_incremental(
 
   const std::size_t n = items.size();
   const Bytes unit = capacity_unit_bytes;
-  if (n == 0) {
-    scratch->items.clear();
-    scratch->unit = unit;
-    scratch->width = 0;
-    scratch->caps.clear();
-    scratch->solution = KnapsackSolution{};
-    scratch->valid = true;
-    return scratch->solution;
-  }
-
-  // Same discretization as solve_prefix_knapsack: weights round up,
-  // capacities round down.
+  // Conservative discretization: weights round up, capacities round down.
   auto weight_units = [&](Bytes w) -> long long { return (w + unit - 1) / unit; };
   auto capacity_units = [&](Bytes c) -> long long { return c / unit; };
 
+  // The capacity axis never needs to exceed the total weight of one version
+  // per item (the c_M insight of §3.4.1), nor the last capacity.
   long long max_item_units = 0;
   for (const KnapsackItem& item : items) {
     long long wmax = 0;
@@ -161,17 +90,16 @@ KnapsackSolution solve_prefix_knapsack_incremental(
     max_item_units += wmax;
   }
   const long long U =
-      std::min(capacity_units(items.back().capacity), max_item_units);
+      n == 0 ? 0 : std::min(capacity_units(items.back().capacity), max_item_units);
   MFHTTP_CHECK(U >= 0);
-  const std::size_t width = static_cast<std::size_t>(U) + 1;
 
   // Longest prefix of items unchanged since the last solve. Row i of the
   // stored table depends only on items[0..i), their capacities, and the
-  // capacity axis, so with an identical unit and width the first k rows are
+  // capacity axis, so with an identical unit and axis the first k rows are
   // still exact. caps[i] is a pure function of items[i].capacity and U, so
   // item equality covers capacity equality.
   std::size_t k = 0;
-  if (scratch->valid && scratch->unit == unit && scratch->width == width) {
+  if (scratch->valid && scratch->unit == unit && scratch->units == U) {
     const std::size_t limit = std::min(n, scratch->items.size());
     while (k < limit && items[k].capacity == scratch->items[k].capacity &&
            items[k].weights == scratch->items[k].weights &&
@@ -186,51 +114,81 @@ KnapsackSolution solve_prefix_knapsack_incremental(
   }
 
   scratch->unit = unit;
-  scratch->width = width;
-  scratch->caps.resize(n);
+  scratch->units = U;
+  std::vector<long long>& caps = scratch->caps;
+  caps.resize(n);
   for (std::size_t i = 0; i < n; ++i)
-    scratch->caps[i] = std::min<long long>(capacity_units(items[i].capacity), U);
+    caps[i] = std::min<long long>(capacity_units(items[i].capacity), U);
 
-  // The table only ever grows, so steady-state re-solves are malloc-free.
-  if (scratch->rows.size() < (n + 1) * width)
-    scratch->rows.resize((n + 1) * width);
-  if (scratch->choice.size() < n * width) scratch->choice.resize(n * width);
-  if (k == 0) std::fill_n(scratch->rows.begin(), width, 0.0);
-
+  // Keep rows 0..k; the buffers only ever grow, so steady-state re-solves
+  // are malloc-free.
+  std::vector<KnapsackBreakpoint>& points = scratch->points;
+  std::vector<std::size_t>& row_begin = scratch->row_begin;
+  if (k == 0) {
+    points.assign(1, KnapsackBreakpoint{});  // row 0: value 0 everywhere
+    row_begin.assign({0, 1});
+  }
+  points.resize(row_begin[k + 1]);
+  row_begin.resize(n + 2);
   scratch->rows_reused += k;
   scratch->rows_computed += n - k;
 
-  // Identical recurrence (and tie-breaking) to solve_prefix_knapsack, begun
-  // at the first changed item.
+  std::vector<long long>& candidates = scratch->candidates;
   for (std::size_t i = k; i < n; ++i) {
-    const double* prev = &scratch->rows[i * width];
-    double* cur = &scratch->rows[(i + 1) * width];
-    int* choice = &scratch->choice[i * width];
-    const long long cap_prev = i == 0 ? scratch->caps[0] : scratch->caps[i - 1];
-    for (long long l = 0; l <= U; ++l) {
-      double best = prev[static_cast<std::size_t>(std::min(l, cap_prev))];
+    const KnapsackItem& item = items[i];
+    const std::size_t prev_begin = row_begin[i], prev_end = row_begin[i + 1];
+    // Budget available to the first i items (clamp of Eq. 14).
+    const long long cap_prev = i == 0 ? caps[0] : caps[i - 1];
+    // Row i+1 at l reads row i at min(l, cap_prev) and at min(l - w_j,
+    // cap_prev) for each version j with w_j <= l. Those inputs change only
+    // where l, or some l - w_j, crosses a breakpoint of row i at or below
+    // cap_prev, so row i+1 is constant between these candidates.
+    candidates.clear();
+    for (std::size_t p = prev_begin; p < prev_end && points[p].l <= cap_prev; ++p) {
+      candidates.push_back(points[p].l);
+      for (Bytes w : item.weights) {
+        const long long l = points[p].l + weight_units(w);
+        if (l <= U) candidates.push_back(l);
+      }
+    }
+    std::sort(candidates.begin(), candidates.end());
+    candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                     candidates.end());
+
+    // The dense recurrence, verbatim, at each candidate: skip first, then
+    // versions in order, strict > — the same additions, the same ties.
+    const std::size_t row_start = points.size();
+    for (long long l : candidates) {
+      double best = point_at(points, prev_begin, prev_end, std::min(l, cap_prev)).value;
       int best_j = -1;
-      for (std::size_t j = 0; j < items[i].weights.size(); ++j) {
-        long long w = weight_units(items[i].weights[j]);
+      for (std::size_t j = 0; j < item.weights.size(); ++j) {
+        long long w = weight_units(item.weights[j]);
         if (w > l) continue;
         long long rem = std::min(l - w, cap_prev);
-        double v = prev[static_cast<std::size_t>(rem)] + items[i].values[j];
+        double v = point_at(points, prev_begin, prev_end, rem).value + item.values[j];
         if (v > best) {
           best = v;
           best_j = static_cast<int>(j);
         }
       }
-      cur[static_cast<std::size_t>(l)] = best;
-      choice[static_cast<std::size_t>(l)] = best_j;
+      // Store only where the step changes, comparing bits (+0.0 vs -0.0).
+      if (points.size() > row_start && points.back().choice == best_j &&
+          std::bit_cast<std::uint64_t>(points.back().value) ==
+              std::bit_cast<std::uint64_t>(best))
+        continue;
+      points.push_back({l, best, best_j});
     }
+    row_begin[i + 2] = points.size();
+    breakpoints_total.inc(points.size() - row_start);
   }
 
+  // Backtrack from the full final budget.
   KnapsackSolution solution;
   solution.chosen.assign(n, -1);
-  long long l = scratch->caps[n - 1];
+  long long l = n == 0 ? 0 : caps[n - 1];
   for (std::size_t ii = n; ii-- > 0;) {
-    const long long cap_prev = ii == 0 ? scratch->caps[0] : scratch->caps[ii - 1];
-    int j = scratch->choice[ii * width + static_cast<std::size_t>(l)];
+    const long long cap_prev = ii == 0 ? caps[0] : caps[ii - 1];
+    int j = point_at(points, row_begin[ii + 1], row_begin[ii + 2], l).choice;
     solution.chosen[ii] = j;
     if (j >= 0) {
       long long w = weight_units(items[ii].weights[static_cast<std::size_t>(j)]);
@@ -243,7 +201,7 @@ KnapsackSolution solve_prefix_knapsack_incremental(
 
   KnapsackSolution checked;
   bool feasible = evaluate_selection(items, solution.chosen, &checked);
-  MFHTTP_CHECK_MSG(feasible, "incremental DP produced infeasible selection");
+  MFHTTP_CHECK_MSG(feasible, "DP produced infeasible selection");
   scratch->items = items;  // assignment reuses the snapshot's capacity
   scratch->solution = checked;
   scratch->valid = true;

@@ -42,9 +42,18 @@ bool evaluate_selection(const std::vector<KnapsackItem>& items,
 
 // DP of Eq. 14. `capacity_unit_bytes` discretizes capacity: weights round up,
 // capacities round down (conservative — never produces an infeasible plan).
-// Smaller units are more exact but slower: O(n * m * W/unit).
+// Rows are stored as breakpoints (below), so the cost follows their count,
+// not W/unit; the solution is the dense table's, bit for bit.
 KnapsackSolution solve_prefix_knapsack(const std::vector<KnapsackItem>& items,
                                        Bytes capacity_unit_bytes = 1024);
+
+// Where a DP row changes: from capacity unit `l` up to the row's next
+// breakpoint, the row holds `value` and the version it chose (-1: skip).
+struct KnapsackBreakpoint {
+  long long l = 0;
+  double value = 0;
+  int choice = -1;
+};
 
 // Persistent DP state for solve_prefix_knapsack_incremental. One scratch
 // belongs to one solver call site (e.g. one FlowController) — it is NOT
@@ -54,15 +63,16 @@ struct KnapsackScratch {
   // Snapshot of the last instance, for prefix comparison.
   std::vector<KnapsackItem> items;
   Bytes unit = 0;
+  long long units = 0;  // U: the capacity axis is [0, U] units
 
-  // Full DP table: rows has (n + 1) rows of `width` values, where row i is
-  // the Eq. 14 table after the first i items; choice has n such rows. Kept
-  // whole (instead of the base solver's two rolling rows) so an unchanged
+  // Every row of the Eq. 14 table, as breakpoints: row i (the table after
+  // the first i items; row 0 is all zero) is points[row_begin[i],
+  // row_begin[i + 1]) and always starts at l = 0. Kept whole so an unchanged
   // item prefix re-solves from its first changed row.
-  std::size_t width = 0;
   std::vector<long long> caps;
-  std::vector<double> rows;
-  std::vector<int> choice;
+  std::vector<KnapsackBreakpoint> points;
+  std::vector<std::size_t> row_begin;
+  std::vector<long long> candidates;  // one row's candidate l values
 
   KnapsackSolution solution;
   bool valid = false;
@@ -97,10 +107,9 @@ KnapsackSolution solve_prefix_knapsack_bruteforce(
 KnapsackSolution solve_prefix_knapsack_greedy(const std::vector<KnapsackItem>& items);
 
 // Exact branch-and-bound solver working directly in bytes (no capacity
-// discretization). Prunes with the fractional-relaxation upper bound, so it
-// excels exactly where the DP struggles: few items but byte-scale
-// capacities. `max_nodes` bounds the search; on overrun the best solution
-// found so far is returned with `exact` false.
+// discretization), pruning with the fractional-relaxation upper bound.
+// `max_nodes` bounds the search; on overrun the best solution found so far
+// is returned with `exact` false.
 struct BranchAndBoundResult {
   KnapsackSolution solution;
   bool exact = true;          // search completed (result provably optimal)

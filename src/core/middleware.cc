@@ -162,9 +162,8 @@ void Middleware::process_gesture(const Gesture& gesture) {
                                                 wall_start)
           .count();
   touch_to_policy_ms.observe(last_touch_to_policy_ms_);
-  // Move, don't copy: the analysis holds one coverage per page object. Store
-  // first and hand the callback the stored values, so last_analysis() read
-  // inside the callback is already this gesture's.
+  // Store first and hand the callback the stored values, so last_analysis()
+  // read inside the callback is already this gesture's.
   last_analysis_ = std::move(analysis);
   last_policy_ = std::move(policy);
   MFHTTP_DEBUG << "middleware: gesture " << to_string(gesture.kind) << " -> "

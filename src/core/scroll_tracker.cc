@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <ranges>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "util/check.h"
@@ -98,59 +101,122 @@ ScrollPrediction ScrollTracker::predict(const Gesture& gesture,
 
 namespace {
 
-// An involved object's coverage slot and corners (x1/y1 are the rect's
-// right()/bottom() sums, computed once instead of once per trajectory step).
-struct InvolvedRect {
-  std::size_t index;
-  double x0, y0, x1, y1;
-};
-
-// The per-object coverage math bar the integral, shared by both analyze()
-// overloads so the indexed path is bit-identical to the linear scan.
-void analyze_object(const ScrollPrediction& prediction, const SweptRegion& sweep,
-                    const Rect& final_vp, double total_dist, std::size_t i,
-                    const Rect& rect, ObjectCoverage& cov,
-                    std::vector<InvolvedRect>& involved) {
-  cov.in_initial_viewport = prediction.viewport0.overlaps(rect);
-  cov.in_final_viewport = final_vp.overlaps(rect);
-  cov.involved = intersects_swept_region(sweep, rect);
-  if (!cov.involved) return;
-
-  if (cov.in_initial_viewport) {
-    cov.entry_time_ms = 0;
-  } else {
-    double frac = first_overlap_fraction(sweep, rect);
-    MFHTTP_DCHECK(frac >= 0);
-    cov.entry_time_ms = prediction.animation.time_for_distance(frac * total_dist);
+// Midpoint-rule sum Σ_t s_i(t)·step of Eq. (7) for one object over the
+// gesture's shared viewport samples. s_i > 0 needs bottom > y0 and y < y1.
+// With y monotone (`y_dir` +1 rising, -1 falling, 0 neither), bottom = y + h
+// moves the same way (rounding is monotone), so each condition holds on a
+// prefix or a suffix of the samples and binary search bounds the window
+// [lo, hi) outside which s_i is 0. Each skipped term was exactly +0.0 added
+// to a sum that starts at +0.0, so the window sum is bit-identical to the
+// full one; inside it the terms are Rect::overlap_area's, added in
+// ascending t (DESIGN.md §20.2).
+double coverage_integral(const std::vector<Rect>& samples, int y_dir,
+                         double step, const Rect& rect, std::uint64_t& summed) {
+  const double x0 = rect.x, y0 = rect.y, x1 = rect.right(), y1 = rect.bottom();
+  auto past_top = [y0](const Rect& s) { return s.bottom() > y0; };
+  auto before_bottom = [y1](const Rect& s) { return s.y < y1; };
+  // The first sample where a false-then-true `holds` is true.
+  auto first = [&samples](auto holds) {
+    return static_cast<std::size_t>(
+        std::partition_point(samples.begin(), samples.end(), std::not_fn(holds)) -
+        samples.begin());
+  };
+  std::size_t lo = 0, hi = samples.size();
+  if (y_dir > 0) {
+    lo = first(past_top);
+    hi = first(std::not_fn(before_bottom));
+  } else if (y_dir < 0) {
+    lo = first(before_bottom);
+    hi = first(std::not_fn(past_top));
   }
-
-  cov.final_coverage = final_vp.overlap_area(rect);
-  involved.push_back({i, rect.x, rect.y, rect.right(), rect.bottom()});
+  double sum = 0;
+  for (std::size_t k = lo; k < hi; ++k) {
+    const Rect& s = samples[k];
+    double dy = std::min(s.bottom(), y1) - std::max(s.y, y0);
+    double dx = std::min(s.right(), x1) - std::max(s.x, x0);
+    double area = (dx <= 0 || dy <= 0) ? 0 : dx * dy;
+    sum += area * step;
+  }
+  if (lo < hi) summed += hi - lo;
+  return sum;
 }
 
-// Midpoint-rule sum Σ_t s_i(t)·step of Eq. (7) for every involved object in
-// ONE trajectory pass: viewport_at (a std::pow on a fling) runs once per step,
-// not once per step per object. t is outermost and ascending and the Eq. (6)
-// terms are Rect::overlap_area's, so each object's sum is bit-identical to a
-// per-object loop over viewport_at(t).overlap_area(rect) (DESIGN.md §17.5).
-void accumulate_coverage_integral(const ScrollPrediction& prediction, double step,
-                                  const std::vector<InvolvedRect>& involved,
-                                  std::vector<ObjectCoverage>& coverages) {
+// Both analyze() overloads: list each candidate the scroll touches
+// (involved, or in the initial or final viewport), sort the list into entry
+// order, then fill in the involved objects' Eq. (7) integrals from one
+// trajectory pass. One code path, so the indexed analysis is bit-identical
+// to the linear scan.
+template <typename Candidates>
+ScrollAnalysis analyze_candidates(const ScrollPrediction& prediction,
+                                  const std::vector<MediaObject>& objects,
+                                  const Candidates& candidates, double step) {
+  static obs::Counter& analyses_total =
+      obs::metrics().counter("core.tracker.analyses_total");
   static obs::Counter& samples_total =
       obs::metrics().counter("core.tracker.trajectory_samples_total");
-  if (involved.empty()) return;
-  std::uint64_t samples = 0;
-  for (double t = step / 2; t < prediction.duration_ms; t += step, ++samples) {
-    const Rect vp = prediction.viewport_at(t);
-    const double vr = vp.right(), vb = vp.bottom();
-    for (const InvolvedRect& o : involved) {
-      double dy = std::min(vb, o.y1) - std::max(vp.y, o.y0);
-      double dx = std::min(vr, o.x1) - std::max(vp.x, o.x0);
-      double s = (dx <= 0 || dy <= 0) ? 0 : dx * dy;
-      coverages[o.index].coverage_integral += s * step;
+  static obs::Counter& window_samples_total =
+      obs::metrics().counter("core.tracker.window_samples_total");
+  analyses_total.inc();
+  MFHTTP_CHECK(step > 0);
+  ScrollAnalysis analysis;
+  analysis.prediction = prediction;
+  std::vector<ObjectCoverage>& listed = analysis.listed;
+
+  const SweptRegion sweep = prediction.sweep();
+  const Rect final_vp = prediction.final_viewport();
+  const double total_dist = prediction.displacement.norm();
+  bool any_involved = false;
+  for (std::size_t i : candidates) {
+    const Rect& rect = objects[i].rect;
+    ObjectCoverage cov;
+    cov.object_index = i;
+    cov.in_initial_viewport = prediction.viewport0.overlaps(rect);
+    cov.in_final_viewport = final_vp.overlaps(rect);
+    cov.involved = intersects_swept_region(sweep, rect);
+    if (cov.involved) {
+      if (cov.in_initial_viewport) {
+        cov.entry_time_ms = 0;
+      } else {
+        double frac = first_overlap_fraction(sweep, rect);
+        MFHTTP_DCHECK(frac >= 0);
+        cov.entry_time_ms =
+            prediction.animation.time_for_distance(frac * total_dist);
+      }
+      cov.final_coverage = final_vp.overlap_area(rect);
+      any_involved = true;
     }
+    if (cov.involved || cov.in_initial_viewport || cov.in_final_viewport)
+      listed.push_back(cov);
   }
-  samples_total.inc(samples);
+  std::ranges::sort(listed, {}, [](const ObjectCoverage& c) {
+    return std::pair(c.entry_time_ms, c.object_index);
+  });
+  if (!any_involved) return analysis;
+
+  // Sample the viewport once at t = step/2, step/2 + step, ... < duration,
+  // the sequence a per-object loop walks, into this thread's reused buffer.
+  // The windows need y monotone; the AOSP fling is, but glibc's pow is not
+  // correctly rounded, so it is checked (a NaN fails both directions).
+  thread_local std::vector<Rect> samples;
+  samples.clear();
+  bool up = true, down = true;
+  for (double t = step / 2; t < prediction.duration_ms; t += step) {
+    const Rect vp = prediction.viewport_at(t);
+    if (!samples.empty()) {
+      up &= samples.back().y <= vp.y;
+      down &= samples.back().y >= vp.y;
+    }
+    samples.push_back(vp);
+  }
+  samples_total.inc(samples.size());
+  const int y_dir = up ? 1 : down ? -1 : 0;
+  std::uint64_t summed = 0;
+  for (ObjectCoverage& cov : listed)
+    if (cov.involved)
+      cov.coverage_integral = coverage_integral(
+          samples, y_dir, step, objects[cov.object_index].rect, summed);
+  window_samples_total.inc(summed);
+  return analysis;
 }
 
 }  // namespace
@@ -185,80 +251,38 @@ void ObjectIntervalIndex::query(double y_lo, double y_hi,
 
 ScrollAnalysis ScrollTracker::analyze(const ScrollPrediction& prediction,
                                       const std::vector<MediaObject>& objects) const {
-  static obs::Counter& analyses_total =
-      obs::metrics().counter("core.tracker.analyses_total");
-  analyses_total.inc();
-  ScrollAnalysis analysis;
-  analysis.prediction = prediction;
-  analysis.coverages.resize(objects.size());
-
-  const SweptRegion sweep = prediction.sweep();
-  const Rect final_vp = prediction.final_viewport();
-  const double total_dist = prediction.displacement.norm();
-  const double step = params_.coverage_step_ms;
-  MFHTTP_CHECK(step > 0);
-
-  std::vector<InvolvedRect> involved;
-  for (std::size_t i = 0; i < objects.size(); ++i) {
-    ObjectCoverage& cov = analysis.coverages[i];
-    cov.object_index = i;
-    analyze_object(prediction, sweep, final_vp, total_dist, i, objects[i].rect,
-                   cov, involved);
-  }
-  accumulate_coverage_integral(prediction, step, involved, analysis.coverages);
-  return analysis;
+  return analyze_candidates(prediction, objects,
+                            std::views::iota(std::size_t{0}, objects.size()),
+                            params_.coverage_step_ms);
 }
 
 ScrollAnalysis ScrollTracker::analyze(const ScrollPrediction& prediction,
                                       const std::vector<MediaObject>& objects,
                                       const ObjectIntervalIndex& index) const {
-  static obs::Counter& analyses_total =
-      obs::metrics().counter("core.tracker.analyses_total");
   static obs::Counter& candidates_total =
       obs::metrics().counter("core.tracker.index_candidates_total");
   static obs::Counter& pruned_total =
       obs::metrics().counter("core.tracker.index_pruned_total");
-  analyses_total.inc();
   MFHTTP_CHECK_MSG(index.size() == objects.size(),
                    "interval index is stale: rebuild() after layout changes");
-  ScrollAnalysis analysis;
-  analysis.prediction = prediction;
-  analysis.coverages.resize(objects.size());
-  for (std::size_t i = 0; i < objects.size(); ++i)
-    analysis.coverages[i].object_index = i;
-
-  const SweptRegion sweep = prediction.sweep();
-  const Rect final_vp = prediction.final_viewport();
-  const double total_dist = prediction.displacement.norm();
-  const double step = params_.coverage_step_ms;
-  MFHTTP_CHECK(step > 0);
-
   // Everything a scroll can involve — initial viewport, final viewport, or
   // the swept corridor between them — lies inside the swept y-span.
+  const Rect final_vp = prediction.final_viewport();
   const double y_lo = std::min(prediction.viewport0.top(), final_vp.top());
   const double y_hi = std::max(prediction.viewport0.bottom(), final_vp.bottom());
   std::vector<std::size_t> candidates;
   index.query(y_lo, y_hi, candidates);
-  std::vector<InvolvedRect> involved;
-  for (std::size_t i : candidates)
-    analyze_object(prediction, sweep, final_vp, total_dist, i, objects[i].rect,
-                   analysis.coverages[i], involved);
-  accumulate_coverage_integral(prediction, step, involved, analysis.coverages);
   candidates_total.inc(candidates.size());
   pruned_total.inc(objects.size() - candidates.size());
-  return analysis;
+  return analyze_candidates(prediction, objects, candidates,
+                            params_.coverage_step_ms);
 }
 
-std::vector<std::size_t> ScrollAnalysis::involved_by_entry_time() const {
-  std::vector<std::size_t> idx;
-  for (const ObjectCoverage& c : coverages)
-    if (c.involved) idx.push_back(c.object_index);
-  std::sort(idx.begin(), idx.end(), [this](std::size_t a, std::size_t b) {
-    if (coverages[a].entry_time_ms != coverages[b].entry_time_ms)
-      return coverages[a].entry_time_ms < coverages[b].entry_time_ms;
-    return a < b;
-  });
-  return idx;
+std::vector<const ObjectCoverage*> ScrollAnalysis::listed_by_object_index() const {
+  std::vector<const ObjectCoverage*> out;
+  for (const ObjectCoverage& c : listed) out.push_back(&c);
+  std::ranges::sort(out, {}, [](const ObjectCoverage* c) { return c->object_index; });
+  return out;
 }
 
 }  // namespace mfhttp

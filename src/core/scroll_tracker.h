@@ -55,13 +55,18 @@ struct ObjectCoverage {
   bool in_final_viewport = false;
 };
 
+// One analyzed scroll, sparse: only the objects the scroll touches are
+// listed, so its size (and its cost) follows the scroll, not the page.
 struct ScrollAnalysis {
   ScrollPrediction prediction;
-  std::vector<ObjectCoverage> coverages;  // one per input object, same order
+  // Objects that are involved or in the initial or final viewport (a flag
+  // can come without `involved` at rect edges), sorted by (entry_time_ms,
+  // object_index): involved objects follow any uninvolved ones (entry -1) in
+  // the order Eq. 13 assumes. Unlisted objects have all-default coverage.
+  std::vector<ObjectCoverage> listed;
 
-  // Indices of involved objects sorted by entry time (the ordering Eq. 13
-  // assumes: t_1 <= t_2 <= ... <= t_n).
-  std::vector<std::size_t> involved_by_entry_time() const;
+  // The listed coverages in ascending object index (page order).
+  std::vector<const ObjectCoverage*> listed_by_object_index() const;
 };
 
 // Y-sorted interval index over a page's media objects. A scroll only ever
@@ -120,8 +125,9 @@ class ScrollTracker {
   ScrollPrediction predict(const Gesture& gesture, const Rect& viewport) const;
 
   // Identify involved objects and compute their coverage trajectories. Both
-  // overloads share one coverage-integral pass that samples the viewport
-  // trajectory once per step for every involved object.
+  // overloads share one coverage-integral pass: the viewport trajectory is
+  // sampled once per step, and each involved object sums only the samples
+  // it can overlap (DESIGN.md §20).
   ScrollAnalysis analyze(const ScrollPrediction& prediction,
                          const std::vector<MediaObject>& objects) const;
 

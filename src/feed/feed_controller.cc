@@ -55,16 +55,18 @@ void FeedController::on_media_appended(std::size_t first_index) {
 
 void FeedController::on_policy(const ScrollAnalysis& analysis,
                                const DownloadPolicy& policy) {
-  MFHTTP_CHECK(analysis.coverages.size() <= feed_.media.size());
-  for (std::size_t i = 0; i < analysis.coverages.size(); ++i) {
-    const ObjectCoverage& cov = analysis.coverages[i];
+  // Unlisted media have no flag set and stay parked. Releases go out in
+  // feed order.
+  for (const ObjectCoverage* cov : analysis.listed_by_object_index()) {
+    const std::size_t i = cov->object_index;
+    MFHTTP_CHECK(i < feed_.media.size());
     // Settling in (or starting in) the viewport: full version, instantly
     // playable.
-    if (cov.in_initial_viewport || cov.in_final_viewport) {
+    if (cov->in_initial_viewport || cov->in_final_viewport) {
       release_full(i);
       continue;
     }
-    if (!cov.involved) continue;  // stays parked
+    if (!cov->involved) continue;  // stays parked
     // Transient: take the optimizer's version choice (thumbnail for a
     // glimpse, full if the coverage justifies it); skipped objects stay
     // parked.

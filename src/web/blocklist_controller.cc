@@ -156,12 +156,16 @@ void BlockListController::release_image(std::size_t index, int priority) {
 
 void BlockListController::on_policy(const ScrollAnalysis& analysis,
                                     const DownloadPolicy& policy) {
-  MFHTTP_CHECK(analysis.coverages.size() == page_.images.size());
-  for (std::size_t i = 0; i < page_.images.size(); ++i) {
-    const ObjectCoverage& cov = analysis.coverages[i];
+  // Unlisted images have no flag set and keep their block. Releases go out
+  // in page order.
+  const std::vector<const ObjectCoverage*> listed =
+      analysis.listed_by_object_index();
+  for (const ObjectCoverage* cov : listed) {
+    const std::size_t i = cov->object_index;
+    MFHTTP_CHECK(i < page_.images.size());
     // Step (3): current/final-viewport images are the most crucial to QoE —
     // release unconditionally.
-    if (cov.in_initial_viewport || cov.in_final_viewport) {
+    if (cov->in_initial_viewport || cov->in_final_viewport) {
       release_image(i, kPriorityViewport);
       continue;
     }
@@ -170,7 +174,7 @@ void BlockListController::on_policy(const ScrollAnalysis& analysis,
     // level suppresses them entirely — corridor speculation is the first
     // spend an overloaded middleware stops.
     if (brownout_level_ >= 1) continue;
-    if (cov.involved) {
+    if (cov->involved) {
       const DownloadDecision* d = policy.find(i);
       if (d != nullptr && d->download() && d->value > 0)
         release_image(i, kPriorityTransient);
@@ -184,8 +188,9 @@ void BlockListController::on_policy(const ScrollAnalysis& analysis,
   if (prefetch_enabled_ && brownout_level_ == 0) {
     static obs::Counter& prefetched =
         obs::metrics().counter("web.blocklist.prefetches_total");
-    for (std::size_t i = 0; i < page_.images.size(); ++i) {
-      if (!analysis.coverages[i].involved) continue;
+    for (const ObjectCoverage* cov : listed) {
+      if (!cov->involved) continue;
+      const std::size_t i = cov->object_index;
       if (blocked_[canonical_[i]] == 0) continue;
       if (proxy_->prefetch(*records_[i].top_url)) {
         ++prefetches_requested_;

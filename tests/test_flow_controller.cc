@@ -65,7 +65,9 @@ TEST(FlowController, DecisionsCoverInvolvedObjectsInEntryOrder) {
   FlowController fc(FlowController::Params{});
   DownloadPolicy policy = fc.optimize(analysis, objects, BandwidthTrace::constant(1e9));
 
-  auto involved = analysis.involved_by_entry_time();
+  std::vector<std::size_t> involved;  // in list (entry-time) order
+  for (const ObjectCoverage& cov : analysis.listed)
+    if (cov.involved) involved.push_back(cov.object_index);
   ASSERT_EQ(policy.decisions.size(), involved.size());
   for (std::size_t k = 0; k < involved.size(); ++k)
     EXPECT_EQ(policy.decisions[k].object_index, involved[k]);
@@ -178,10 +180,11 @@ TEST(FlowController, CostWeightSuppressesMarginalObjects) {
   EXPECT_LT(downloads(p_pay), downloads(p_free));
   // With cost pressure, objects that barely appear get dropped while
   // final-viewport objects (Q2 = 1) that enter during the scroll survive.
-  for (const DownloadDecision& d : p_pay.decisions) {
-    if (analysis.coverages[d.object_index].in_final_viewport &&
-        d.entry_time_ms > 0) {
-      EXPECT_TRUE(d.download()) << d.object_index;
+  for (const ObjectCoverage& cov : analysis.listed) {
+    if (cov.in_final_viewport && cov.entry_time_ms > 0) {
+      const DownloadDecision* d = p_pay.find(cov.object_index);
+      ASSERT_NE(d, nullptr) << cov.object_index;
+      EXPECT_TRUE(d->download()) << cov.object_index;
     }
   }
 }

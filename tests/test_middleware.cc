@@ -147,7 +147,7 @@ TEST(Middleware, LastAnalysisInsideCallbackIsTheDeliveredGesture) {
     ASSERT_TRUE(mw.last_policy().has_value());
     const ScrollAnalysis& stored = *mw.last_analysis();
     EXPECT_EQ(stored.prediction.start_time_ms, a.prediction.start_time_ms);
-    EXPECT_EQ(stored.coverages.size(), a.coverages.size());
+    EXPECT_EQ(stored.listed.size(), a.listed.size());
     EXPECT_EQ(mw.last_policy()->decisions.size(), p.decisions.size());
     EXPECT_EQ(mw.last_policy()->objective, p.objective);
     seen.push_back(stored.prediction.start_time_ms);

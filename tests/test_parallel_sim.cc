@@ -320,19 +320,18 @@ TEST(IntervalIndex, IndexedAnalyzeIsFieldIdenticalToLinearScan) {
     ScrollPrediction pred = tracker.predict(fling(vy), viewport);
     ScrollAnalysis linear = tracker.analyze(pred, objects);
     ScrollAnalysis indexed = tracker.analyze(pred, objects, index);
-    ASSERT_EQ(indexed.coverages.size(), linear.coverages.size());
-    for (std::size_t i = 0; i < linear.coverages.size(); ++i) {
-      const ObjectCoverage& a = linear.coverages[i];
-      const ObjectCoverage& b = indexed.coverages[i];
+    ASSERT_EQ(indexed.listed.size(), linear.listed.size());
+    for (std::size_t i = 0; i < linear.listed.size(); ++i) {
+      const ObjectCoverage& a = linear.listed[i];
+      const ObjectCoverage& b = indexed.listed[i];
       EXPECT_EQ(b.object_index, a.object_index);
-      EXPECT_EQ(b.involved, a.involved) << "object " << i;
+      EXPECT_EQ(b.involved, a.involved) << "listed " << i;
       EXPECT_EQ(b.entry_time_ms, a.entry_time_ms);
       EXPECT_EQ(b.coverage_integral, a.coverage_integral);
       EXPECT_EQ(b.final_coverage, a.final_coverage);
       EXPECT_EQ(b.in_initial_viewport, a.in_initial_viewport);
       EXPECT_EQ(b.in_final_viewport, a.in_final_viewport);
     }
-    EXPECT_EQ(indexed.involved_by_entry_time(), linear.involved_by_entry_time());
   }
 }
 

@@ -161,16 +161,36 @@ std::vector<MediaObject> column_of_objects(int count, double height = 400,
   return objects;
 }
 
+// The sparse analysis expanded to one coverage per object, in object order:
+// the listed coverage, or the defaults for an unlisted object.
+std::vector<ObjectCoverage> dense(const ScrollAnalysis& analysis,
+                                  std::size_t object_count) {
+  std::vector<ObjectCoverage> out(object_count);
+  for (std::size_t i = 0; i < object_count; ++i) out[i].object_index = i;
+  for (const ObjectCoverage& c : analysis.listed) {
+    EXPECT_LT(c.object_index, object_count);
+    if (c.object_index < object_count) out[c.object_index] = c;
+  }
+  return out;
+}
+
+// The listed coverage of an object, or nullptr if it is not listed.
+const ObjectCoverage* find(const ScrollAnalysis& analysis, std::size_t object_index) {
+  for (const ObjectCoverage& c : analysis.listed)
+    if (c.object_index == object_index) return &c;
+  return nullptr;
+}
+
 TEST(ScrollTracker, AnalyzeFlagsViewportMembership) {
   ScrollTracker tracker(tracker_params());
   std::vector<MediaObject> objects = column_of_objects(40);
   ScrollPrediction pred = tracker.predict(fling_gesture({0, -4000}), kViewport);
-  ScrollAnalysis analysis = tracker.analyze(pred, objects);
-  ASSERT_EQ(analysis.coverages.size(), objects.size());
+  const std::vector<ObjectCoverage> coverages =
+      dense(tracker.analyze(pred, objects), objects.size());
 
   const Rect final_vp = pred.final_viewport();
   for (std::size_t i = 0; i < objects.size(); ++i) {
-    const ObjectCoverage& cov = analysis.coverages[i];
+    const ObjectCoverage& cov = coverages[i];
     EXPECT_EQ(cov.in_initial_viewport, kViewport.overlaps(objects[i].rect)) << i;
     EXPECT_EQ(cov.in_final_viewport, final_vp.overlaps(objects[i].rect)) << i;
     if (cov.in_initial_viewport || cov.in_final_viewport) {
@@ -186,17 +206,18 @@ TEST(ScrollTracker, EntryTimesOrderedDownThePage) {
   ScrollTracker tracker(tracker_params());
   std::vector<MediaObject> objects = column_of_objects(40);
   ScrollPrediction pred = tracker.predict(fling_gesture({0, -5000}), kViewport);
-  ScrollAnalysis analysis = tracker.analyze(pred, objects);
+  const std::vector<ObjectCoverage> coverages =
+      dense(tracker.analyze(pred, objects), objects.size());
 
   double prev_entry = -1;
   for (std::size_t i = 0; i < objects.size(); ++i) {
-    const ObjectCoverage& cov = analysis.coverages[i];
+    const ObjectCoverage& cov = coverages[i];
     if (!cov.involved) continue;
     EXPECT_GE(cov.entry_time_ms, prev_entry) << "object " << i;
     prev_entry = cov.entry_time_ms;
   }
   // Initial-viewport objects enter at 0.
-  EXPECT_DOUBLE_EQ(analysis.coverages[0].entry_time_ms, 0);
+  EXPECT_DOUBLE_EQ(coverages[0].entry_time_ms, 0);
 }
 
 TEST(ScrollTracker, EntryTimeMatchesKinematics) {
@@ -205,7 +226,7 @@ TEST(ScrollTracker, EntryTimeMatchesKinematics) {
   ScrollPrediction pred = tracker.predict(fling_gesture({0, -5000}), kViewport);
   ScrollAnalysis analysis = tracker.analyze(pred, objects);
 
-  for (const ObjectCoverage& cov : analysis.coverages) {
+  for (const ObjectCoverage& cov : analysis.listed) {
     if (!cov.involved || cov.entry_time_ms <= 0) continue;
     // Just before entry: no overlap; just after: overlap.
     Rect before = pred.viewport_at(cov.entry_time_ms - 5);
@@ -222,9 +243,9 @@ TEST(ScrollTracker, CoverageIntegralBounds) {
   ScrollTracker tracker(tracker_params());
   std::vector<MediaObject> objects = column_of_objects(40);
   ScrollPrediction pred = tracker.predict(fling_gesture({0, -4000}), kViewport);
-  ScrollAnalysis analysis = tracker.analyze(pred, objects);
   const double S = kViewport.area();
-  for (const ObjectCoverage& cov : analysis.coverages) {
+  for (const ObjectCoverage& cov :
+       dense(tracker.analyze(pred, objects), objects.size())) {
     EXPECT_GE(cov.coverage_integral, 0);
     // ∫ s dt <= S * T always.
     EXPECT_LE(cov.coverage_integral, S * pred.duration_ms * (1 + 1e-9));
@@ -243,7 +264,8 @@ TEST(ScrollTracker, StationaryObjectUnderViewportFullCoverage) {
   ScrollPrediction pred = tracker.predict(fling_gesture({0, -3000}), kViewport);
   ScrollAnalysis analysis = tracker.analyze(pred, objects);
   double expected = kViewport.area() * pred.duration_ms;
-  EXPECT_NEAR(analysis.coverages[0].coverage_integral, expected, expected * 0.01);
+  ASSERT_EQ(analysis.listed.size(), 1u);
+  EXPECT_NEAR(analysis.listed[0].coverage_integral, expected, expected * 0.01);
 }
 
 TEST(ScrollTracker, CoarseStepApproximatesFineStep) {
@@ -256,12 +278,13 @@ TEST(ScrollTracker, CoarseStepApproximatesFineStep) {
   ScrollTracker coarse(coarse_params);
 
   ScrollPrediction pred = fine.predict(g, kViewport);
-  ScrollAnalysis fa = fine.analyze(pred, objects);
-  ScrollAnalysis ca = coarse.analyze(pred, objects);
+  const std::vector<ObjectCoverage> fa = dense(fine.analyze(pred, objects), objects.size());
+  const std::vector<ObjectCoverage> ca =
+      dense(coarse.analyze(pred, objects), objects.size());
   for (std::size_t i = 0; i < objects.size(); ++i) {
-    if (!fa.coverages[i].involved) continue;
-    double f = fa.coverages[i].coverage_integral;
-    double c = ca.coverages[i].coverage_integral;
+    if (!fa[i].involved) continue;
+    double f = fa[i].coverage_integral;
+    double c = ca[i].coverage_integral;
     if (f > 1000) {
       EXPECT_NEAR(c / f, 1.0, 0.05) << i;
     }
@@ -273,12 +296,20 @@ TEST(ScrollTracker, InvolvedByEntryTimeSorted) {
   std::vector<MediaObject> objects = column_of_objects(40);
   ScrollPrediction pred = tracker.predict(fling_gesture({0, -5000}), kViewport);
   ScrollAnalysis analysis = tracker.analyze(pred, objects);
-  std::vector<std::size_t> order = analysis.involved_by_entry_time();
-  for (std::size_t k = 1; k < order.size(); ++k) {
-    EXPECT_LE(analysis.coverages[order[k - 1]].entry_time_ms,
-              analysis.coverages[order[k]].entry_time_ms);
+  // The list is in (entry time, object index) order, so the involved
+  // objects — every entry time >= 0 — follow any uninvolved ones (-1).
+  const std::vector<ObjectCoverage>& listed = analysis.listed;
+  std::size_t involved = 0;
+  for (std::size_t k = 0; k < listed.size(); ++k) {
+    involved += listed[k].involved ? 1 : 0;
+    EXPECT_EQ(listed[k].entry_time_ms >= 0, listed[k].involved) << k;
+    if (k == 0) continue;
+    EXPECT_LE(listed[k - 1].entry_time_ms, listed[k].entry_time_ms);
+    if (listed[k - 1].entry_time_ms == listed[k].entry_time_ms) {
+      EXPECT_LT(listed[k - 1].object_index, listed[k].object_index);
+    }
   }
-  for (std::size_t idx : order) EXPECT_TRUE(analysis.coverages[idx].involved);
+  EXPECT_GT(involved, 1u);
 }
 
 TEST(ScrollTracker, ObjectsBeyondSweepNotInvolved) {
@@ -287,11 +318,8 @@ TEST(ScrollTracker, ObjectsBeyondSweepNotInvolved) {
   ScrollPrediction pred = tracker.predict(fling_gesture({0, -2000}), kViewport);
   ScrollAnalysis analysis = tracker.analyze(pred, objects);
   double sweep_bottom = pred.final_viewport().bottom();
-  for (std::size_t i = 0; i < objects.size(); ++i) {
-    if (objects[i].rect.y > sweep_bottom + 1) {
-      EXPECT_FALSE(analysis.coverages[i].involved) << i;
-    }
-  }
+  for (const ObjectCoverage& cov : analysis.listed)
+    EXPECT_LE(objects[cov.object_index].rect.y, sweep_bottom + 1) << cov.object_index;
 }
 
 TEST(ScrollTracker, HorizontalScrollInvolvesSideObjects) {
@@ -305,17 +333,18 @@ TEST(ScrollTracker, HorizontalScrollInvolvesSideObjects) {
   ScrollPrediction pred = tracker.predict(fling_gesture({-6000, 0}), kViewport);
   ScrollAnalysis analysis = tracker.analyze(pred, objects);
   EXPECT_GT(pred.displacement.x, 0);
-  EXPECT_TRUE(analysis.coverages[0].involved);
-  EXPECT_FALSE(analysis.coverages[1].involved);
+  ASSERT_NE(find(analysis, 0), nullptr);
+  EXPECT_TRUE(find(analysis, 0)->involved);
+  EXPECT_EQ(find(analysis, 1), nullptr);
 }
 
 // ---------- bitwise oracle for the shared trajectory pass ----------
 
-// The paper-literal per-object math: every involved object walks the whole
+// The paper-literal per-object math: every object walks the whole
 // trajectory on its own, evaluating viewport_at(t) at each step of Eq. (7).
-// The tracker samples the trajectory once per gesture and shares each sample
-// across the involved objects; only the loop nesting differs, so every field
-// must match bit for bit.
+// The tracker samples the trajectory once per gesture, sums each involved
+// object over its overlap window only, and lists only the objects the scroll
+// touches; every field must still match bit for bit.
 ObjectCoverage oracle_coverage(const ScrollPrediction& pred, double step,
                                const Rect& rect) {
   ObjectCoverage cov;
@@ -334,6 +363,59 @@ ObjectCoverage oracle_coverage(const ScrollPrediction& pred, double step,
   for (double t = step / 2; t < pred.duration_ms; t += step)
     cov.coverage_integral += pred.viewport_at(t).overlap_area(rect) * step;
   return cov;
+}
+
+bool is_default(const ObjectCoverage& c) {
+  const ObjectCoverage d;
+  return c.involved == d.involved && c.in_initial_viewport == d.in_initial_viewport &&
+         c.in_final_viewport == d.in_final_viewport &&
+         c.entry_time_ms == d.entry_time_ms &&
+         c.coverage_integral == d.coverage_integral &&
+         c.final_coverage == d.final_coverage;
+}
+
+// Sparse completeness against the dense oracle: the list is in (entry time,
+// object index) order, every object whose oracle coverage is not all-default
+// appears exactly once with every field bit-equal, and no other object
+// appears. Returns the number of listed objects that have a viewport flag
+// without `involved`.
+std::size_t expect_sparse_matches_oracle(const ScrollAnalysis& analysis,
+                                         const std::vector<MediaObject>& objects,
+                                         const ScrollPrediction& pred, double step) {
+  const std::vector<ObjectCoverage>& listed = analysis.listed;
+  for (std::size_t k = 1; k < listed.size(); ++k) {
+    const ObjectCoverage& a = listed[k - 1];
+    const ObjectCoverage& b = listed[k];
+    EXPECT_TRUE(a.entry_time_ms < b.entry_time_ms ||
+                (a.entry_time_ms == b.entry_time_ms && a.object_index < b.object_index))
+        << "listed " << k << " out of order";
+  }
+  std::vector<int> times_listed(objects.size(), 0);
+  for (const ObjectCoverage& c : listed) {
+    EXPECT_LT(c.object_index, objects.size());
+    if (c.object_index < objects.size()) ++times_listed[c.object_index];
+  }
+  std::size_t flag_only = 0;
+  for (std::size_t i = 0; i < objects.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "object " << i);
+    const ObjectCoverage want = oracle_coverage(pred, step, objects[i].rect);
+    if (is_default(want)) {
+      EXPECT_EQ(times_listed[i], 0);
+      continue;
+    }
+    EXPECT_EQ(times_listed[i], 1);
+    const ObjectCoverage* got = find(analysis, i);
+    if (got == nullptr) continue;
+    EXPECT_EQ(got->object_index, i);
+    EXPECT_EQ(got->involved, want.involved);
+    EXPECT_EQ(got->in_initial_viewport, want.in_initial_viewport);
+    EXPECT_EQ(got->in_final_viewport, want.in_final_viewport);
+    EXPECT_EQ(got->entry_time_ms, want.entry_time_ms);
+    EXPECT_EQ(got->final_coverage, want.final_coverage);
+    EXPECT_EQ(got->coverage_integral, want.coverage_integral);
+    if (!want.involved) ++flag_only;
+  }
+  return flag_only;
 }
 
 enum class OracleCase { kFling, kDrag, kBottomClamped, kDiagonal, kZeroDuration };
@@ -396,27 +478,18 @@ TEST(ScrollTracker, SharedTrajectoryMatchesPerObjectOracleBitwise) {
 
         const ScrollAnalysis analyses[] = {tracker.analyze(pred, objects),
                                            tracker.analyze(pred, objects, index)};
-        for (std::size_t i = 0; i < objects.size(); ++i) {
-          const ObjectCoverage want = oracle_coverage(pred, step, objects[i].rect);
-          involved_checked += want.involved ? 1 : 0;
-          for (std::size_t k = 0; k < std::size(analyses); ++k) {
-            const ObjectCoverage& got = analyses[k].coverages[i];
-            SCOPED_TRACE(::testing::Message()
-                         << "trial " << trial << " step " << step << " case "
-                         << static_cast<int>(c) << " overload " << k << " object " << i);
-            EXPECT_EQ(got.object_index, i);
-            EXPECT_EQ(got.involved, want.involved);
-            EXPECT_EQ(got.in_initial_viewport, want.in_initial_viewport);
-            EXPECT_EQ(got.in_final_viewport, want.in_final_viewport);
-            EXPECT_EQ(got.entry_time_ms, want.entry_time_ms);
-            EXPECT_EQ(got.final_coverage, want.final_coverage);
-            EXPECT_EQ(got.coverage_integral, want.coverage_integral);
-          }
+        for (std::size_t k = 0; k < std::size(analyses); ++k) {
+          SCOPED_TRACE(::testing::Message()
+                       << "trial " << trial << " step " << step << " case "
+                       << static_cast<int>(c) << " overload " << k);
+          expect_sparse_matches_oracle(analyses[k], objects, pred, step);
+          for (const ObjectCoverage& cov : analyses[k].listed)
+            involved_checked += cov.involved ? 1 : 0;
         }
       }
     }
   }
-  EXPECT_GT(involved_checked, 500u);  // the oracle actually exercised integrals
+  EXPECT_GT(involved_checked, 1000u);  // the oracle actually exercised integrals
 }
 
 // ---------- indexed vs linear analyze ----------
@@ -426,11 +499,11 @@ TEST(ScrollTracker, SharedTrajectoryMatchesPerObjectOracleBitwise) {
 // the fig7 corpus on every scenario device class, plus a page of degenerate
 // (zero-width / zero-height) rects next to a live one.
 void expect_analysis_eq(const ScrollAnalysis& linear, const ScrollAnalysis& indexed) {
-  ASSERT_EQ(linear.coverages.size(), indexed.coverages.size());
-  for (std::size_t i = 0; i < linear.coverages.size(); ++i) {
-    const ObjectCoverage& a = linear.coverages[i];
-    const ObjectCoverage& b = indexed.coverages[i];
-    SCOPED_TRACE(::testing::Message() << "object " << i);
+  ASSERT_EQ(linear.listed.size(), indexed.listed.size());
+  for (std::size_t i = 0; i < linear.listed.size(); ++i) {
+    const ObjectCoverage& a = linear.listed[i];
+    const ObjectCoverage& b = indexed.listed[i];
+    SCOPED_TRACE(::testing::Message() << "listed " << i);
     EXPECT_EQ(a.object_index, b.object_index);
     EXPECT_EQ(a.involved, b.involved);
     EXPECT_EQ(a.entry_time_ms, b.entry_time_ms);
@@ -439,6 +512,14 @@ void expect_analysis_eq(const ScrollAnalysis& linear, const ScrollAnalysis& inde
     EXPECT_EQ(a.in_initial_viewport, b.in_initial_viewport);
     EXPECT_EQ(a.in_final_viewport, b.in_final_viewport);
   }
+}
+
+// Object indices of the involved objects, in list (entry-time) order.
+std::vector<std::size_t> involved_order(const ScrollAnalysis& analysis) {
+  std::vector<std::size_t> order;
+  for (const ObjectCoverage& c : analysis.listed)
+    if (c.involved) order.push_back(c.object_index);
+  return order;
 }
 
 ScrollTracker::Params device_tracker_params(const DeviceProfile& device) {
@@ -506,8 +587,8 @@ TEST(ScrollTracker, IndexedAnalyzeKeepsInvolvedOrderOnFlagshipCorpus) {
       const ScrollPrediction pred = tracker.predict(fling_gesture(v), viewport);
       const ScrollAnalysis linear = tracker.analyze(pred, page.images);
       const ScrollAnalysis indexed = tracker.analyze(pred, page.images, index);
-      EXPECT_EQ(indexed.involved_by_entry_time(), linear.involved_by_entry_time());
-      involved += linear.involved_by_entry_time().size();
+      EXPECT_EQ(involved_order(indexed), involved_order(linear));
+      involved += involved_order(linear).size();
     }
   }
   EXPECT_GT(involved, 0u);
@@ -528,14 +609,20 @@ TEST(ScrollTracker, DegenerateRectsIndexedMatchesLinear) {
   const ScrollPrediction pred = tracker.predict(fling_gesture({0, -5000}), kViewport);
   const ScrollAnalysis linear = tracker.analyze(pred, objects);
   expect_analysis_eq(linear, tracker.analyze(pred, objects, index));
-  ASSERT_EQ(linear.coverages.size(), 3u);
-  EXPECT_FALSE(linear.coverages[0].involved);
-  EXPECT_FALSE(linear.coverages[1].involved);
-  EXPECT_TRUE(linear.coverages[2].involved);
+  // A zero-size rect inside the viewport still passes Rect::overlaps, so it
+  // can be listed for its viewport flag — but never as involved.
+  for (std::size_t i : {0u, 1u}) {
+    if (const ObjectCoverage* c = find(linear, i)) {
+      EXPECT_FALSE(c->involved) << i;
+    }
+  }
+  ASSERT_NE(find(linear, 2), nullptr);
+  EXPECT_TRUE(find(linear, 2)->involved);
 }
 
 TEST(ScrollTracker, TrajectorySamplesCountedOncePerStep) {
   obs::Counter& samples = obs::metrics().counter("core.tracker.trajectory_samples_total");
+  obs::Counter& window = obs::metrics().counter("core.tracker.window_samples_total");
   ScrollTracker::Params p = tracker_params();
   p.coverage_step_ms = 4.0;
   ScrollTracker tracker(p);
@@ -547,14 +634,89 @@ TEST(ScrollTracker, TrajectorySamplesCountedOncePerStep) {
 
   // However many objects are involved, the trajectory is sampled once per step.
   std::uint64_t before = samples.value();
+  const std::uint64_t window_before = window.value();
   ScrollAnalysis analysis = tracker.analyze(pred, objects);
-  EXPECT_GT(analysis.involved_by_entry_time().size(), 1u);
+  const std::size_t involved = involved_order(analysis).size();
+  EXPECT_GT(involved, 1u);
   EXPECT_EQ(samples.value() - before, steps);
+  // Each involved object sums only its overlap window: on a long fling down
+  // a column, no object overlaps the viewport for the whole scroll.
+  const std::uint64_t summed = window.value() - window_before;
+  EXPECT_GT(summed, 0u);
+  EXPECT_LT(summed, steps * involved);
+  std::uint64_t overlapping = 0;  // samples with positive overlap, per object
+  for (const ObjectCoverage& cov : analysis.listed) {
+    if (!cov.involved) continue;
+    for (double t = 2.0; t < pred.duration_ms; t += 4.0)
+      overlapping += pred.viewport_at(t).overlap_area(objects[cov.object_index].rect) > 0;
+  }
+  EXPECT_GE(summed, overlapping);
 
   // Nothing involved: no samples.
   before = samples.value();
   tracker.analyze(pred, std::vector<MediaObject>{});
   EXPECT_EQ(samples.value() - before, 0u);
+}
+
+// Rects placed within a few ulps of the initial and final viewports' edges:
+// Rect::overlaps and the swept-region test round differently there, so a
+// viewport flag can come without `involved`. Whatever the flags say, the
+// sparse list must hold exactly the objects the dense oracle flags, on both
+// overloads.
+TEST(ScrollTracker, SparseAnalysisListsViewportEdgeObjects) {
+  Rng rng(0xED6E);
+  const Rect page{0, 0, 1440, 40'000};
+  std::size_t flag_only = 0, listed = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    ScrollTracker::Params p = tracker_params(page);
+    p.coverage_step_ms = trial % 2 == 0 ? 1.0 : 4.0;
+    if (trial % 4 == 3) p.content_bounds.reset();
+    const ScrollTracker tracker(p);
+    const Rect viewport = kViewport.translated({0, rng.uniform(0, 30'000)});
+    const Vec2 v = trial % 4 == 3
+                       ? Vec2{rng.uniform(-6'000, 6'000), rng.uniform(-6'000, 6'000)}
+                       : Vec2{0, rng.uniform(-12'000, 12'000)};
+    const ScrollPrediction pred = tracker.predict(fling_gesture(v), viewport);
+    const Rect vps[] = {pred.viewport0, pred.final_viewport()};
+
+    std::vector<MediaObject> objects;
+    for (int i = 0; i < 48; ++i) {
+      const Rect& vp = vps[i % 2];
+      const double w = rng.uniform(20, 900), h = rng.uniform(20, 900);
+      // An edge coordinate, nudged by up to two ulps either way.
+      auto nudge = [&](double x) {
+        for (int u = static_cast<int>(rng.uniform_int(-2, 2)); u != 0; u += u > 0 ? -1 : 1)
+          x = std::nextafter(x, u > 0 ? INFINITY : -INFINITY);
+        return x;
+      };
+      Rect r{rng.uniform(vp.left() - w, vp.right()), 0, w, h};
+      switch (rng.uniform_int(0, 3)) {
+        case 0: r.y = nudge(vp.bottom()); break;      // just below
+        case 1: r.y = nudge(vp.top() - h); break;     // just above
+        case 2:                                       // just right
+          r.x = nudge(vp.right());
+          r.y = rng.uniform(vp.top() - h, vp.bottom());
+          break;
+        default:                                      // just left
+          r.x = nudge(vp.left() - w);
+          r.y = rng.uniform(vp.top() - h, vp.bottom());
+          break;
+      }
+      objects.push_back(make_single_version_object(
+          "edge-" + std::to_string(i), r, 1000, "http://s.example/edge-" + std::to_string(i)));
+    }
+    const ObjectIntervalIndex index(objects);
+    for (const ScrollAnalysis& a :
+         {tracker.analyze(pred, objects), tracker.analyze(pred, objects, index)}) {
+      SCOPED_TRACE(::testing::Message() << "trial " << trial);
+      flag_only += expect_sparse_matches_oracle(a, objects, pred, p.coverage_step_ms);
+      listed += a.listed.size();
+    }
+  }
+  EXPECT_GT(listed, 0u);
+  // The edge search does produce viewport flags without `involved` (zero-
+  // overlap rounding at the viewport edges), so that path is exercised.
+  EXPECT_GT(flag_only, 0u);
 }
 
 // ---------- cross-device property sweep ----------

@@ -6,6 +6,8 @@
 // fit std::function's small buffer. These tests enforce that with a
 // counting global operator new. The ProxyAlloc cases hold one proxied GET,
 // from fetch() to on_complete, to a fixed allocation budget (DESIGN.md §19).
+// The TouchAlloc case holds one gesture's touch-to-policy path to the same
+// allocations on a small and a large page (DESIGN.md §20).
 //
 // The counter is a plain relaxed atomic: the tests run single-threaded and
 // only need exact counts between an AllocGuard's construction and delta().
@@ -16,6 +18,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/middleware.h"
+#include "feed/feed.h"
 #include "http/fetch_pipeline.h"
 #include "http/object_store.h"
 #include "http/proxy.h"
@@ -23,26 +27,27 @@
 #include "net/link.h"
 #include "overload/admission.h"
 #include "sim/simulator.h"
+#include "util/rng.h"
 
 namespace {
 
 std::atomic<std::size_t> g_allocs{0};
+std::atomic<std::size_t> g_alloc_bytes{0};
 
 std::size_t alloc_count() { return g_allocs.load(std::memory_order_relaxed); }
+std::size_t alloc_bytes() { return g_alloc_bytes.load(std::memory_order_relaxed); }
+
+void* counted_malloc(std::size_t size) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
 
 }  // namespace
 
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
+void* operator new(std::size_t size) { return counted_malloc(size); }
+void* operator new[](std::size_t size) { return counted_malloc(size); }
 
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
@@ -54,11 +59,13 @@ namespace {
 
 class AllocGuard {
  public:
-  AllocGuard() : start_(alloc_count()) {}
+  AllocGuard() : start_(alloc_count()), start_bytes_(alloc_bytes()) {}
   std::size_t delta() const { return alloc_count() - start_; }
+  std::size_t bytes() const { return alloc_bytes() - start_bytes_; }
 
  private:
   std::size_t start_;
+  std::size_t start_bytes_;
 };
 
 // Long-lived transfers on a 100 KB/s link (500 B per 5 ms quantum), each
@@ -249,6 +256,67 @@ TEST(ProxyAlloc, CacheMissStaysWithinBudget) {
   const std::size_t allocs = stack.fetch_counting(ProxyStack::kObjects - 1);
   EXPECT_EQ(stack.proxy().stats().cache_hits, hits_before);
   EXPECT_LE(allocs, kMissBudget) << "allocations on the miss path";
+}
+
+// ---------- touch-to-policy ----------
+
+// One steady-state gesture on a `posts`-post feed, its viewport far from
+// either end so the same swipe involves the same objects on any page size.
+struct GestureCost {
+  std::size_t allocs = 0;
+  std::size_t bytes = 0;
+  std::vector<std::size_t> listed;  // object indices the analysis listed
+};
+
+GestureCost measure_gesture(int posts) {
+  const DeviceProfile device = DeviceProfile::nexus6();
+  FeedSpec spec;
+  spec.post_count = posts;
+  Rng rng(7);
+  const Feed feed = generate_feed(spec, device, rng);
+  Middleware::Params params;
+  params.tracker.scroll = ScrollConfig(device);
+  params.tracker.content_bounds = feed.bounds();
+  params.flow.weights = {1.0, 0.3};
+  params.initial_viewport = {0, 40 * spec.post_height, device.screen_w_px,
+                             device.screen_h_px};
+  Middleware middleware(params, feed.media, BandwidthTrace::constant(2.0e6),
+                        /*sim=*/nullptr);
+  auto fling = [](TimeMs up_ms) {
+    Gesture g;
+    g.kind = GestureKind::kFling;
+    g.down_time_ms = up_ms - 120;
+    g.up_time_ms = up_ms;
+    g.down_pos = {700, 1800};
+    g.up_pos = {700, 1500};
+    g.release_velocity = {0, -6000};
+    return g;
+  };
+  // Two warm-up gestures, each long settled before the next touch: scratch
+  // buffers reach capacity and every metric site registers.
+  middleware.on_gesture(fling(1'000));
+  middleware.on_gesture(fling(11'000));
+  GestureCost cost;
+  {
+    AllocGuard guard;
+    middleware.on_gesture(fling(21'000));
+    cost.allocs = guard.delta();
+    cost.bytes = guard.bytes();
+  }
+  EXPECT_TRUE(middleware.last_analysis().has_value());
+  if (middleware.last_analysis())
+    for (const ObjectCoverage& c : middleware.last_analysis()->listed)
+      cost.listed.push_back(c.object_index);
+  return cost;
+}
+
+TEST(TouchAlloc, GestureAllocationDoesNotScaleWithPage) {
+  const GestureCost small = measure_gesture(200);
+  const GestureCost large = measure_gesture(2000);
+  ASSERT_FALSE(small.listed.empty());
+  ASSERT_EQ(small.listed, large.listed) << "the gesture must involve the same objects";
+  EXPECT_EQ(large.allocs, small.allocs);
+  EXPECT_EQ(large.bytes, small.bytes) << "bytes allocated per gesture grew with the page";
 }
 
 }  // namespace
