@@ -15,7 +15,8 @@
 // Flags (cli/standard_options.h plus locals):
 //   --smoke            one 16-session sweep only (CI-sized)
 //   --json-out <path>  write every cell's CacheExperimentResult as a JSON array
-//   --cache-config <p> override cache sizing / prefetch budget
+//   --scenario <p>     a spec whose "cache" section overrides cache sizing /
+//                      prefetch budget
 //   --metrics-json <p> obs registry snapshot at exit
 #include <cstdio>
 #include <fstream>

@@ -73,32 +73,6 @@ struct Row {
   double p99_t2p_us = 0;
 };
 
-std::vector<std::size_t> parse_list(const char* flag, const std::string& s) {
-  std::vector<std::size_t> out;
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    std::size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    const std::string tok = s.substr(pos, comma - pos);
-    char* end = nullptr;
-    unsigned long v = std::strtoul(tok.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || v == 0)
-      CliOptions::fail(flag, s, "expected comma-separated positive ints");
-    out.push_back(static_cast<std::size_t>(v));
-    pos = comma + 1;
-  }
-  if (out.empty()) CliOptions::fail(flag, s, "expected at least one value");
-  return out;
-}
-
-std::size_t parse_size(const char* flag, const std::string& s) {
-  char* end = nullptr;
-  unsigned long v = std::strtoul(s.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || v == 0)
-    CliOptions::fail(flag, s, "expected a positive integer");
-  return static_cast<std::size_t>(v);
-}
-
 // Supervisor tuning for the chaos arms: thresholds small enough that
 // detection lands well inside a 1-second stall, large enough that a noisy
 // shared runner de-scheduling a healthy worker cannot trip a false wedge
@@ -181,30 +155,28 @@ int main(int argc, char** argv) {
   });
 
   FrontDoorParams params;
-  params.load.sessions = sessions_s.empty() ? 2000
-                                            : parse_size("--sessions",
-                                                         sessions_s);
+  params.load.sessions =
+      sessions_s.empty() ? 2000 : CliOptions::positive_size("--sessions", sessions_s);
   params.load.touches_per_session =
-      touches_s.empty() ? 3 : parse_size("--touches", touches_s);
+      touches_s.empty() ? 3 : CliOptions::positive_size("--touches", touches_s);
   params.load.url_universe =
-      universe_s.empty() ? 2048 : parse_size("--universe", universe_s);
+      universe_s.empty() ? 2048 : CliOptions::positive_size("--universe", universe_s);
   params.load.session_arrival_per_s =
       arrival_s.empty()
           ? 2000
-          : static_cast<double>(parse_size("--arrival", arrival_s));
-  if (!seed_s.empty())
-    params.load.seed = static_cast<std::uint64_t>(parse_size("--seed", seed_s));
+          : static_cast<double>(CliOptions::positive_size("--arrival", arrival_s));
+  if (!seed_s.empty()) params.load.seed = CliOptions::positive_size("--seed", seed_s);
   params.queue_capacity =
-      queue_s.empty() ? 256 : parse_size("--queue", queue_s);
+      queue_s.empty() ? 256 : CliOptions::positive_size("--queue", queue_s);
   params.enqueue_deadline_ms =
       deadline_s.empty()
           ? 20
-          : static_cast<TimeMs>(parse_size("--deadline-ms", deadline_s));
+          : static_cast<TimeMs>(CliOptions::positive_size("--deadline-ms", deadline_s));
   params.apply_scaled_admission();
   if (json_path.empty()) json_path = "BENCH_chaos.json";
   const std::vector<std::size_t> shard_counts =
       shards_s.empty() ? std::vector<std::size_t>{2, 4}
-                       : parse_list("--shards", shards_s);
+                       : CliOptions::positive_size_list("--shards", shards_s);
 
   // Plan sweep: one plan from --plan, else the two built-in scenarios.
   std::vector<fault::FaultPlan> plans;

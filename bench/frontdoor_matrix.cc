@@ -57,32 +57,6 @@ struct Row {
   bool routing_stable = true;
 };
 
-std::vector<std::size_t> parse_list(const char* flag, const std::string& s) {
-  std::vector<std::size_t> out;
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    std::size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    const std::string tok = s.substr(pos, comma - pos);
-    char* end = nullptr;
-    unsigned long v = std::strtoul(tok.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || v == 0)
-      CliOptions::fail(flag, s, "expected comma-separated positive ints");
-    out.push_back(static_cast<std::size_t>(v));
-    pos = comma + 1;
-  }
-  if (out.empty()) CliOptions::fail(flag, s, "expected at least one value");
-  return out;
-}
-
-std::size_t parse_size(const char* flag, const std::string& s) {
-  char* end = nullptr;
-  unsigned long v = std::strtoul(s.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || v == 0)
-    CliOptions::fail(flag, s, "expected a positive integer");
-  return static_cast<std::size_t>(v);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -114,22 +88,21 @@ int main(int argc, char** argv) {
   });
 
   FrontDoorParams params;
-  if (!seed_s.empty())
-    params.load.seed = static_cast<std::uint64_t>(parse_size("--seed", seed_s));
+  if (!seed_s.empty()) params.load.seed = CliOptions::positive_size("--seed", seed_s);
   if (!touches_s.empty())
-    params.load.touches_per_session = parse_size("--touches", touches_s);
+    params.load.touches_per_session = CliOptions::positive_size("--touches", touches_s);
   if (!universe_s.empty())
-    params.load.url_universe = parse_size("--universe", universe_s);
+    params.load.url_universe = CliOptions::positive_size("--universe", universe_s);
   if (!arrival_s.empty())
     params.load.session_arrival_per_s =
-        static_cast<double>(parse_size("--arrival", arrival_s));
+        static_cast<double>(CliOptions::positive_size("--arrival", arrival_s));
   if (json_path.empty()) json_path = "BENCH_frontdoor.json";
   const std::vector<std::size_t> session_counts =
       sessions_s.empty() ? std::vector<std::size_t>{10000}
-                         : parse_list("--sessions", sessions_s);
+                         : CliOptions::positive_size_list("--sessions", sessions_s);
   const std::vector<std::size_t> shard_counts =
       shards_s.empty() ? std::vector<std::size_t>{1, 2, 4}
-                       : parse_list("--shards", shards_s);
+                       : CliOptions::positive_size_list("--shards", shards_s);
 
   std::printf(
       "=== Front-door matrix: %zu touches/session, universe %zu, seed %llu "

@@ -29,7 +29,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <vector>
@@ -77,14 +76,6 @@ struct Row {
   double p99_fetch_us = 0;
   std::vector<FetchRecord> records;  // for the in-binary parity gate
 };
-
-std::size_t parse_size(const char* flag, const std::string& s) {
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || s.empty())
-    CliOptions::fail(flag, s, "expected a non-negative integer");
-  return static_cast<std::size_t>(v);
-}
 
 // Same stores, same script, every arm: the parity gate depends on it.
 void populate(ObjectStore& store, std::size_t universe, std::uint64_t seed) {
@@ -228,14 +219,12 @@ int main(int argc, char** argv) {
   });
 
   std::size_t requests =
-      requests_s.empty() ? (quick ? 60 : 300) : parse_size("--requests",
-                                                           requests_s);
+      requests_s.empty() ? (quick ? 60 : 300)
+                         : CliOptions::positive_size("--requests", requests_s);
   std::size_t universe =
-      universe_s.empty() ? (quick ? 16 : 64) : parse_size("--universe",
-                                                          universe_s);
-  std::uint64_t seed =
-      seed_s.empty() ? 1 : static_cast<std::uint64_t>(parse_size("--seed",
-                                                                 seed_s));
+      universe_s.empty() ? (quick ? 16 : 64)
+                         : CliOptions::positive_size("--universe", universe_s);
+  std::uint64_t seed = seed_s.empty() ? 1 : CliOptions::positive_size("--seed", seed_s);
   if (json_path.empty()) json_path = "BENCH_loopback.json";
 
   // One seeded script for every arm, derived from a throwaway store that is

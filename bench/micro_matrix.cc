@@ -63,6 +63,7 @@ namespace {
 using namespace mfhttp;
 using Clock = std::chrono::steady_clock;
 
+// Not the standard FNV-1a basis (util/fnv.h); BENCH_micro.json depends on it.
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
@@ -168,14 +169,6 @@ std::string typical_request_text() {
          "\r\n";
 }
 
-unsigned long long parse_reps(const char* flag, const std::string& s) {
-  char* end = nullptr;
-  unsigned long v = std::strtoul(s.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || v == 0)
-    CliOptions::fail(flag, s, "expected a positive integer");
-  return v;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -189,10 +182,12 @@ int main(int argc, char** argv) {
         .add_string("--json", "PATH", "result document (default BENCH_micro.json)",
                     &json_path);
   });
-  const unsigned long long reps = reps_s.empty() ? 400 : parse_reps("--reps", reps_s);
+  const unsigned long long reps =
+      reps_s.empty() ? 400 : CliOptions::positive_size("--reps", reps_s);
   const unsigned long long passes =
-      passes_s.empty() ? 5 : parse_reps("--passes", passes_s);
-  const std::uint64_t seed = seed_s.empty() ? 1 : parse_reps("--seed", seed_s);
+      passes_s.empty() ? 5 : CliOptions::positive_size("--passes", passes_s);
+  const std::uint64_t seed =
+      seed_s.empty() ? 1 : CliOptions::positive_size("--seed", seed_s);
   if (json_path.empty()) json_path = "BENCH_micro.json";
 
   // Fixture: the densest fig7 corpus page (the Sohu-like limited-viewport

@@ -178,8 +178,8 @@ int main(int argc, char** argv) {
     if (spec.name == "qq") page = generate_page(spec, device, r);
   }
 
-  // --fault-plan swaps in a caller-supplied plan; default is the canonical
-  // lossy-cellular stress plan.
+  // A --scenario with a "fault" section swaps in its plan; default is the
+  // canonical lossy-cellular stress plan.
   const fault::FaultPlan plan = fault::global_plan() != nullptr
                                     ? *fault::global_plan()
                                     : fault::FaultPlan::lossy_cellular();

@@ -44,33 +44,6 @@ struct Row {
   bool deterministic = true;
 };
 
-std::vector<std::size_t> parse_worker_list(const std::string& s) {
-  std::vector<std::size_t> out;
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    std::size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    const std::string tok = s.substr(pos, comma - pos);
-    char* end = nullptr;
-    unsigned long v = std::strtoul(tok.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || v == 0)
-      CliOptions::fail("--workers", s, "expected comma-separated positive ints");
-    out.push_back(static_cast<std::size_t>(v));
-    pos = comma + 1;
-  }
-  if (out.empty())
-    CliOptions::fail("--workers", s, "expected at least one worker count");
-  return out;
-}
-
-std::size_t parse_size(const char* flag, const std::string& s) {
-  char* end = nullptr;
-  unsigned long v = std::strtoul(s.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || v == 0)
-    CliOptions::fail(flag, s, "expected a positive integer");
-  return static_cast<std::size_t>(v);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -90,15 +63,15 @@ int main(int argc, char** argv) {
   });
 
   sim::ScaleSessionConfig config;
-  if (!sessions_s.empty()) config.sessions = parse_size("--sessions", sessions_s);
+  if (!sessions_s.empty())
+    config.sessions = CliOptions::positive_size("--sessions", sessions_s);
   if (!gestures_s.empty())
-    config.gestures_per_session = parse_size("--gestures", gestures_s);
-  if (!seed_s.empty())
-    config.seed = static_cast<std::uint64_t>(parse_size("--seed", seed_s));
+    config.gestures_per_session = CliOptions::positive_size("--gestures", gestures_s);
+  if (!seed_s.empty()) config.seed = CliOptions::positive_size("--seed", seed_s);
   if (json_path.empty()) json_path = "BENCH_scale.json";
   std::vector<std::size_t> worker_counts =
       workers_s.empty() ? std::vector<std::size_t>{1, 2, 4}
-                        : parse_worker_list(workers_s);
+                        : CliOptions::positive_size_list("--workers", workers_s);
 
   std::printf("=== Scale matrix: %zu sessions, %zu gestures each, seed %llu ===\n",
               config.sessions, config.gestures_per_session,

@@ -44,6 +44,7 @@
 #include "scenario/matrix.h"
 #include "scenario/wiring.h"
 #include "sim/parallel_runner.h"
+#include "util/fnv.h"
 #include "util/json.h"
 #include "web/corpus.h"
 #include "web/experiment.h"
@@ -86,18 +87,6 @@ std::vector<std::string> parse_list(const char* flag, const std::string& s) {
   return out;
 }
 
-std::vector<std::size_t> parse_worker_list(const std::string& s) {
-  std::vector<std::size_t> out;
-  for (const std::string& tok : parse_list("--workers", s)) {
-    char* end = nullptr;
-    unsigned long v = std::strtoul(tok.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || v == 0)
-      CliOptions::fail("--workers", s, "expected comma-separated positive ints");
-    out.push_back(static_cast<std::size_t>(v));
-  }
-  return out;
-}
-
 int parse_int(const char* flag, const std::string& s, int min) {
   char* end = nullptr;
   long v = std::strtol(s.c_str(), &end, 10);
@@ -112,17 +101,6 @@ int parse_int(const char* flag, const std::string& s, int min) {
 MatrixCellResult hand_wired_paper_cell(const MatrixCellResult& like,
                                        bool enable_mfhttp, int sites,
                                        int repeats) {
-  struct Fnv {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    void u64(std::uint64_t v) {
-      const unsigned char* c = reinterpret_cast<const unsigned char*>(&v);
-      for (std::size_t i = 0; i < sizeof(v); ++i) {
-        h ^= c[i];
-        h *= 0x100000001b3ull;
-      }
-    }
-  };
-
   const DeviceProfile device = DeviceProfile::nexus6();
   Rng rng(42);
   std::vector<WebPage> corpus = generate_corpus(device, rng);
@@ -249,7 +227,7 @@ int main(int argc, char** argv) {
           : parse_list("--workloads", workloads_s);
   const std::vector<std::size_t> worker_counts =
       workers_s.empty() ? std::vector<std::size_t>{1, 2}
-                        : parse_worker_list(workers_s);
+                        : CliOptions::positive_size_list("--workers", workers_s);
 
   // The grid, plus the two paper-default rows the identity check owns.
   std::vector<ScenarioSpec> cells;

@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
   store.put("/banner.gif", 40'000, "image/gif");
 
   // The canonical stack assembly: one builder call replaces the hand-wired
-  // decorator chain (and picks up any ambient --fault-plan automatically).
+  // decorator chain (and picks up any ambient --scenario plan automatically).
   // --transport socket swaps the simulated origin for the real epoll
   // loopback server (DESIGN.md §15) with identical timestamps on output.
   DemoInterceptor interceptor;

@@ -19,19 +19,13 @@ StandardOptions::StandardOptions(int& argc, char** argv,
                   "scenario spec: device x network x workload + fault/cache/"
                   "overload sections (src/scenario/scenario_spec.h)",
                   &scenario_path_)
-      .add_string("--fault-plan", "path",
-                  "DEPRECATED: bare fault plan; prefer a 'fault' section in "
-                  "--scenario",
-                  &fault_plan_path_)
-      .add_string("--cache-config", "path",
-                  "DEPRECATED: bare cache config; prefer a 'cache' section "
-                  "in --scenario",
-                  &cache_config_path_)
       .add_string("--transport", "sim|socket",
                   "origin backend: discrete-event sim or real epoll loopback",
                   &transport_name_);
   if (extend) extend(options);
   options.parse_or_exit(argc, argv);
+  for (int i = 1; i < argc; ++i)
+    if (argv[i][0] == '-') CliOptions::fail(argv[i], "", "unknown flag");
 
   if (!transport_name_.empty()) {
     auto kind = transport_kind_from_name(transport_name_);
@@ -49,55 +43,15 @@ StandardOptions::StandardOptions(int& argc, char** argv,
                 << scenario_->device.name << " x " << scenario_->network.name
                 << " x " << workload_kind_name(scenario_->workload.kind)
                 << ", seed " << scenario_->seed << ")";
-    if (scenario_->cache.has_value()) {
-      cache_config_ = *scenario_->cache;
-      has_cache_config_ = true;
-    }
-  }
-
-  if (!fault_plan_path_.empty()) {
-    std::string why;
-    auto plan = fault::FaultPlan::load(fault_plan_path_, &why);
-    if (!plan.has_value()) CliOptions::fail("--fault-plan", fault_plan_path_, why);
-    MFHTTP_WARN << "--fault-plan is deprecated; prefer a \"fault\" section "
-                   "in --scenario";
-    if (scenario_.has_value()) {
-      // Alias-beside-scenario: the explicit plan overrides the spec's fault
-      // section, so every consumer (scenario wiring included) sees it.
-      MFHTTP_INFO << "--fault-plan overrides scenario '" << scenario_->name
-                  << "' fault section";
-      scenario_->fault = *plan;
-    }
-    MFHTTP_INFO << "fault plan '"
-                << (plan->name.empty() ? fault_plan_path_ : plan->name)
-                << "' installed (seed " << plan->seed << ")";
-    fault::set_global_plan(std::move(plan));
-    fault_plan_installed_ = true;
-  } else if (scenario_.has_value()) {
+    if (scenario_->cache.has_value()) cache_config_ = *scenario_->cache;
     // The scenario's fault section plus any network-profile handover
-    // windows become the ambient plan, exactly as --fault-plan would.
+    // windows become the ambient plan every session runs under.
     if (auto plan = scenario_->compiled_fault_plan()) {
       MFHTTP_INFO << "fault plan '" << plan->name << "' installed from "
                   << "scenario (seed " << plan->seed << ")";
       fault::set_global_plan(std::move(plan));
       fault_plan_installed_ = true;
     }
-  }
-
-  if (!cache_config_path_.empty()) {
-    std::string why;
-    auto config = prefetch::CacheConfig::load(cache_config_path_, &why);
-    if (!config.has_value())
-      CliOptions::fail("--cache-config", cache_config_path_, why);
-    MFHTTP_WARN << "--cache-config is deprecated; prefer a \"cache\" section "
-                   "in --scenario";
-    if (scenario_.has_value()) {
-      MFHTTP_INFO << "--cache-config overrides scenario '" << scenario_->name
-                  << "' cache section";
-      scenario_->cache = *config;
-    }
-    cache_config_ = *std::move(config);
-    has_cache_config_ = true;
   }
 }
 

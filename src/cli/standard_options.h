@@ -1,6 +1,5 @@
 // The standard flag set every mfhttp bench and example speaks — one RAII
-// object built on util/cli_options.h (ISSUE 4 satellite; supersedes the
-// fault layer's StandardFlagsGuard):
+// object built on util/cli_options.h:
 //
 //   --metrics-json <path>    dump the obs registry snapshot at exit,
 //   --scenario <path>        load a scenario::ScenarioSpec (device class +
@@ -8,30 +7,21 @@
 //                            overload sections, DESIGN.md §16) and install
 //                            its compiled fault plan as the ambient
 //                            fault::global_plan() for every session,
-//   --fault-plan <path>      DEPRECATED alias: install a bare fault plan.
-//                            Prefer a "fault" section in --scenario,
-//   --cache-config <path>    DEPRECATED alias: load a prefetch::CacheConfig.
-//                            Prefer a "cache" section in --scenario,
 //   --transport sim|socket   origin backend for pipelines built through
 //                            FetchPipelineBuilder::with_origin (sim: the
 //                            discrete-event SimHttpOrigin; socket: the real
 //                            epoll loopback transport, DESIGN.md §15).
 //
-// Precedence when flags are combined: --scenario loads first and is the
-// source of truth; a deprecated alias given *alongside* it overrides the
-// matching section of the spec (the override is logged, so a command line
-// that contradicts its scenario is visible in the run log). An alias given
-// *without* --scenario keeps its historical behavior unchanged — existing
-// scripts keep working, they just get a deprecation warning pointing at the
-// scenario equivalent.
-//
 // Construction registers the flags (plus any binary-specific ones via the
 // `extend` hook), parses argv in place, and *loads* the named files —
 // exiting 2 with the shared error format when a named payload cannot be
 // used, because a bench that silently ran fault-free or cache-free did not
-// measure what its command line claims. Destruction writes the metrics
-// snapshot and uninstalls the fault plan, so consecutive binaries in one
-// test run never leak state into each other.
+// measure what its command line claims. For the same reason any leftover
+// argument that looks like a flag ("-..." that no parser registered) exits
+// 2: a misspelled --metrics-json must not run and write nothing. Positional
+// arguments pass through in argv for the binary to read. Destruction writes
+// the metrics snapshot and uninstalls the fault plan, so consecutive
+// binaries in one test run never leak state into each other.
 #pragma once
 
 #include <functional>
@@ -48,8 +38,8 @@ namespace mfhttp::cli {
 class StandardOptions {
  public:
   // `extend` registers extra binary-specific flags on the same parser (and
-  // shares its error formatting); unrecognized argv entries survive for
-  // downstream parsers such as benchmark::Initialize.
+  // shares its error formatting). On return argv holds only the positional
+  // arguments.
   using ExtendFn = std::function<void(CliOptions&)>;
   StandardOptions(int& argc, char** argv, const ExtendFn& extend = {});
   ~StandardOptions();
@@ -57,20 +47,18 @@ class StandardOptions {
   StandardOptions& operator=(const StandardOptions&) = delete;
 
   const std::string& metrics_path() const { return metrics_path_; }
-  const std::string& fault_plan_path() const { return fault_plan_path_; }
-  const std::string& cache_config_path() const { return cache_config_path_; }
   const std::string& scenario_path() const { return scenario_path_; }
 
-  // The loaded --scenario (with any deprecated-alias overrides applied);
-  // nullopt when the flag was absent.
+  // The loaded --scenario; nullopt when the flag was absent.
   bool has_scenario() const { return scenario_.has_value(); }
   const scenario::ScenarioSpec& scenario() const { return *scenario_; }
 
-  // The effective cache configuration: the --scenario spec's "cache"
-  // section, unless the deprecated --cache-config override was given.
-  // Default-constructed when neither was.
+  // The --scenario spec's "cache" section; default-constructed when the
+  // spec has none (or no --scenario was given).
   const prefetch::CacheConfig& cache_config() const { return cache_config_; }
-  bool has_cache_config() const { return has_cache_config_; }
+  bool has_cache_config() const {
+    return scenario_.has_value() && scenario_->cache.has_value();
+  }
 
   // The parsed --transport (default kSim). Binaries pass this to
   // FetchPipelineBuilder::with_transport.
@@ -78,14 +66,11 @@ class StandardOptions {
 
  private:
   std::string metrics_path_;
-  std::string fault_plan_path_;
-  std::string cache_config_path_;
   std::string scenario_path_;
   std::string transport_name_;
   TransportKind transport_ = TransportKind::kSim;
   std::optional<scenario::ScenarioSpec> scenario_;
   prefetch::CacheConfig cache_config_;
-  bool has_cache_config_ = false;
   bool fault_plan_installed_ = false;
 };
 

@@ -190,7 +190,8 @@ struct FaultPlan {
   static FaultPlan flaky_socket(std::uint64_t seed = 7);
 };
 
-// Ambient process-wide plan installed by the --fault-plan flag (flags.h) and
+// Ambient process-wide plan installed by the --scenario flag
+// (cli/standard_options.h) from the spec's compiled fault plan, and
 // consumed by the session runners when a config does not name its own plan.
 // nullptr when no plan is installed.
 const FaultPlan* global_plan();

@@ -59,7 +59,7 @@ FeedSessionResult run_feed_session(const Feed& feed, const FeedSessionConfig& co
   builder.client_link(cp);
   // Only engage fault wiring with an explicit plan: the historical feed
   // runner never consulted the ambient plan, and keeping that means the
-  // pristine arms stay byte-identical under an installed --fault-plan.
+  // pristine arms stay byte-identical under an ambient --scenario plan.
   if (config.fault_plan != nullptr) builder.with_faults(config.fault_plan);
   if (config.enable_cache) builder.with_cache(config.cache);
   if (config.admission.has_value()) builder.with_admission(*config.admission);

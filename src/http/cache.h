@@ -161,7 +161,7 @@ class HttpCache {
   // cost-aware admission. Objects larger than max_object_fraction * capacity
   // are rejected (returns false). `prefetched` flags speculative warm-ups
   // for the waste accounting.
-  bool put(const std::string& url, CachedObject object, TimeMs now_ms = 0,
+  bool put(const std::string& url, CachedObject object, TimeMs now_ms,
            bool prefetched = false);
 
   // A conditional fetch came back 304: the entry is still valid — restart

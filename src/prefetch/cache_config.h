@@ -1,6 +1,6 @@
 // JSON-loadable configuration for the cache + prefetch subsystem, in the
-// same shape as overload::OverloadConfig (overload/config.h) and loaded via
-// the shared --cache-config flag (cli/standard_options.h):
+// same shape as overload::OverloadConfig (overload/config.h) and loaded as
+// the "cache" section of a --scenario spec (cli/standard_options.h):
 //
 //   {
 //     "cache": {

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 
 #include "feed/feed_experiment.h"
 #include "gesture/recognizer.h"
 #include "gesture/synthetic.h"
 #include "scenario/wiring.h"
 #include "util/check.h"
+#include "util/fnv.h"
 #include "util/json.h"
 #include "util/rng.h"
 #include "video/scheduler.h"
@@ -20,25 +20,6 @@
 namespace mfhttp::scenario {
 
 namespace {
-
-// FNV-1a over raw bytes (the sim/session_world.cc witness, doubles hashed
-// by bit pattern so the fingerprint catches sub-ulp drift).
-struct Fnv {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  void bytes(const void* p, std::size_t n) {
-    const unsigned char* c = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= c[i];
-      h *= 0x100000001b3ull;
-    }
-  }
-  void u64(std::uint64_t v) { bytes(&v, sizeof(v)); }
-  void f64(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
-  }
-};
 
 TimeMs p99(std::vector<TimeMs> samples) {
   if (samples.empty()) return -1;

@@ -1,7 +1,6 @@
 #include "sim/session_world.h"
 
 #include <chrono>
-#include <cstring>
 #include <utility>
 
 #include "core/middleware.h"
@@ -10,6 +9,7 @@
 #include "obs/metrics.h"
 #include "scroll/device_profile.h"
 #include "util/check.h"
+#include "util/fnv.h"
 #include "util/json.h"
 #include "util/rng.h"
 #include "web/corpus.h"
@@ -17,26 +17,6 @@
 namespace mfhttp::sim {
 
 namespace {
-
-// FNV-1a over raw bytes; doubles hash by bit pattern, so the fingerprint
-// detects even sub-ulp drift between runs.
-struct Fnv {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  void bytes(const void* p, std::size_t n) {
-    const unsigned char* c = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= c[i];
-      h *= 0x100000001b3ull;
-    }
-  }
-  void u64(std::uint64_t v) { bytes(&v, sizeof(v)); }
-  void i32(std::int32_t v) { bytes(&v, sizeof(v)); }
-  void f64(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
-  }
-};
 
 // Expand the corpus's single-version images to `versions` ascending
 // resolutions, so the flow controller's knapsack chooses quality levels the

@@ -1,13 +1,31 @@
 #include "util/cli_options.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <sstream>
+#include <system_error>
 #include <utility>
 
 #include "util/check.h"
 
 namespace mfhttp {
+namespace {
+
+// from_chars on an unsigned type accepts digits only: no sign, no leading
+// space, and overflow is an error rather than a silent clamp (strtoul maps
+// "-1" to SIZE_MAX and clamps overflow with only errno set).
+std::optional<std::size_t> parse_positive(std::string_view s) {
+  std::size_t v = 0;
+  const char* last = s.data() + s.size();
+  const auto [end, ec] = std::from_chars(s.data(), last, v);
+  if (ec != std::errc() || end != last || v == 0) return std::nullopt;
+  return v;
+}
+
+}  // namespace
 
 CliOptions::CliOptions(std::string program) : program_(std::move(program)) {}
 
@@ -112,6 +130,27 @@ void CliOptions::fail(std::string_view flag, std::string_view value,
                       std::string_view why) {
   std::fprintf(stderr, "%s\n", format_error(flag, value, why).c_str());
   std::exit(2);
+}
+
+std::size_t CliOptions::positive_size(std::string_view flag,
+                                      std::string_view s) {
+  const std::optional<std::size_t> v = parse_positive(s);
+  if (!v.has_value()) fail(flag, s, "expected a positive integer");
+  return *v;
+}
+
+std::vector<std::size_t> CliOptions::positive_size_list(std::string_view flag,
+                                                        std::string_view s) {
+  std::vector<std::size_t> out;
+  for (std::size_t pos = 0;;) {
+    const std::size_t comma = std::min(s.find(',', pos), s.size());
+    const std::optional<std::size_t> v = parse_positive(s.substr(pos, comma - pos));
+    if (!v.has_value())
+      fail(flag, s, "expected comma-separated positive integers");
+    out.push_back(*v);
+    if (comma == s.size()) return out;
+    pos = comma + 1;
+  }
 }
 
 }  // namespace mfhttp

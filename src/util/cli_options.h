@@ -1,17 +1,15 @@
-// Declarative argv flag extraction — the one CLI parser (ISSUE 4 satellite).
+// Declarative argv flag extraction — the one CLI parser.
 //
-// Three generations of hand-rolled scans preceded this: each tool's private
-// "--metrics-json" loop, obs::extract_metrics_json_flag, and the fault
-// layer's StandardFlagsGuard. CliOptions replaces all of them: a binary
-// registers the flags it understands, parse() extracts exactly those from
-// argv (removing them), and everything unrecognized stays in place — which
-// is what lets the shared flags compose with benchmark::Initialize and
-// ad-hoc positional parsing alike.
+// A binary registers the flags it understands, parse() extracts exactly
+// those from argv (removing them), and everything unrecognized stays in
+// place, in order. What to do with the leftovers is the caller's policy:
+// cli::StandardOptions rejects leftover flags and keeps positional
+// arguments.
 //
 // Error formatting is shared too. A malformed command line ("--flag" with
 // no value) reports through parse(); a flag whose *value* later fails to
-// load (missing file, bad JSON) reports through format_error()/fail(), so
-// every binary prints the identical
+// parse or load (bad count, missing file, bad JSON) reports through
+// format_error()/fail(), so every binary prints the identical
 //
 //   error: --flag <value>: <why>
 //
@@ -20,6 +18,7 @@
 // without its fault plan or cache config is a lie.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -58,6 +57,15 @@ class CliOptions {
   // Prints format_error to stderr and exits 2.
   [[noreturn]] static void fail(std::string_view flag, std::string_view value,
                                 std::string_view why);
+
+  // A count flag's value: a base-10 integer >= 1 that fits std::size_t.
+  // Anything else — empty, signed ("-1"), trailing junk, zero, overflow —
+  // fail()s naming `flag`.
+  static std::size_t positive_size(std::string_view flag, std::string_view s);
+  // A comma-separated list of positive_size values ("1,2,4"); an empty list
+  // or an empty element ("3,") fail()s.
+  static std::vector<std::size_t> positive_size_list(std::string_view flag,
+                                                     std::string_view s);
 
  private:
   struct Option {

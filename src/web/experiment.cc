@@ -87,7 +87,7 @@ BrowsingSessionResult run_browsing_session(const WebPage& page,
   // The whole decorator stack — client-hop faults, origin faults,
   // resilience, proxy — assembles through the one canonical builder.
   // Explicit config plan wins; the builder falls back to the ambient
-  // --fault-plan and treats an empty plan as none.
+  // plan (--scenario) and treats an empty plan as none.
   FetchPipelineBuilder builder(sim, &origin);
   builder.client_link(client_params).with_faults(config.fault_plan);
   MitmProxy::Params proxy_params;

@@ -56,7 +56,7 @@ struct BrowsingSessionConfig {
   std::uint64_t seed = 1;
 
   // Fault injection & resilience (DESIGN.md §9). nullptr falls back to the
-  // ambient fault::global_plan() installed by --fault-plan; no plan (or an
+  // ambient fault::global_plan() installed by --scenario; no plan (or an
   // empty one) leaves the whole stack — links, origin, proxy — byte-for-byte
   // identical to the pristine configuration, resilience layer included.
   const fault::FaultPlan* fault_plan = nullptr;

@@ -362,7 +362,7 @@ TEST(ShardCacheSegments, IsolatedResidencySharedGhostHistory) {
   // Residency is strictly per segment: B never sees A's insertions.
   CachedObject obj;
   obj.size = 1024;
-  ASSERT_TRUE(segment_a.put("http://o/x", obj));
+  ASSERT_TRUE(segment_a.put("http://o/x", obj, 0));
   EXPECT_TRUE(segment_a.contains("http://o/x"));
   EXPECT_FALSE(segment_b.contains("http://o/x"));
 

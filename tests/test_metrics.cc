@@ -181,13 +181,33 @@ TEST_F(MetricsTest, ExtractFlagWithEqualsValue) {
 }
 
 TEST_F(MetricsTest, ExtractFlagAbsentLeavesArgvAlone) {
-  Argv a({"prog", "--benchmark_filter=all"});
+  Argv a({"prog", "--unregistered=all"});
   std::string path;
   CliOptions options("prog");
   options.add_string("--metrics-json", "path", "snapshot path", &path);
   ASSERT_TRUE(options.parse(a.argc, a.data()));
   EXPECT_EQ(path, "");
   EXPECT_EQ(a.argc, 2);
+}
+
+TEST(CliOptions, PositiveSizeParsesCountsAndLists) {
+  EXPECT_EQ(CliOptions::positive_size("--sessions", "1"), 1u);
+  EXPECT_EQ(CliOptions::positive_size("--sessions", "16"), 16u);
+  EXPECT_EQ(CliOptions::positive_size_list("--workers", "1,2,4"),
+            (std::vector<std::size_t>{1, 2, 4}));
+  EXPECT_EQ(CliOptions::positive_size_list("--workers", "3"),
+            (std::vector<std::size_t>{3}));
+}
+
+// strtoul would take "-1" as SIZE_MAX and clamp overflow with only errno
+// set; both, and zero, empty input and an empty list element, exit 2.
+TEST(CliOptionsDeathTest, PositiveSizeRejectsBadCounts) {
+  for (const char* bad : {"-1", "0", "18446744073709551616", "3,", ""}) {
+    EXPECT_EXIT(CliOptions::positive_size("--sessions", bad),
+                testing::ExitedWithCode(2), "error: --sessions");
+    EXPECT_EXIT(CliOptions::positive_size_list("--workers", bad),
+                testing::ExitedWithCode(2), "error: --workers");
+  }
 }
 
 // ---------- Middleware integration ----------

@@ -468,23 +468,64 @@ TEST(StandardOptionsScenario, LoadsSpecAndInstallsHandoverPlan) {
   EXPECT_EQ(fault::global_plan(), nullptr);
 }
 
-TEST(StandardOptionsScenario, DeprecatedAliasesOverrideScenarioSections) {
-  const std::string spec_path = write_temp(
-      "scenario_base.json",
-      R"({"name": "base", "cache": {"cache": {"capacity_bytes": 111}}})");
-  const std::string cache_path = write_temp(
-      "cache_override.json", R"({"cache": {"capacity_bytes": 222}})");
-  std::string arg0 = "test", arg1 = "--scenario", arg2 = spec_path,
-              arg3 = "--cache-config", arg4 = cache_path;
-  char* argv[] = {arg0.data(), arg1.data(), arg2.data(), arg3.data(),
-                  arg4.data(), nullptr};
-  int argc = 5;
+TEST(StandardOptionsScenario, UnknownFlagsExitTwo) {
+  // The removed --fault-plan/--cache-config aliases and a misspelled
+  // --metrics-json must stop the run, not fall through to a default one.
+  for (const char* flag : {"--fault-plan", "--cache-config", "--metric-json"}) {
+    std::string arg0 = "test", arg1 = flag, arg2 = "x";
+    char* argv[] = {arg0.data(), arg1.data(), arg2.data(), nullptr};
+    int argc = 3;
+    EXPECT_EXIT({ cli::StandardOptions opts(argc, argv); },
+                testing::ExitedWithCode(2),
+                std::string("error: ") + flag + ": unknown flag");
+  }
+}
+
+TEST(StandardOptionsScenario, PositionalArgumentSurvives) {
+  std::string arg0 = "test", arg1 = "--transport", arg2 = "sim", arg3 = "sohu";
+  char* argv[] = {arg0.data(), arg1.data(), arg2.data(), arg3.data(), nullptr};
+  int argc = 4;
   cli::StandardOptions opts(argc, argv);
-  ASSERT_TRUE(opts.has_scenario());
-  // The alias wins and is folded back into the spec every consumer sees.
-  EXPECT_EQ(opts.cache_config().cache.capacity_bytes, 222u);
-  ASSERT_TRUE(opts.scenario().cache.has_value());
-  EXPECT_EQ(opts.scenario().cache->cache.capacity_bytes, 222u);
+  ASSERT_EQ(argc, 2);
+  EXPECT_STREQ(argv[1], "sohu");
+  EXPECT_EQ(argv[2], nullptr);
+}
+
+TEST(StandardOptionsScenario, LossyCellularScenarioCompilesToBuiltinPlan) {
+  // CI's failure-injection job runs resilience_matrix under this spec; its
+  // ambient plan must be the canonical FaultPlan::lossy_cellular().
+  std::string why;
+  const auto spec = ScenarioSpec::load(
+      std::string(MFHTTP_SOURCE_DIR) + "/bench/scenarios/lossy_cellular.json", &why);
+  ASSERT_TRUE(spec.has_value()) << why;
+  const std::optional<fault::FaultPlan> plan = spec->compiled_fault_plan();
+  ASSERT_TRUE(plan.has_value());
+  const fault::FaultPlan want = fault::FaultPlan::lossy_cellular();
+  EXPECT_EQ(plan->name, want.name);
+  EXPECT_EQ(plan->seed, want.seed);
+  ASSERT_EQ(plan->link.size(), want.link.size());
+  for (std::size_t i = 0; i < want.link.size(); ++i) {
+    EXPECT_EQ(plan->link[i].kind, want.link[i].kind);
+    EXPECT_EQ(plan->link[i].at_ms, want.link[i].at_ms);
+    EXPECT_EQ(plan->link[i].duration_ms, want.link[i].duration_ms);
+    EXPECT_EQ(plan->link[i].repeat, want.link[i].repeat);
+    EXPECT_EQ(plan->link[i].period_ms, want.link[i].period_ms);
+    EXPECT_EQ(plan->link[i].factor, want.link[i].factor);
+    EXPECT_EQ(plan->link[i].extra_latency_ms, want.link[i].extra_latency_ms);
+  }
+  EXPECT_EQ(plan->transfer.stall_rate, want.transfer.stall_rate);
+  EXPECT_EQ(plan->transfer.stall_ms, want.transfer.stall_ms);
+  EXPECT_EQ(plan->transfer.stall_fraction, want.transfer.stall_fraction);
+  EXPECT_EQ(plan->transfer.truncate_rate, want.transfer.truncate_rate);
+  EXPECT_EQ(plan->transfer.truncate_fraction, want.transfer.truncate_fraction);
+  EXPECT_EQ(plan->origin.error_rate, want.origin.error_rate);
+  EXPECT_EQ(plan->origin.error_statuses, want.origin.error_statuses);
+  EXPECT_EQ(plan->origin.error_delay_ms, want.origin.error_delay_ms);
+  EXPECT_EQ(plan->origin.error_body_size, want.origin.error_body_size);
+  EXPECT_EQ(plan->origin.abrupt_close_rate, want.origin.abrupt_close_rate);
+  EXPECT_EQ(plan->origin.abrupt_close_fraction, want.origin.abrupt_close_fraction);
+  // Everything else (front-door and socket sections) via the serializer.
+  EXPECT_EQ(plan->to_json(), want.to_json());
 }
 
 }  // namespace

@@ -468,7 +468,7 @@ TEST_F(WireProxyFixture, ReleaseWrongUrlFails) {
 
 TEST(LruCache, PutGetRoundTrip) {
   LruCache cache(1000);
-  EXPECT_TRUE(cache.put("u1", {400, 200, "image/jpeg"}));
+  EXPECT_TRUE(cache.put("u1", {400, 200, "image/jpeg"}, 0));
   auto hit = cache.lookup("u1", 0);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->freshness, HttpCache::Freshness::kFresh);
@@ -481,10 +481,10 @@ TEST(LruCache, PutGetRoundTrip) {
 
 TEST(LruCache, EvictsLeastRecentlyUsed) {
   LruCache cache(1000);
-  cache.put("a", {400, 200, ""});
-  cache.put("b", {400, 200, ""});
+  cache.put("a", {400, 200, ""}, 0);
+  cache.put("b", {400, 200, ""}, 0);
   cache.lookup("a", 0);            // a is now most recent
-  cache.put("c", {400, 200, ""});  // must evict b
+  cache.put("c", {400, 200, ""}, 0);  // must evict b
   EXPECT_TRUE(cache.contains("a"));
   EXPECT_FALSE(cache.contains("b"));
   EXPECT_TRUE(cache.contains("c"));
@@ -494,23 +494,23 @@ TEST(LruCache, EvictsLeastRecentlyUsed) {
 
 TEST(LruCache, RejectsOversizedObject) {
   LruCache cache(100);
-  EXPECT_FALSE(cache.put("huge", {101, 200, ""}));
+  EXPECT_FALSE(cache.put("huge", {101, 200, ""}, 0));
   EXPECT_EQ(cache.entry_count(), 0u);
-  EXPECT_TRUE(cache.put("fits", {100, 200, ""}));
+  EXPECT_TRUE(cache.put("fits", {100, 200, ""}, 0));
 }
 
 TEST(LruCache, OverwriteReplacesSize) {
   LruCache cache(1000);
-  cache.put("a", {600, 200, ""});
-  cache.put("a", {200, 200, ""});
+  cache.put("a", {600, 200, ""}, 0);
+  cache.put("a", {200, 200, ""}, 0);
   EXPECT_EQ(cache.bytes_used(), 200);
   EXPECT_EQ(cache.entry_count(), 1u);
 }
 
 TEST(LruCache, EraseAndClear) {
   LruCache cache(1000);
-  cache.put("a", {100, 200, ""});
-  cache.put("b", {100, 200, ""});
+  cache.put("a", {100, 200, ""}, 0);
+  cache.put("b", {100, 200, ""}, 0);
   EXPECT_TRUE(cache.erase("a"));
   EXPECT_FALSE(cache.erase("a"));
   EXPECT_EQ(cache.bytes_used(), 100);
@@ -523,8 +523,7 @@ TEST(LruCache, ManyInsertsRespectCapacity) {
   LruCache cache(10'000);
   Rng rng(5);
   for (int i = 0; i < 500; ++i) {
-    cache.put("u" + std::to_string(i),
-              {rng.uniform_int(100, 3000), 200, ""});
+    cache.put("u" + std::to_string(i), {rng.uniform_int(100, 3000), 200, ""}, 0);
     EXPECT_LE(cache.bytes_used(), 10'000);
   }
 }
