@@ -53,8 +53,9 @@ class FaultyLink : public Link {
   void start_inner(TransferId id, Bytes bytes);
   void on_inner_progress(TransferId id, Bytes chunk, bool complete);
 
-  // Shadow ids live far above the base Link's id sequence so pass-through
-  // transfers (tiny bodies, fault-free plans) can share cancel() safely.
+  // Shadow ids live above every base Link id (a Slab id stays below 2^62)
+  // so pass-through transfers (tiny bodies, fault-free plans) can share
+  // cancel() safely.
   static constexpr TransferId kShadowIdBase = TransferId{1} << 62;
 
   Simulator& fault_sim_;

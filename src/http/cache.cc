@@ -48,46 +48,69 @@ obs::Counter& prefetch_wasted_counter() {
 
 }  // namespace
 
-void CacheGhosts::bump(const std::string& url) {
+std::uint32_t& CacheGhosts::slot_locked(UrlId url) {
+  if (url >= counts_.size())
+    counts_.resize(std::max<std::size_t>(url + 1, urls_.size()), 0);
+  return counts_[url];
+}
+
+void CacheGhosts::bump(UrlId url) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++counts_[url];
+  std::uint32_t& slot = slot_locked(url);
+  if (slot == 0) {
+    slot = 1;
+    ++present_;
+  }
+  ++slot;
   // TinyLFU-style aging: every so many touches, halve every count and drop
   // the ones that reach zero, so stale popularity decays instead of pinning
   // admission decisions forever. The sweep runs only on the epoch boundary
   // — never per-bump on map size — so steady-state bumps stay O(1) even
   // with one ghost list shared by every shard under this mutex; a sweep
-  // re-halves until the map is back under its bound, and between epochs it
+  // re-halves until the list is back under its bound, and between epochs it
   // can grow by at most one epoch of new URLs.
   if (++ops_ % 1024 == 0) {
     do {
-      for (auto it = counts_.begin(); it != counts_.end();) {
-        it->second /= 2;
-        it = it->second == 0 ? counts_.erase(it) : std::next(it);
+      for (std::uint32_t& s : counts_) {
+        if (s == 0) continue;
+        const std::uint32_t halved = (s - 1) / 2;
+        if (halved == 0) {
+          s = 0;
+          --present_;
+        } else {
+          s = halved + 1;
+        }
       }
-    } while (counts_.size() > 4096);
+    } while (present_ > 4096);
   }
 }
 
-void CacheGhosts::credit(const std::string& url, std::uint64_t hits) {
+void CacheGhosts::credit(UrlId url, std::uint64_t hits) {
   std::lock_guard<std::mutex> lock(mu_);
-  counts_[url] +=
-      static_cast<std::uint32_t>(std::min<std::uint64_t>(hits, 1024));
+  std::uint32_t& slot = slot_locked(url);
+  if (slot == 0) {
+    slot = 1;
+    ++present_;
+  }
+  slot += static_cast<std::uint32_t>(std::min<std::uint64_t>(hits, 1024));
 }
 
-double CacheGhosts::frequency(const std::string& url) const {
+double CacheGhosts::frequency(UrlId url) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = counts_.find(url);
-  return it == counts_.end() ? 0.0 : static_cast<double>(it->second);
+  return url < counts_.size() && counts_[url] != 0
+             ? static_cast<double>(counts_[url] - 1)
+             : 0.0;
 }
 
 std::size_t CacheGhosts::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return counts_.size();
+  return present_;
 }
 
 void CacheGhosts::clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  counts_.clear();
+  counts_.assign(counts_.size(), 0);
+  present_ = 0;
   ops_ = 0;
 }
 
@@ -103,18 +126,21 @@ bool HttpCache::fresh_locked(const Entry& e, TimeMs now_ms) const {
   return e.object.ttl_ms <= 0 || now_ms < e.stored_ms + e.object.ttl_ms;
 }
 
-std::optional<HttpCache::Lookup> HttpCache::lookup(const std::string& url,
-                                                   TimeMs now_ms) {
+HttpCache::Entry* HttpCache::find_locked(UrlId url) const {
+  if (url >= index_.size() || index_[url] == lru_.end()) return nullptr;
+  return &*index_[url];
+}
+
+std::optional<HttpCache::Lookup> HttpCache::lookup(UrlId url, TimeMs now_ms) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(url);
-  if (it == index_.end()) {
+  if (find_locked(url) == nullptr) {
     ++stats_.misses;
     misses_counter().inc();
     ghosts_->bump(url);
     return std::nullopt;
   }
-  Entry& e = *it->second;
-  lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
+  Entry& e = *index_[url];
+  lru_.splice(lru_.begin(), lru_, index_[url]);  // refresh recency
   ++e.hits;
 
   Lookup out;
@@ -150,25 +176,25 @@ std::optional<HttpCache::Lookup> HttpCache::lookup(const std::string& url,
   return out;
 }
 
-bool HttpCache::contains(const std::string& url) const {
+bool HttpCache::contains(UrlId url) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return index_.contains(url);
+  return find_locked(url) != nullptr;
 }
 
-bool HttpCache::has_fresh(const std::string& url, TimeMs now_ms) const {
+bool HttpCache::has_fresh(UrlId url, TimeMs now_ms) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(url);
-  return it != index_.end() && fresh_locked(*it->second, now_ms);
+  const Entry* e = find_locked(url);
+  return e != nullptr && fresh_locked(*e, now_ms);
 }
 
-std::optional<CachedObject> HttpCache::peek(const std::string& url) const {
+std::optional<CachedObject> HttpCache::peek(UrlId url) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(url);
-  if (it == index_.end()) return std::nullopt;
-  return it->second->object;
+  const Entry* e = find_locked(url);
+  if (e == nullptr) return std::nullopt;
+  return e->object;
 }
 
-bool HttpCache::admit_locked(const std::string& url, Bytes size) {
+bool HttpCache::admit_locked(UrlId url, Bytes size) {
   if (!params_.cost_aware_admission) return true;
   if (used_ + size <= params_.capacity_bytes) return true;  // fits, no victims
 
@@ -194,7 +220,7 @@ bool HttpCache::admit_locked(const std::string& url, Bytes size) {
   return false;
 }
 
-bool HttpCache::put(const std::string& url, CachedObject object, TimeMs now_ms,
+bool HttpCache::put(UrlId url, CachedObject object, TimeMs now_ms,
                     bool prefetched) {
   std::lock_guard<std::mutex> lock(mu_);
   MFHTTP_CHECK(object.size >= 0);
@@ -212,17 +238,19 @@ bool HttpCache::put(const std::string& url, CachedObject object, TimeMs now_ms,
   e.stored_ms = now_ms;
   e.prefetched = prefetched;
   lru_.push_front(std::move(e));
+  if (url >= index_.size())
+    index_.resize(std::max<std::size_t>(url + 1, urls().size()), lru_.end());
   index_[url] = lru_.begin();
   ++stats_.insertions;
   if (prefetched) ++stats_.prefetch_insertions;
   return true;
 }
 
-bool HttpCache::revalidated(const std::string& url, TimeMs now_ms) {
+bool HttpCache::revalidated(UrlId url, TimeMs now_ms) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(url);
-  if (it == index_.end()) return false;
-  it->second->stored_ms = now_ms;
+  Entry* e = find_locked(url);
+  if (e == nullptr) return false;
+  e->stored_ms = now_ms;
   ++stats_.revalidations;
   revalidations_counter().inc();
   return true;
@@ -234,18 +262,18 @@ void HttpCache::retire_prefetch_locked(const Entry& e) {
   prefetch_wasted_counter().inc(static_cast<std::uint64_t>(e.object.size));
 }
 
-bool HttpCache::erase(const std::string& url) {
+bool HttpCache::erase(UrlId url) {
   std::lock_guard<std::mutex> lock(mu_);
   return erase_locked(url);
 }
 
-bool HttpCache::erase_locked(const std::string& url) {
-  auto it = index_.find(url);
-  if (it == index_.end()) return false;
-  retire_prefetch_locked(*it->second);
-  used_ -= it->second->object.size;
-  lru_.erase(it->second);
-  index_.erase(it);
+bool HttpCache::erase_locked(UrlId url) {
+  const Entry* e = find_locked(url);
+  if (e == nullptr) return false;
+  retire_prefetch_locked(*e);
+  used_ -= e->object.size;
+  lru_.erase(index_[url]);
+  index_[url] = lru_.end();
   return true;
 }
 
@@ -257,7 +285,7 @@ void HttpCache::evict_one_locked() {
   // of a genuinely hot object is immediate.
   ghosts_->credit(victim.url, victim.hits);
   used_ -= victim.object.size;
-  index_.erase(victim.url);
+  index_[victim.url] = lru_.end();
   lru_.pop_back();
   ++stats_.evictions;
   evictions_counter().inc();
@@ -266,7 +294,7 @@ void HttpCache::evict_one_locked() {
 void HttpCache::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   lru_.clear();
-  index_.clear();
+  index_.assign(index_.size(), lru_.end());
   ghosts_->clear();
   used_ = 0;
 }
@@ -278,7 +306,7 @@ Bytes HttpCache::bytes_used() const {
 
 std::size_t HttpCache::entry_count() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return index_.size();
+  return lru_.size();
 }
 
 HttpCache::Stats HttpCache::stats() const {

@@ -2,8 +2,10 @@
 // scrolling tracker/flow controller "can access the related data on the cache
 // of the middleware server or directly from the multimedia service server").
 //
-// Keyed by absolute URL; stores response metadata and size (the event-level
-// stack transfers sizes). Beyond the original strict-LRU byte cache this is a
+// Keyed by UrlId — the dense id of the absolute canonical URL in the cache's
+// UrlTable (http/url_table.h), interned once per request at the proxy's
+// front door — and stores response metadata and size (the event-level stack
+// transfers sizes). Beyond the original strict-LRU byte cache this is a
 // *validating* cache shared across sessions:
 //
 //   * TTL freshness      — an entry is fresh for ttl_ms after it was stored
@@ -31,11 +33,11 @@
 //
 // Lock order (DESIGN.md §12-§13): mu_ is held only above two strict leaves.
 // Critical sections do container bookkeeping only — no logging, no JSON
-// formatting, no callbacks into user code — so nothing slower than a map
+// formatting, no callbacks into user code — so nothing slower than an index
 // operation ever runs under them. The leaves a critical section may touch:
 // the obs registry's mutex (first-use metric registration inside the cached
 // function-local statics) and CacheGhosts::mu_ (the admission filter's
-// frequency map, possibly shared between shard segments). Neither ever
+// frequency counts, possibly shared between shard segments). Neither ever
 // calls back into the cache, so HttpCache::mu_ -> {CacheGhosts::mu_,
 // obs::Registry::mu_} is acyclic. Snapshot accessors (stats(),
 // bytes_used(), ...) copy POD state under the lock and format outside it.
@@ -47,8 +49,9 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
+#include "http/url_table.h"
 #include "util/types.h"
 
 namespace mfhttp {
@@ -61,26 +64,42 @@ namespace mfhttp {
 // filter. Self-synchronized (leaf mutex, see the lock-order note above) so
 // shard workers may touch it concurrently from inside their segment's
 // critical sections.
+//
+// The counts are keyed by UrlId, so the ghost list carries the key space
+// its ids come from: every cache sharing a ghost list shares its UrlTable,
+// and so does every proxy in front of those caches (DESIGN.md §21). A
+// ghost list shared across threads needs a frozen table, filled with the
+// URL universe before the threads start (the front door does this).
 class CacheGhosts {
  public:
+  // The key space of every cache (and proxy) using this ghost list.
+  UrlTable& urls() { return urls_; }
+
   // One lookup missed (or bypassed) a cache: remember the URL was wanted.
-  // Every 1024 touches all counts halve (repeatedly, until the map is back
-  // under 4096 entries) and zeros are pruned, so stale popularity decays
+  // Every 1024 touches all counts halve (repeatedly, until fewer than 4097
+  // URLs hold a count) and zeros are pruned, so stale popularity decays
   // instead of pinning admission decisions forever while the common-case
   // bump stays O(1) under the shared lock.
-  void bump(const std::string& url);
+  void bump(UrlId url);
 
   // An evicted entry banks its earned hits (capped) so re-admission of a
   // genuinely hot object is immediate.
-  void credit(const std::string& url, std::uint64_t hits);
+  void credit(UrlId url, std::uint64_t hits);
 
-  double frequency(const std::string& url) const;
+  double frequency(UrlId url) const;
+  // URLs holding a count.
   std::size_t size() const;
   void clear();
 
  private:
+  // The count slot of `url`, grown to cover the table on demand.
+  std::uint32_t& slot_locked(UrlId url);
+
+  UrlTable urls_;
   mutable std::mutex mu_;
-  std::unordered_map<std::string, std::uint32_t> counts_;
+  // By UrlId: count + 1 for a URL holding a count, 0 for one that does not.
+  std::vector<std::uint32_t> counts_;
+  std::size_t present_ = 0;
   std::uint64_t ops_ = 0;
 };
 
@@ -141,36 +160,40 @@ class HttpCache {
   explicit HttpCache(Bytes capacity_bytes) : HttpCache(CacheParams{capacity_bytes}) {}
   explicit HttpCache(CacheParams params);
 
+  // The key space: URL text to the UrlId every other call takes. Shared
+  // with every cache on the same ghost list.
+  UrlTable& urls() const { return ghosts_->urls(); }
+
   // Freshness-aware lookup; any present entry (fresh or stale) refreshes
   // recency and counts in stats. `now_ms` is simulated time.
-  std::optional<Lookup> lookup(const std::string& url, TimeMs now_ms);
+  std::optional<Lookup> lookup(UrlId url, TimeMs now_ms);
 
   // Peek without touching recency or stats (for tests/inspection).
-  bool contains(const std::string& url) const;
+  bool contains(UrlId url) const;
 
   // True if a fresh entry exists at `now_ms`; touches neither recency nor
   // stats — the proxy's front door uses this to decide whether a request can
   // skip admission control before the authoritative lookup() runs.
-  bool has_fresh(const std::string& url, TimeMs now_ms) const;
+  bool has_fresh(UrlId url, TimeMs now_ms) const;
 
   // Copy of the stored object regardless of freshness; no recency/stats
   // side effects (prefetch uses the etag for conditional warm-ups).
-  std::optional<CachedObject> peek(const std::string& url) const;
+  std::optional<CachedObject> peek(UrlId url) const;
 
   // Insert/overwrite; evicts LRU entries until the object fits, subject to
   // cost-aware admission. Objects larger than max_object_fraction * capacity
   // are rejected (returns false). `prefetched` flags speculative warm-ups
   // for the waste accounting.
-  bool put(const std::string& url, CachedObject object, TimeMs now_ms,
-           bool prefetched = false);
+  bool put(UrlId url, CachedObject object, TimeMs now_ms, bool prefetched = false);
 
   // A conditional fetch came back 304: the entry is still valid — restart
   // its TTL clock from `now_ms`. False if the entry vanished meanwhile.
-  bool revalidated(const std::string& url, TimeMs now_ms);
+  bool revalidated(UrlId url, TimeMs now_ms);
 
   // Remove one entry; returns true if present.
-  bool erase(const std::string& url);
+  bool erase(UrlId url);
 
+  // Drop every entry and the ghost counts (not the URL table: ids stay valid).
   void clear();
 
   Bytes capacity() const { return params_.capacity_bytes; }
@@ -190,7 +213,7 @@ class HttpCache {
 
  private:
   struct Entry {
-    std::string url;
+    UrlId url = kNoUrl;
     CachedObject object;
     TimeMs stored_ms = 0;   // insert or last revalidation time
     std::uint64_t hits = 0;
@@ -198,16 +221,19 @@ class HttpCache {
   };
 
   bool fresh_locked(const Entry& e, TimeMs now_ms) const;
+  // The entry of `url`, or nullptr when absent.
+  Entry* find_locked(UrlId url) const;
   void evict_one_locked();
-  bool erase_locked(const std::string& url);
-  bool admit_locked(const std::string& url, Bytes size);
+  bool erase_locked(UrlId url);
+  bool admit_locked(UrlId url, Bytes size);
   void retire_prefetch_locked(const Entry& e);
 
   CacheParams params_;
   mutable std::mutex mu_;
   Bytes used_ = 0;
   std::list<Entry> lru_;  // front = most recent
-  std::unordered_map<std::string, std::list<Entry>::iterator> index_;
+  // By UrlId: the URL's entry, or lru_.end() (grown on insert).
+  std::vector<std::list<Entry>::iterator> index_;
   // The admission filter's memory (see CacheGhosts); private by default,
   // shared across segments when params_.shared_ghosts was set.
   std::shared_ptr<CacheGhosts> ghosts_;

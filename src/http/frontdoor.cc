@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <memory>
 #include <thread>
@@ -23,6 +24,9 @@ namespace mfhttp {
 namespace {
 
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+
+// Every front-door URL is this origin plus an object path.
+constexpr std::string_view kOrigin = "http://origin.example";
 
 void fnv_fold(std::uint64_t& h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -66,13 +70,12 @@ struct QueuedEvent {
 // One shard: a complete single-box serving stack (own Simulator, origin,
 // pipeline) plus the dispatch queue feeding it. Owned by exactly one worker
 // thread once the run starts; the only cross-shard state it touches is the
-// shared CacheGhosts (through its cache segment), the lock-free queue, and
-// the obs registry via batched flushes.
+// shared CacheGhosts and its frozen UrlTable (through its cache segment),
+// the lock-free queue, and the obs registry via batched flushes.
 class Shard {
  public:
   Shard(std::size_t index, const FrontDoorParams& params,
-        const ObjectStore* store, const std::vector<std::string>* urls,
-        const std::shared_ptr<CacheGhosts>& ghosts,
+        const ObjectStore* store, const std::shared_ptr<CacheGhosts>& ghosts,
         FrontDoorSessionStats* slots)
       : queue(params.queue_capacity),
         index_(index),
@@ -82,7 +85,7 @@ class Shard {
                                 std::max<TimeMs>(params.enqueue_deadline_ms,
                                                  0)) *
                             1'000'000ULL),
-        urls_(urls),
+        urls_(&ghosts->urls()),
         slots_(slots),
         server_link_(sim_,
                      {BandwidthTrace::constant(params.server_bytes_per_s_total /
@@ -126,6 +129,7 @@ class Shard {
       builder.with_resilience(resilience);
     }
     pipeline_ = builder.build();
+    request_.headers.set(HeaderId::kHost, kOrigin.substr(7));
 
     if (params.fault_plan) {
       for (const fault::ShardFault& f : params.fault_plan->frontdoor) {
@@ -192,10 +196,15 @@ class Shard {
     if (static_cast<TimeMs>(e.ts_ms) > sim_.now())
       sim_.run_until(static_cast<TimeMs>(e.ts_ms));
     FrontDoorSessionStats& slot = slots_[e.session];
+    // One request per event, its target swapped per URL: the session and
+    // priority headers are the same for all of the event's URLs.
+    char session[24] = {'s'};
+    const char* session_end =
+        std::to_chars(session + 1, session + sizeof(session), e.session).ptr;
+    request_.set_session(std::string_view(session, session_end - session));
+    request_.set_priority_hint(e.priority);
     for (std::size_t u = 0; u < e.n_urls; ++u) {
-      HttpRequest req = HttpRequest::get((*urls_)[e.urls[u]]);
-      req.set_session("s" + std::to_string(e.session));
-      req.set_priority_hint(e.priority);
+      request_.target.assign(urls_->url(e.urls[u]).substr(kOrigin.size()));
       ++slot.requests;
       ++requests_;
       requests_counter_.inc();
@@ -216,7 +225,7 @@ class Shard {
         fnv_fold(slot.fingerprint, static_cast<std::uint64_t>(r.body_size));
         fnv_fold(slot.fingerprint, static_cast<std::uint64_t>(r.complete_ms));
       };
-      pipeline_->proxy().fetch(req, std::move(callbacks));
+      pipeline_->proxy().fetch(request_, std::move(callbacks));
     }
     ++events_;
     events_counter_.inc();
@@ -325,13 +334,14 @@ class Shard {
   std::size_t shards_total_;
   overload::AdmissionParams box_admission_;
   std::uint64_t deadline_budget_ns_;
-  const std::vector<std::string>* urls_;
+  const UrlTable* urls_;  // the shared, frozen URL universe
   FrontDoorSessionStats* slots_;
   Simulator sim_;
   Link server_link_;
   SimHttpOrigin origin_;
   HintInterceptor interceptor_;
   std::unique_ptr<FetchPipeline> pipeline_;
+  HttpRequest request_;  // reused for every request this shard issues
   std::size_t events_ = 0;
   std::size_t requests_ = 0;
   std::size_t worker_sheds_ = 0;
@@ -462,26 +472,32 @@ FrontDoorResult run_front_door(const FrontDoorParams& params,
   MFHTTP_CHECK(params.load.sessions <= 0xffffffffULL);
 
   // Shared, read-only URL universe: one ObjectStore every shard's origin
-  // serves from, plus the absolute URL strings requests are built with.
+  // serves from, and the URL table every shard keys its requests by. URL i
+  // is interned as UrlId i, and the table is frozen before any shard runs,
+  // so shard workers read it without a lock and agree on every id in the
+  // shared ghost list (DESIGN.md §21).
   ObjectStore store;
-  std::vector<std::string> urls;
-  urls.reserve(params.load.url_universe);
+  auto ghosts = std::make_shared<CacheGhosts>();
+  std::string url(kOrigin);
   for (std::size_t i = 0; i < params.load.url_universe; ++i) {
-    const std::string path = "/obj/" + std::to_string(i);
-    store.put(path, sim::frontdoor_object_bytes(params.load, i), "image/jpeg");
-    urls.push_back("http://origin.example" + path);
+    url.resize(kOrigin.size());
+    url += "/obj/";
+    url += std::to_string(i);
+    store.put(url.substr(kOrigin.size()), sim::frontdoor_object_bytes(params.load, i),
+              "image/jpeg");
+    MFHTTP_CHECK(ghosts->urls().intern(url) == i);
   }
+  ghosts->urls().freeze();
 
   const std::vector<sim::TouchEvent> timeline =
       generate_frontdoor_load(params.load);
 
   std::vector<FrontDoorSessionStats> slots(params.load.sessions);
-  auto ghosts = std::make_shared<CacheGhosts>();
   std::vector<std::unique_ptr<Shard>> shards;
   shards.reserve(params.shards);
   for (std::size_t i = 0; i < params.shards; ++i)
-    shards.push_back(std::make_unique<Shard>(i, params, &store, &urls, ghosts,
-                                             slots.data()));
+    shards.push_back(
+        std::make_unique<Shard>(i, params, &store, ghosts, slots.data()));
 
   std::vector<std::size_t> max_depth(params.shards, 0);
   // Producer-owned shed accounting: a shed decided before an event reaches

@@ -1,23 +1,35 @@
 #include "http/header_map.h"
 
 #include "http/header_names.h"
+#include "util/check.h"
 #include "util/strings.h"
 
 namespace mfhttp {
 
+HeaderMap::Entry& HeaderMap::append_entry() {
+  // A reused map's inline slots keep their string capacity.
+  return inline_count_ < kInlineCapacity ? inline_[inline_count_++]
+                                         : overflow_.emplace_back();
+}
+
 void HeaderMap::add(std::string_view name, std::string_view value) {
-  Entry e;
-  std::string_view canon = intern_header_name(name);
-  if (!canon.empty() && canon == name) {
-    e.interned_ = canon;  // canonical spelling: share the static bytes
-  } else {
-    e.owned_name_.assign(name);
-  }
-  e.value_.assign(value);
-  if (inline_count_ < kInlineCapacity)
-    inline_[inline_count_++] = std::move(e);
+  Entry& e = append_entry();
+  e.id_ = header_id(name);
+  e.canonical_ = e.id_ != HeaderId::kUnknown && header_name(e.id_) == name;
+  if (e.canonical_)
+    e.owned_name_.clear();
   else
-    overflow_.push_back(std::move(e));
+    e.owned_name_.assign(name);
+  e.value_.assign(value);
+}
+
+void HeaderMap::add(HeaderId id, std::string_view value) {
+  MFHTTP_CHECK(id != HeaderId::kUnknown);
+  Entry& e = append_entry();
+  e.id_ = id;
+  e.canonical_ = true;
+  e.owned_name_.clear();
+  e.value_.assign(value);
 }
 
 void HeaderMap::set(std::string_view name, std::string_view value) {
@@ -25,19 +37,29 @@ void HeaderMap::set(std::string_view name, std::string_view value) {
   add(name, value);
 }
 
-const HeaderMap::Entry* HeaderMap::find(std::string_view name) const {
-  const std::string_view canon = intern_header_name(name);
+void HeaderMap::set(HeaderId id, std::string_view value) {
+  remove(id);
+  add(id, value);
+}
+
+bool HeaderMap::matches(const Entry& e, HeaderId id, std::string_view name) {
+  if (id != HeaderId::kUnknown) return e.id_ == id;
+  return e.id_ == HeaderId::kUnknown && iequals(e.owned_name_, name);
+}
+
+const HeaderMap::Entry* HeaderMap::find(HeaderId id) const {
   const std::size_t n = size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const Entry& e = entry(i);
-    if (e.interned_.data() != nullptr) {
-      // Interned entries can only match via the interner: same pointer or
-      // nothing (a non-vocabulary query can never case-fold onto one).
-      if (e.interned_.data() == canon.data()) return &e;
-    } else if (iequals(e.owned_name_, name)) {
-      return &e;
-    }
-  }
+  for (std::size_t i = 0; i < n; ++i)
+    if (entry(i).id_ == id) return &entry(i);
+  return nullptr;
+}
+
+const HeaderMap::Entry* HeaderMap::find(std::string_view name) const {
+  const HeaderId id = header_id(name);
+  if (id != HeaderId::kUnknown) return find(id);
+  const std::size_t n = size();
+  for (std::size_t i = 0; i < n; ++i)
+    if (matches(entry(i), id, name)) return &entry(i);
   return nullptr;
 }
 
@@ -47,35 +69,42 @@ std::optional<std::string_view> HeaderMap::get_view(std::string_view name) const
   return std::string_view(e->value_);
 }
 
+std::optional<std::string_view> HeaderMap::get_view(HeaderId id) const {
+  const Entry* e = find(id);
+  if (e == nullptr) return std::nullopt;
+  return std::string_view(e->value_);
+}
+
 std::vector<std::string> HeaderMap::get_all(std::string_view name) const {
   std::vector<std::string> out;
-  const std::string_view canon = intern_header_name(name);
+  const HeaderId id = header_id(name);
   const std::size_t n = size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const Entry& e = entry(i);
-    const bool match = e.interned_.data() != nullptr
-                           ? e.interned_.data() == canon.data()
-                           : iequals(e.owned_name_, name);
-    if (match) out.push_back(e.value_);
-  }
+  for (std::size_t i = 0; i < n; ++i)
+    if (matches(entry(i), id, name)) out.push_back(entry(i).value_);
   return out;
 }
 
 std::size_t HeaderMap::remove(std::string_view name) {
-  const std::string_view canon = intern_header_name(name);
+  return remove_matching(header_id(name), name);
+}
+
+std::size_t HeaderMap::remove(HeaderId id) {
+  if (id == HeaderId::kUnknown) return 0;
+  return remove_matching(id, {});
+}
+
+std::size_t HeaderMap::remove_matching(HeaderId id, std::string_view name) {
   const std::size_t n = size();
   std::size_t kept = 0;
   for (std::size_t i = 0; i < n; ++i) {
     Entry& e = entry_mut(i);
-    const bool match = e.interned_.data() != nullptr
-                           ? e.interned_.data() == canon.data()
-                           : iequals(e.owned_name_, name);
-    if (match) continue;
-    if (kept != i) entry_mut(kept) = std::move(e);
+    if (matches(e, id, name)) continue;
+    if (kept != i) std::swap(entry_mut(kept), e);
     ++kept;
   }
   // Overflow is only ever populated once the inline array is full, so the
-  // compacted prefix maps back onto the same storage split.
+  // compacted prefix maps back onto the same storage split. Removed inline
+  // entries keep their string capacity for the next add.
   if (kept <= inline_count_) {
     for (std::size_t i = kept; i < inline_count_; ++i) inline_[i] = Entry{};
     inline_count_ = kept;
@@ -87,7 +116,7 @@ std::size_t HeaderMap::remove(std::string_view name) {
 }
 
 std::optional<long long> HeaderMap::content_length() const {
-  auto v = get_view("Content-Length");
+  auto v = get_view(HeaderId::kContentLength);
   if (!v) return std::nullopt;
   std::string_view s = trim(*v);
   if (s.empty()) return std::nullopt;

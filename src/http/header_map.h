@@ -1,13 +1,15 @@
 // Case-insensitive HTTP header collection preserving insertion order.
 //
-// Hot-path representation (DESIGN.md §17): the first kInlineCapacity entries
-// live in a fixed in-object array — a mobile request/response carries a
-// handful of headers, so the common map never touches the heap for its
-// spine. Names spelled exactly like a well-known vocabulary entry
-// (http/header_names.h) are stored as a pointer into the interner's static
-// table: no copy on add, pointer-identity comparison on lookup. Values and
-// novel names ride std::string, whose small-buffer optimization keeps
-// typical short fields allocation-free too.
+// Hot-path representation (DESIGN.md §17, §21): the first kInlineCapacity
+// entries live in a fixed in-object array — a mobile request/response
+// carries a handful of headers, so the common map never touches the heap
+// for its spine. Every entry carries the HeaderId of its name
+// (http/header_names.h), fixed when it is added: code that names a header
+// by id adds, finds and removes it by comparing that one byte, and only a
+// name given as text — foreign wire bytes — is case-folded and interned,
+// once, on add. A well-known name in its canonical spelling is stored as
+// the id alone; other spellings and novel names ride std::string, whose
+// small-buffer optimization keeps typical short fields allocation-free.
 //
 // The read side — get_view() / contains() / content_length() / iteration —
 // never allocates, whatever the contents. The zero-steady-state-allocation
@@ -21,6 +23,8 @@
 #include <string_view>
 #include <vector>
 
+#include "http/header_names.h"
+
 namespace mfhttp {
 
 class HeaderMap {
@@ -29,38 +33,45 @@ class HeaderMap {
 
   class Entry {
    public:
-    // Original spelling (interned names point into static storage).
+    // Original spelling (canonical names point into static storage).
     std::string_view name() const {
-      return interned_.data() != nullptr ? interned_
-                                         : std::string_view(owned_name_);
+      return canonical_ ? header_name(id_) : std::string_view(owned_name_);
     }
+    HeaderId id() const { return id_; }
     const std::string& value() const { return value_; }
 
    private:
     friend class HeaderMap;
-    std::string_view interned_;  // empty(): name is in owned_name_
+    HeaderId id_ = HeaderId::kUnknown;
+    bool canonical_ = false;  // spelled as header_name(id_); else owned_name_
     std::string owned_name_;
     std::string value_;
   };
 
-  // Append a header (duplicates allowed, as in HTTP).
+  // Append a header (duplicates allowed, as in HTTP). The text form interns
+  // `name` (case-folded); the id form does not.
   void add(std::string_view name, std::string_view value);
+  void add(HeaderId id, std::string_view value);
 
-  // Replace all occurrences of `name` with a single entry.
+  // Replace all occurrences of the name with a single entry at the end.
   void set(std::string_view name, std::string_view value);
+  void set(HeaderId id, std::string_view value);
 
-  // First value for `name` (case-insensitive) as a view into this map;
+  // First value for the name (case-insensitive) as a view into this map;
   // never allocates. The view is invalidated by any mutation of the map.
   std::optional<std::string_view> get_view(std::string_view name) const;
+  std::optional<std::string_view> get_view(HeaderId id) const;
 
   // All values for `name`.
   std::vector<std::string> get_all(std::string_view name) const;
 
   // Case-insensitive membership; never allocates.
   bool contains(std::string_view name) const { return find(name) != nullptr; }
+  bool contains(HeaderId id) const { return find(id) != nullptr; }
 
   // Remove all occurrences; returns number removed.
   std::size_t remove(std::string_view name);
+  std::size_t remove(HeaderId id);
 
   // Parsed Content-Length, if present and a valid non-negative integer;
   // never allocates.
@@ -97,6 +108,14 @@ class HeaderMap {
 
  private:
   const Entry* find(std::string_view name) const;
+  const Entry* find(HeaderId id) const;
+  // Whether `e` names (id, name): by id for vocabulary names, by
+  // case-insensitive text for the rest (id == kUnknown).
+  static bool matches(const Entry& e, HeaderId id, std::string_view name);
+  // The slot for a new last entry.
+  Entry& append_entry();
+  // remove() with the name already resolved to (id, name).
+  std::size_t remove_matching(HeaderId id, std::string_view name);
   Entry& entry_mut(std::size_t i) {
     return i < inline_count_ ? inline_[i] : overflow_[i - inline_count_];
   }

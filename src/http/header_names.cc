@@ -9,8 +9,8 @@ namespace mfhttp {
 namespace {
 
 // The vocabulary: every name the middleware emits or inspects, plus the
-// common browser/origin request-response set. Canonical casing is what the
-// wire serializer writes.
+// common browser/origin request-response set, indexed by HeaderId.
+// Canonical casing is what the wire serializer writes.
 constexpr std::string_view kWellKnown[] = {
     "Accept",
     "Accept-Encoding",
@@ -41,6 +41,11 @@ constexpr std::string_view kWellKnown[] = {
     "x-mfhttp-shed",
 };
 constexpr std::size_t kCount = sizeof(kWellKnown) / sizeof(kWellKnown[0]);
+static_assert(kCount == kWellKnownHeaderCount, "HeaderId must list the table");
+static_assert(kWellKnown[static_cast<std::size_t>(HeaderId::kContentLength)] ==
+              "Content-Length");
+static_assert(kWellKnown[static_cast<std::size_t>(HeaderId::kXMfhttpShed)] ==
+              "x-mfhttp-shed");
 
 // Open-addressed probe table over case-folded hashes, sized to a power of
 // two >= 4x the vocabulary so probe chains stay short. Built once under the
@@ -69,19 +74,22 @@ const ProbeTable& probe_table() {
 
 }  // namespace
 
-std::string_view intern_header_name(std::string_view name) {
-  if (name.empty()) return {};
+HeaderId header_id(std::string_view name) {
+  if (name.empty()) return HeaderId::kUnknown;
   const ProbeTable& table = probe_table();
   std::size_t at = ifold_hash(name) & (kTableSize - 1);
   while (true) {
     int idx = table.slot[at];
-    if (idx < 0) return {};
+    if (idx < 0) return HeaderId::kUnknown;
     if (iequals(kWellKnown[static_cast<std::size_t>(idx)], name))
-      return kWellKnown[static_cast<std::size_t>(idx)];
+      return static_cast<HeaderId>(idx);
     at = (at + 1) & (kTableSize - 1);
   }
 }
 
-std::size_t interned_header_count() { return kCount; }
+std::string_view header_name(HeaderId id) {
+  const auto i = static_cast<std::size_t>(id);
+  return i < kCount ? kWellKnown[i] : std::string_view{};
+}
 
 }  // namespace mfhttp

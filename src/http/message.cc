@@ -1,6 +1,7 @@
 #include "http/message.h"
 
 #include <algorithm>
+#include <charconv>
 
 #include "util/strings.h"
 
@@ -19,7 +20,7 @@ bool plain_host_char(char c) {
 std::optional<Url> HttpRequest::url() const {
   if (starts_with(target, "http://") || starts_with(target, "https://"))
     return parse_url(target);
-  auto host = headers.get_view("Host");
+  auto host = headers.get_view(HeaderId::kHost);
   if (!host) return std::nullopt;
   std::string absolute;
   absolute.reserve(7 + host->size() + target.size());
@@ -31,8 +32,13 @@ std::optional<Url> HttpRequest::url() const {
 
 CanonicalUrl HttpRequest::canonical_url() const {
   CanonicalUrl out;
+  canonical_url(out);
+  return out;
+}
+
+void HttpRequest::canonical_url(CanonicalUrl& out) const {
   if (!target.empty() && target.front() == '/') {
-    auto host = headers.get_view("Host");
+    auto host = headers.get_view(HeaderId::kHost);
     if (host && !host->empty() &&
         std::all_of(host->begin(), host->end(), plain_host_char)) {
       // url() would parse "http://" + Host + target into authority == Host
@@ -40,39 +46,37 @@ CanonicalUrl HttpRequest::canonical_url() const {
       // first '?'; an empty query loses its '?' on the way back.
       const std::size_t q = target.find('?');
       const std::size_t keep = q + 1 == target.size() ? q : target.size();
-      out.text.reserve(7 + host->size() + keep);
-      out.text += "http://";
+      out.text.assign("http://");
       out.text += *host;
       out.text.append(target, 0, keep);
       out.path_begin = 7 + host->size();
       out.path_size = std::min(q, target.size());
-      return out;
+      return;
     }
   }
   auto parsed = url();
   if (!parsed) {
     out.text = target;
+    out.path_begin = 0;
     out.path_size = target.size();
-    return out;
+    return;
   }
   out.text = parsed->to_string();
   // The authority never holds a '/', so the path starts at the first one.
   out.path_begin = out.text.find('/', parsed->scheme.size() + 3);
   out.path_size = parsed->path.size();
-  return out;
 }
 
-std::string HttpRequest::session() const {
-  auto v = headers.get_view("x-mfhttp-session");
-  return v ? std::string(*v) : std::string();
+std::string_view HttpRequest::session() const {
+  return headers.get_view(HeaderId::kXMfhttpSession).value_or(std::string_view{});
 }
 
 void HttpRequest::set_session(std::string_view session) {
-  headers.set("x-mfhttp-session", session);
+  headers.set(HeaderId::kXMfhttpSession, session);
 }
 
 int HttpRequest::priority_hint(int fallback) const {
-  auto v = headers.get_view("x-mfhttp-priority");
+  auto v = headers.get_view(HeaderId::kXMfhttpPriority);
   if (!v || v->empty()) return fallback;
   int out = 0;
   for (char c : *v) {
@@ -84,15 +88,17 @@ int HttpRequest::priority_hint(int fallback) const {
 }
 
 void HttpRequest::set_priority_hint(int priority) {
-  headers.set("x-mfhttp-priority", std::to_string(priority));
+  char digits[16];
+  const auto end = std::to_chars(digits, digits + sizeof(digits), priority).ptr;
+  headers.set(HeaderId::kXMfhttpPriority, std::string_view(digits, end - digits));
 }
 
 namespace {
 std::string serialize_common(std::string start_line, const HeaderMap& headers,
                              const std::string& body) {
   std::string out = std::move(start_line);
-  bool has_length = headers.contains("Content-Length") ||
-                    headers.contains("Transfer-Encoding");
+  bool has_length = headers.contains(HeaderId::kContentLength) ||
+                    headers.contains(HeaderId::kTransferEncoding);
   for (const auto& e : headers) {
     out += e.name();
     out += ": ";
@@ -116,7 +122,7 @@ HttpRequest HttpRequest::get(const Url& url) {
   HttpRequest req;
   req.method = "GET";
   req.target = url.path_and_query();
-  req.headers.set("Host", url.port == 80 ? url.host
+  req.headers.set(HeaderId::kHost, url.port == 80 ? url.host
                                          : url.host + ":" + std::to_string(url.port));
   return req;
 }
@@ -143,8 +149,8 @@ HttpResponse HttpResponse::make(int status, std::string_view reason, std::string
   resp.reason = reason.empty() ? std::string(default_reason(status))
                                : std::string(reason);
   resp.body = std::move(body);
-  resp.headers.set("Content-Type", content_type);
-  resp.headers.set("Content-Length", std::to_string(resp.body.size()));
+  resp.headers.set(HeaderId::kContentType, content_type);
+  resp.headers.set(HeaderId::kContentLength, std::to_string(resp.body.size()));
   return resp;
 }
 

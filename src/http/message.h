@@ -37,12 +37,15 @@ struct HttpRequest {
   // `url() ? url()->path : target`. The common origin-form target behind a
   // plain lower-case Host is assembled directly, without building a Url.
   CanonicalUrl canonical_url() const;
+  // The same, written into `out`; a reused `out` keeps its capacity, so the
+  // common form costs no allocation once warm.
+  void canonical_url(CanonicalUrl& out) const;
 
   // Multi-session serving identity (overload/admission.h). Carried as an
   // x-mfhttp-session header so it survives serialization and every proxy
   // hop without a side channel. Empty when unset — single-session callers
-  // never need to think about it.
-  std::string session() const;
+  // never need to think about it. The view lives as long as the header.
+  std::string_view session() const;
   void set_session(std::string_view session);
 
   // Priority-class hint for admission control and link scheduling, carried

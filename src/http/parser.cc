@@ -124,7 +124,7 @@ bool HttpParser::parse_header_line(std::string_view line) {
 void HttpParser::on_headers_complete() {
   const HeaderMap& headers = current_headers();
   read_until_close_ = false;
-  auto te = headers.get_view("Transfer-Encoding");
+  auto te = headers.get_view(HeaderId::kTransferEncoding);
   bool chunked = te && iequals(trim(*te), "chunked");
 
   if (mode_ == Mode::kResponse) {

@@ -45,21 +45,52 @@ MitmProxy::MitmProxy(Simulator& sim, HttpFetcher* upstream, Link* client_link,
 
 MitmProxy::~MitmProxy() {
   // Requests still parked when the proxy dies leave the depth gauges otherwise.
-  for (const auto& [id, p] : pending_) {
+  pending_.for_each([](FetchId, const Pending& p) {
     if (p.deferred) deferred_depth_gauge().sub(1);
     if (p.queued) dispatch_depth_gauge().sub(1);
-  }
+  });
+}
+
+void MitmProxy::Pending::reset() {
+  // Field by field, which measured cheaper than assigning a default record.
+  // `request` is left as is: fetch() overwrites it, reusing its capacity.
+  callbacks = {};
+  url = fetch_url = kNoUrl;
+  session.clear();
+  arrival = 0;
+  request_ms = 0;
+  priority = status = 0;
+  deferred = defer_accounted = queued = holds_slot = false;
+  prev_deferred = next_deferred = kInvalidFetch;
+  reject_event = watchdog_event = Simulator::kInvalidEvent;
+  upstream_id = HttpFetcher::kInvalidFetch;
+  client_transfer = Link::kInvalidTransfer;
+  client_total = client_received = 0;
+  content_type.clear();
+  etag.clear();
+  cache_admit = false;
+  stale_object.reset();
+}
+
+void MitmProxy::set_cache(LruCache* cache) {
+  // Records and warm-ups hold ids of the current table.
+  MFHTTP_CHECK(pending_.empty() && warmups_.empty());
+  cache_ = cache;
+  urls_ = cache != nullptr ? &cache->urls() : &own_urls_;
+  deferred_by_url_.clear();
 }
 
 HttpFetcher::FetchId MitmProxy::fetch(const HttpRequest& request,
                                       FetchCallbacks callbacks) {
   MFHTTP_CHECK(callbacks.on_complete != nullptr);
-  FetchId id = next_id_++;
-  Pending& p = pending_[id];
+  const FetchId id = pending_.insert();
+  Pending& p = *pending_.find(id);
   p.request = request;
   p.callbacks = std::move(callbacks);
-  p.url = request.canonical_url().text;
-  p.session = request.session();
+  request.canonical_url(canonical_);
+  p.url = urls_->intern(canonical_.text);
+  p.session.assign(request.session());
+  p.arrival = next_arrival_++;
   p.request_ms = sim_.now();
 
   static obs::Counter& requests_total =
@@ -83,7 +114,7 @@ HttpFetcher::FetchId MitmProxy::fetch(const HttpRequest& request,
           obs::metrics().counter("http.proxy.header_violation_total");
       violations.inc();
       MFHTTP_TRACE << "proxy 431 (" << (too_big ? "header bytes" : "header count")
-                   << ") " << p.url;
+                   << ") " << urls_->url(p.url);
       schedule_reject(id, p, 431);
       return id;
     }
@@ -114,7 +145,7 @@ HttpFetcher::FetchId MitmProxy::fetch(const HttpRequest& request,
         rejected_counter().inc();
       }
       MFHTTP_TRACE << "proxy " << (shed ? "shed" : "reject") << " (" << door.reason
-                   << ") " << p.url;
+                   << ") " << urls_->url(p.url);
       schedule_reject(id, p, shed ? 503 : 429);
       return id;
     }
@@ -139,7 +170,8 @@ HttpFetcher::FetchId MitmProxy::fetch(const HttpRequest& request,
       auto url = parse_url(decision.rewrite_url);
       MFHTTP_CHECK_MSG(url.has_value(), "rewrite target must be an absolute URL");
       p.request = HttpRequest::get(*url);
-      p.fetch_url = p.request.canonical_url().text;
+      p.request.canonical_url(canonical_);
+      p.fetch_url = urls_->intern(canonical_.text);
       start_upstream(id);
       break;
     }
@@ -157,7 +189,7 @@ HttpFetcher::FetchId MitmProxy::fetch(const HttpRequest& request,
       if (admission_ != nullptr && !admission_->try_defer(p.session)) {
         ++stats_.rejected;
         rejected_counter().inc();
-        MFHTTP_TRACE << "proxy reject (deferred_full) " << p.url;
+        MFHTTP_TRACE << "proxy reject (deferred_full) " << urls_->url(p.url);
         schedule_reject(id, p, 503);
         break;
       }
@@ -166,18 +198,17 @@ HttpFetcher::FetchId MitmProxy::fetch(const HttpRequest& request,
       static obs::Counter& deferred =
           obs::metrics().counter("http.proxy.deferred_total");
       deferred.inc();
-      deferred_depth_gauge().add(1);
-      p.deferred = true;
-      MFHTTP_TRACE << "proxy defer " << p.url;
+      defer(id, p);
+      MFHTTP_TRACE << "proxy defer " << urls_->url(p.url);
       if (params_.defer_timeout_ms > 0) {
         p.watchdog_event = sim_.schedule_after(params_.defer_timeout_ms, [this, id] {
-          auto wit = pending_.find(id);
-          if (wit == pending_.end() || !wit->second.deferred) return;
-          wit->second.watchdog_event = Simulator::kInvalidEvent;
+          Pending* w = pending_.find(id);
+          if (w == nullptr || !w->deferred) return;
+          w->watchdog_event = Simulator::kInvalidEvent;
           static obs::Counter& timeouts =
               obs::metrics().counter("http.proxy.defer_timeouts_total");
           timeouts.inc();
-          MFHTTP_TRACE << "proxy defer timeout " << wit->second.url;
+          MFHTTP_TRACE << "proxy defer timeout " << urls_->url(w->url);
           if (params_.defer_timeout_action == Params::DeferTimeoutAction::kRelease)
             start_upstream(id);
           else
@@ -191,11 +222,10 @@ HttpFetcher::FetchId MitmProxy::fetch(const HttpRequest& request,
 }
 
 void MitmProxy::start_upstream(FetchId id) {
-  auto it = pending_.find(id);
-  MFHTTP_CHECK(it != pending_.end());
-  Pending& p = it->second;
-  if (p.deferred) deferred_depth_gauge().sub(1);
-  p.deferred = false;
+  Pending* found = pending_.find(id);
+  MFHTTP_CHECK(found != nullptr);
+  Pending& p = *found;
+  undefer(p);
   undefer_accounting(p);
   disarm_watchdog(p);
 
@@ -225,7 +255,7 @@ void MitmProxy::start_upstream(FetchId id) {
         // is still good before serving it. A 304 answer below streams the
         // cached bytes; a 200 replaces them.
         p.stale_object = hit->object;
-        p.request.headers.set("If-None-Match", hit->object.etag);
+        p.request.headers.set(HeaderId::kIfNoneMatch, hit->object.etag);
       }
     }
   }
@@ -238,7 +268,7 @@ void MitmProxy::start_upstream(FetchId id) {
       if (!admission_->has_dispatch_room(static_cast<int>(dispatch_queue_.size()))) {
         ++stats_.rejected;
         rejected_counter().inc();
-        MFHTTP_TRACE << "proxy reject (dispatch_full) " << p.url;
+        MFHTTP_TRACE << "proxy reject (dispatch_full) " << urls_->url(p.url);
         schedule_reject(id, p, 503);
         return;
       }
@@ -252,9 +282,9 @@ void MitmProxy::start_upstream(FetchId id) {
 
   FetchCallbacks up;
   up.on_headers = [this, id](const SimResponseMeta& meta) {
-    auto pit = pending_.find(id);
-    if (pit == pending_.end()) return;
-    Pending& pd = pit->second;
+    Pending* found = pending_.find(id);
+    if (found == nullptr) return;
+    Pending& pd = *found;
     // A resilient upstream re-sends headers on every retry attempt; the
     // client transfer from the first headers keeps streaming.
     if (pd.client_transfer != Link::kInvalidTransfer) return;
@@ -285,9 +315,9 @@ void MitmProxy::start_upstream(FetchId id) {
     // the fetch. But a dead upstream (reset, timeout, fast-fail, truncated
     // body) must not leave the client waiting on bytes that will never
     // exist: propagate the failure instead.
-    auto pit = pending_.find(id);
-    if (pit == pending_.end()) return;
-    Pending& pd = pit->second;
+    Pending* found = pending_.find(id);
+    if (found == nullptr) return;
+    Pending& pd = *found;
     pd.upstream_id = HttpFetcher::kInvalidFetch;
     // NOTE: the concurrency slot is NOT freed here. With cut-through
     // forwarding the upstream copy finishes long before the client stream
@@ -314,8 +344,8 @@ void MitmProxy::start_upstream(FetchId id) {
 }
 
 void MitmProxy::serve_from_cache(FetchId id, const CachedObject& object) {
-  auto it = pending_.find(id);
-  MFHTTP_CHECK(it != pending_.end());
+  Pending* p = pending_.find(id);
+  MFHTTP_CHECK(p != nullptr);
   ++stats_.cache_hits;
   stats_.bytes_from_upstream_saved += object.size;
   static obs::Counter& cache_hits = obs::metrics().counter("http.proxy.cache_hits_total");
@@ -328,7 +358,7 @@ void MitmProxy::serve_from_cache(FetchId id, const CachedObject& object) {
   meta.body_size = object.size;
   meta.content_type = object.content_type;
   meta.etag = object.etag;
-  if (!notify_headers(id, it->second, meta)) return;
+  if (!notify_headers(id, *p, meta)) return;
   start_client_transfer(id, meta, /*cache_admit=*/false);
 }
 
@@ -345,9 +375,9 @@ bool MitmProxy::notify_headers(FetchId id, Pending& p, const SimResponseMeta& me
 
 void MitmProxy::start_client_transfer(FetchId id, const SimResponseMeta& meta,
                                       bool cache_admit) {
-  auto it = pending_.find(id);
-  MFHTTP_CHECK(it != pending_.end());
-  Pending& p = it->second;
+  Pending* found = pending_.find(id);
+  MFHTTP_CHECK(found != nullptr);
+  Pending& p = *found;
   p.status = meta.status;
   p.content_type = meta.content_type;
   p.etag = meta.etag;
@@ -361,25 +391,24 @@ void MitmProxy::start_client_transfer(FetchId id, const SimResponseMeta& meta,
 }
 
 void MitmProxy::on_client_chunk(FetchId id, Bytes chunk, bool complete) {
-  auto it = pending_.find(id);
-  if (it == pending_.end()) return;
-  Pending& p = it->second;
-  p.client_received += chunk;
+  Pending* p = pending_.find(id);
+  if (p == nullptr) return;
+  p->client_received += chunk;
   stats_.bytes_to_client += chunk;
   static obs::Counter& to_client =
       obs::metrics().counter("http.proxy.bytes_to_client_total");
   to_client.inc(static_cast<std::uint64_t>(chunk));
-  if (p.callbacks.on_progress) {
+  if (p->callbacks.on_progress) {
     // Same re-entrancy rule as notify_headers: put back only if the fetch
     // survived its own callback.
-    auto on_progress = std::move(p.callbacks.on_progress);
-    on_progress(chunk, p.client_received, p.client_total);
-    it = pending_.find(id);
-    if (it == pending_.end()) return;
-    it->second.callbacks.on_progress = std::move(on_progress);
+    auto on_progress = std::move(p->callbacks.on_progress);
+    on_progress(chunk, p->client_received, p->client_total);
+    p = pending_.find(id);
+    if (p == nullptr) return;
+    p->callbacks.on_progress = std::move(on_progress);
   }
   if (!complete) return;
-  Pending& done = it->second;
+  Pending& done = *p;
   if (done.upstream_id != HttpFetcher::kInvalidFetch)
     upstream_->cancel(done.upstream_id);  // upstream may lag the client
   release_upstream_slot(done);
@@ -391,29 +420,29 @@ void MitmProxy::on_client_chunk(FetchId id, Bytes chunk, bool complete) {
   FetchResult result;
   result.status = done.status;
   result.body_size = done.client_received;
-  finish(it, std::move(result));
+  finish(id, done, std::move(result));
 }
 
-void MitmProxy::finish(PendingMap::iterator it, FetchResult result) {
-  result.url = std::move(it->second.url);
-  result.request_ms = it->second.request_ms;
+void MitmProxy::finish(FetchId id, Pending& p, FetchResult result) {
+  // The table outlives the record: the view stays valid after the erase.
+  result.url = urls_->url(p.url);
+  result.request_ms = p.request_ms;
   result.complete_ms = sim_.now();
-  auto on_complete = std::move(it->second.callbacks.on_complete);
-  pending_.erase(it);
+  auto on_complete = std::move(p.callbacks.on_complete);
+  pending_.erase(id);
   on_complete(result);
   if (interceptor_) interceptor_->on_fetch_complete(result);
 }
 
-void MitmProxy::background_revalidate(const std::string& url,
-                                      const CachedObject& object) {
+void MitmProxy::background_revalidate(UrlId url, const CachedObject& object) {
   if (!revalidating_.insert(url).second) return;  // one refresh at a time
-  auto parsed = parse_url(url);
+  auto parsed = parse_url(urls_->url(url));
   if (!parsed.has_value()) {
     revalidating_.erase(url);
     return;
   }
   HttpRequest req = HttpRequest::get(*parsed);
-  if (!object.etag.empty()) req.headers.set("If-None-Match", object.etag);
+  if (!object.etag.empty()) req.headers.set(HeaderId::kIfNoneMatch, object.etag);
   req.set_priority_hint(overload::kPrioritySpeculative);
   // Deliberately bypasses the admission slot: in the common (304) case this
   // round trip moves headers only, and the client it serves is already
@@ -421,8 +450,9 @@ void MitmProxy::background_revalidate(const std::string& url,
   start_warmup(url, /*prefetch=*/false, req);
 }
 
-bool MitmProxy::prefetch(const std::string& url) {
+bool MitmProxy::prefetch(const std::string& url_text) {
   if (cache_ == nullptr) return false;
+  const UrlId url = urls_->intern(url_text);
   if (prefetching_.contains(url)) return false;
   if (cache_->has_fresh(url, sim_.now())) return false;  // already warm
   if (admission_ != nullptr && !admission_->allow_prefetch(sim_.now())) {
@@ -432,12 +462,12 @@ bool MitmProxy::prefetch(const std::string& url) {
     denied.inc();
     return false;
   }
-  auto parsed = parse_url(url);
+  auto parsed = parse_url(url_text);
   if (!parsed.has_value()) return false;
   HttpRequest req = HttpRequest::get(*parsed);
   req.set_priority_hint(overload::kPrioritySpeculative);
   if (auto existing = cache_->peek(url); existing && !existing->etag.empty())
-    req.headers.set("If-None-Match", existing->etag);
+    req.headers.set(HeaderId::kIfNoneMatch, existing->etag);
 
   ++stats_.prefetches;
   static obs::Counter& issued =
@@ -447,8 +477,7 @@ bool MitmProxy::prefetch(const std::string& url) {
   return true;
 }
 
-void MitmProxy::start_warmup(const std::string& url, bool prefetch,
-                             const HttpRequest& request) {
+void MitmProxy::start_warmup(UrlId url, bool prefetch, const HttpRequest& request) {
   const std::uint64_t id = next_warmup_id_++;
   Warmup& w = warmups_[id];
   w.url = url;
@@ -494,7 +523,7 @@ void MitmProxy::finish_warmup(std::uint64_t id, const FetchResult& r) {
 }
 
 bool MitmProxy::cancel_prefetch(const std::string& url) {
-  auto it = prefetching_.find(url);
+  auto it = prefetching_.find(urls_->find(url));
   if (it == prefetching_.end()) return false;
   auto wit = warmups_.find(it->second);
   prefetching_.erase(it);
@@ -511,10 +540,10 @@ bool MitmProxy::cancel_prefetch(const std::string& url) {
 }
 
 void MitmProxy::finish_failed(FetchId id, int status) {
-  auto it = pending_.find(id);
-  if (it == pending_.end()) return;
-  Pending& p = it->second;
-  if (p.deferred) deferred_depth_gauge().sub(1);
+  Pending* found = pending_.find(id);
+  if (found == nullptr) return;
+  Pending& p = *found;
+  undefer(p);
   undefer_accounting(p);
   unqueue(id, p);
   release_upstream_slot(p);
@@ -528,7 +557,7 @@ void MitmProxy::finish_failed(FetchId id, int status) {
   FetchResult result;
   result.status = status;
   result.body_size = p.client_received;
-  finish(it, std::move(result));
+  finish(id, p, std::move(result));
 }
 
 void MitmProxy::schedule_reject(FetchId id, Pending& p, int status) {
@@ -538,10 +567,10 @@ void MitmProxy::schedule_reject(FetchId id, Pending& p, int status) {
 }
 
 void MitmProxy::finish_rejected(FetchId id) {
-  auto it = pending_.find(id);
-  if (it == pending_.end()) return;
-  Pending& p = it->second;
-  if (p.deferred) deferred_depth_gauge().sub(1);
+  Pending* found = pending_.find(id);
+  if (found == nullptr) return;
+  Pending& p = *found;
+  undefer(p);
   undefer_accounting(p);
   unqueue(id, p);
   release_upstream_slot(p);
@@ -549,7 +578,40 @@ void MitmProxy::finish_rejected(FetchId id) {
   FetchResult result;
   result.status = p.status;
   result.rejected = true;
-  finish(it, std::move(result));
+  finish(id, p, std::move(result));
+}
+
+void MitmProxy::defer(FetchId id, Pending& p) {
+  p.deferred = true;
+  ++deferred_count_;
+  deferred_depth_gauge().add(1);
+  // Append to the URL's deferred list: release and abort walk it in arrival
+  // order without scanning every record.
+  if (p.url >= deferred_by_url_.size()) deferred_by_url_.resize(urls_->size());
+  DeferredList& list = deferred_by_url_[p.url];
+  p.prev_deferred = list.tail;
+  if (list.tail != kInvalidFetch)
+    pending_.find(list.tail)->next_deferred = id;
+  else
+    list.head = id;
+  list.tail = id;
+}
+
+void MitmProxy::undefer(Pending& p) {
+  if (!p.deferred) return;
+  p.deferred = false;
+  --deferred_count_;
+  deferred_depth_gauge().sub(1);
+  DeferredList& list = deferred_by_url_[p.url];
+  if (p.prev_deferred != kInvalidFetch)
+    pending_.find(p.prev_deferred)->next_deferred = p.next_deferred;
+  else
+    list.head = p.next_deferred;
+  if (p.next_deferred != kInvalidFetch)
+    pending_.find(p.next_deferred)->prev_deferred = p.prev_deferred;
+  else
+    list.tail = p.prev_deferred;
+  p.prev_deferred = p.next_deferred = kInvalidFetch;
 }
 
 void MitmProxy::undefer_accounting(Pending& p) {
@@ -585,9 +647,9 @@ void MitmProxy::dispatch_next() {
     auto it = dispatch_queue_.begin();  // highest priority, FIFO within class
     const FetchId id = it->second;
     dispatch_queue_.erase(it);
-    auto pit = pending_.find(id);
-    if (pit == pending_.end()) continue;  // torn down while queued
-    pit->second.queued = false;
+    Pending* p = pending_.find(id);
+    if (p == nullptr) continue;  // torn down while queued
+    p->queued = false;
     dispatch_depth_gauge().sub(1);
     start_upstream(id);  // re-acquires the freed slot (or re-parks if raced)
     return;
@@ -603,24 +665,25 @@ void MitmProxy::disarm_watchdog(Pending& p) {
 TimeMs MitmProxy::now() const { return sim_.now(); }
 
 void MitmProxy::finish_blocked(FetchId id, int status) {
-  auto it = pending_.find(id);
-  if (it == pending_.end()) return;
-  if (it->second.deferred) deferred_depth_gauge().sub(1);
-  undefer_accounting(it->second);
-  unqueue(id, it->second);
-  release_upstream_slot(it->second);
-  disarm_watchdog(it->second);
+  Pending* found = pending_.find(id);
+  if (found == nullptr) return;
+  Pending& p = *found;
+  undefer(p);
+  undefer_accounting(p);
+  unqueue(id, p);
+  release_upstream_slot(p);
+  disarm_watchdog(p);
   FetchResult result;
   result.status = status;
   result.blocked = true;
-  finish(it, std::move(result));
+  finish(id, p, std::move(result));
 }
 
 bool MitmProxy::cancel(FetchId id) {
-  auto it = pending_.find(id);
-  if (it == pending_.end()) return false;
-  Pending& p = it->second;
-  if (p.deferred) deferred_depth_gauge().sub(1);
+  Pending* found = pending_.find(id);
+  if (found == nullptr) return false;
+  Pending& p = *found;
+  undefer(p);
   undefer_accounting(p);
   unqueue(id, p);
   release_upstream_slot(p);
@@ -629,23 +692,35 @@ bool MitmProxy::cancel(FetchId id) {
   if (p.upstream_id != HttpFetcher::kInvalidFetch) upstream_->cancel(p.upstream_id);
   if (p.client_transfer != Link::kInvalidTransfer)
     client_link_->cancel(p.client_transfer);
-  pending_.erase(it);
+  pending_.erase(id);
   return true;
 }
 
-std::size_t MitmProxy::release(const std::string& url, int priority) {
+std::vector<HttpFetcher::FetchId> MitmProxy::deferred_of(const std::string& url) const {
   std::vector<FetchId> ids;
-  for (auto& [id, p] : pending_)
-    if (p.deferred && p.url == url) ids.push_back(id);
-  for (FetchId id : ids) {
+  const UrlId id = urls_->find(url);
+  if (id >= deferred_by_url_.size()) return ids;
+  for (FetchId at = deferred_by_url_[id].head; at != kInvalidFetch;
+       at = pending_.find(at)->next_deferred)
+    ids.push_back(at);
+  return ids;
+}
+
+std::size_t MitmProxy::release(const std::string& url, int priority) {
+  std::size_t released_count = 0;
+  for (FetchId id : deferred_of(url)) {
+    // An earlier release's callbacks may have torn this one down.
+    Pending* p = pending_.find(id);
+    if (p == nullptr || !p->deferred) continue;
+    ++released_count;
     ++stats_.released;
     static obs::Counter& released = obs::metrics().counter("http.proxy.released_total");
     released.inc();
     MFHTTP_TRACE << "proxy release " << url;
-    pending_[id].priority = priority;
+    p->priority = priority;
     start_upstream(id);
   }
-  return ids.size();
+  return released_count;
 }
 
 std::size_t MitmProxy::release_rewritten(const std::string& url,
@@ -654,11 +729,13 @@ std::size_t MitmProxy::release_rewritten(const std::string& url,
   auto substitute = parse_url(substitute_url);
   MFHTTP_CHECK_MSG(substitute.has_value(), "substitute must be an absolute URL");
   const HttpRequest substitute_request = HttpRequest::get(*substitute);
-  const std::string substitute_fetch_url = substitute_request.canonical_url().text;
-  std::vector<FetchId> ids;
-  for (auto& [id, p] : pending_)
-    if (p.deferred && p.url == url) ids.push_back(id);
-  for (FetchId id : ids) {
+  const UrlId substitute_fetch_url =
+      urls_->intern(substitute_request.canonical_url().text);
+  std::size_t released_count = 0;
+  for (FetchId id : deferred_of(url)) {
+    Pending* p = pending_.find(id);
+    if (p == nullptr || !p->deferred) continue;
+    ++released_count;
     ++stats_.released;
     ++stats_.rewritten;
     static obs::Counter& released = obs::metrics().counter("http.proxy.released_total");
@@ -667,46 +744,45 @@ std::size_t MitmProxy::release_rewritten(const std::string& url,
         obs::metrics().counter("http.proxy.rewritten_total");
     rewritten.inc();
     MFHTTP_TRACE << "proxy release " << url << " as " << substitute_url;
-    Pending& p = pending_[id];
-    p.request = substitute_request;
-    p.fetch_url = substitute_fetch_url;
-    p.priority = priority;
+    p->request = substitute_request;
+    p->fetch_url = substitute_fetch_url;
+    p->priority = priority;
     start_upstream(id);
   }
-  return ids.size();
+  return released_count;
 }
 
 std::size_t MitmProxy::abort_deferred(const std::string& url) {
-  std::vector<FetchId> ids;
-  for (auto& [id, p] : pending_)
-    if (p.deferred && p.url == url) ids.push_back(id);
-  for (FetchId id : ids) {
+  std::size_t aborted_count = 0;
+  for (FetchId id : deferred_of(url)) {
+    const Pending* p = pending_.find(id);
+    if (p == nullptr || !p->deferred) continue;
+    ++aborted_count;
     ++stats_.aborted;
     static obs::Counter& aborted = obs::metrics().counter("http.proxy.aborted_total");
     aborted.inc();
     finish_blocked(id, 403);
   }
-  return ids.size();
+  return aborted_count;
 }
 
 std::vector<std::string> MitmProxy::deferred_urls() const {
+  std::vector<std::pair<std::uint64_t, UrlId>> parked;
+  pending_.for_each([&parked](FetchId, const Pending& p) {
+    if (p.deferred) parked.emplace_back(p.arrival, p.url);
+  });
+  std::sort(parked.begin(), parked.end());
   std::vector<std::string> out;
-  for (const auto& [id, p] : pending_)
-    if (p.deferred) out.push_back(p.url);
+  out.reserve(parked.size());
+  for (const auto& [arrival, url] : parked) out.emplace_back(urls_->url(url));
   return out;
-}
-
-std::size_t MitmProxy::deferred_depth() const {
-  std::size_t n = 0;
-  for (const auto& [id, p] : pending_)
-    if (p.deferred) ++n;
-  return n;
 }
 
 TimeMs MitmProxy::oldest_waiting_age_ms() const {
   TimeMs oldest = 0;
-  for (const auto& [id, p] : pending_)
+  pending_.for_each([this, &oldest](FetchId, const Pending& p) {
     if (p.deferred || p.queued) oldest = std::max(oldest, sim_.now() - p.request_ms);
+  });
   return oldest;
 }
 

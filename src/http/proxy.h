@@ -8,6 +8,12 @@
 // abort_deferred(url) (object stays blocked). Rewriting maps a request to a
 // different representation (e.g. a lower-resolution tile in the 360° video
 // case study).
+//
+// Integer-keyed request path (DESIGN.md §21): fetch() interns the request's
+// canonical URL once into the cache's UrlTable (a private one without a
+// cache), and from there the cache, the ghost list, the deferred lists and
+// the warm-up bookkeeping key by that UrlId. Records live on a Slab, so a
+// warm proxy serves a cache hit without touching the heap.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +26,8 @@
 
 #include "http/cache.h"
 #include "http/sim_http.h"
+#include "http/url_table.h"
+#include "util/slab.h"
 
 namespace mfhttp {
 
@@ -112,8 +120,10 @@ class MitmProxy : public HttpFetcher {
 
   // Optional middleware-server cache (§4.2). Successful GET responses are
   // admitted; later fetches of the same URL skip the upstream hop entirely
-  // and stream to the client straight from the proxy.
-  void set_cache(LruCache* cache) { cache_ = cache; }
+  // and stream to the client straight from the proxy. The proxy keys its
+  // requests by the cache's UrlTable, so the cache is set before the first
+  // fetch.
+  void set_cache(LruCache* cache);
 
   // Optional overload protection (overload/admission.h). When installed,
   // every fetch passes the controller's front door first — rate-limited or
@@ -144,7 +154,8 @@ class MitmProxy : public HttpFetcher {
   // In-flight speculative warm-ups (tests/planner introspection).
   std::size_t prefetch_inflight() const { return prefetching_.size(); }
 
-  // Start all deferred requests whose URL matches. Returns count released.
+  // Start all deferred requests whose URL matches, in arrival order.
+  // Returns count released.
   // `priority` applies to the client-link transfer (see InterceptDecision).
   std::size_t release(const std::string& url, int priority = 0);
 
@@ -164,7 +175,7 @@ class MitmProxy : public HttpFetcher {
 
   // Admission-control introspection (brownout supervisor sampling).
   std::size_t dispatch_queue_depth() const { return dispatch_queue_.size(); }
-  std::size_t deferred_depth() const;
+  std::size_t deferred_depth() const { return deferred_count_; }
   // Age of the oldest parked (deferred or dispatch-queued) request; 0 if none.
   TimeMs oldest_waiting_age_ms() const;
 
@@ -181,10 +192,11 @@ class MitmProxy : public HttpFetcher {
   struct Pending {
     HttpRequest request;
     FetchCallbacks callbacks;
-    std::string url;        // canonical URL of the client's request
-    std::string fetch_url;  // canonical URL fetched upstream; empty: `url`
+    UrlId url = kNoUrl;        // canonical URL of the client's request
+    UrlId fetch_url = kNoUrl;  // canonical URL fetched upstream; kNoUrl: `url`
     std::string session;  // x-mfhttp-session identity (admission control)
-    TimeMs request_ms;
+    std::uint64_t arrival = 0;  // fetch() order, for deferred_urls()
+    TimeMs request_ms = 0;
     int priority = 0;
     // Status the client sees: the bounce's while a rejection is scheduled,
     // the response's once the client stream starts.
@@ -193,6 +205,9 @@ class MitmProxy : public HttpFetcher {
     bool defer_accounted = false;  // counted in AdmissionController defer bounds
     bool queued = false;           // parked in the dispatch queue
     bool holds_slot = false;       // owns an upstream concurrency slot
+    // Neighbours in the deferred list of `url` (arrival order) while deferred.
+    FetchId prev_deferred = kInvalidFetch;
+    FetchId next_deferred = kInvalidFetch;
     Simulator::EventId reject_event = Simulator::kInvalidEvent;
     Simulator::EventId watchdog_event = Simulator::kInvalidEvent;
     HttpFetcher::FetchId upstream_id = HttpFetcher::kInvalidFetch;
@@ -211,11 +226,15 @@ class MitmProxy : public HttpFetcher {
 
     // The URL the cache and the upstream see (differs from `url` after a
     // rewrite).
-    const std::string& upstream_url() const {
-      return fetch_url.empty() ? url : fetch_url;
-    }
+    UrlId upstream_url() const { return fetch_url == kNoUrl ? url : fetch_url; }
+    // Slab contract: drop the fetch's state, keeping string capacity.
+    void reset();
   };
-  using PendingMap = std::map<FetchId, Pending>;
+  // Head and tail of one URL's deferred list.
+  struct DeferredList {
+    FetchId head = kInvalidFetch;
+    FetchId tail = kInvalidFetch;
+  };
 
   void start_upstream(FetchId id);
   // Stream a cache hit to the client without touching the upstream.
@@ -237,9 +256,13 @@ class MitmProxy : public HttpFetcher {
   void finish_rejected(FetchId id);
   // Erase a finished fetch's record and report `result` — url and timing
   // filled in from the record — to the client and the interceptor.
-  void finish(PendingMap::iterator it, FetchResult result);
+  void finish(FetchId id, Pending& p, FetchResult result);
   // Admission bookkeeping helpers; every teardown path funnels through
   // these so queue bounds and the concurrency cap can never leak.
+  // Park a fetch on its URL's deferred list (arrival order), and take it
+  // off again; both keep the depth accounting.
+  void defer(FetchId id, Pending& p);
+  void undefer(Pending& p);
   void undefer_accounting(Pending& p);
   void unqueue(FetchId id, Pending& p);
   void release_upstream_slot(Pending& p);
@@ -250,22 +273,24 @@ class MitmProxy : public HttpFetcher {
   // fault, not policy — blocked stays false.
   void finish_failed(FetchId id, int status);
   void disarm_watchdog(Pending& p);
+  // The deferred fetches of `url`, in arrival order.
+  std::vector<FetchId> deferred_of(const std::string& url) const;
   // Fire-and-forget conditional refresh of a stale cache entry (the
   // stale-while-revalidate back half). Deduped per URL.
-  void background_revalidate(const std::string& url, const CachedObject& object);
+  void background_revalidate(UrlId url, const CachedObject& object);
 
   // A cache warm-up in flight: a speculative prefetch or a background
   // revalidation, fetched upstream straight into the cache. Its upstream
   // callbacks capture (this, id) like a client fetch's.
   struct Warmup {
-    std::string url;
+    UrlId url = kNoUrl;
     bool prefetch = false;  // false: a stale-while-revalidate refresh
     HttpFetcher::FetchId upstream_id = HttpFetcher::kInvalidFetch;
     std::string content_type;  // from the upstream's headers
     std::string etag;
   };
   // Register a warm-up of `url` and send `request` upstream for it.
-  void start_warmup(const std::string& url, bool prefetch, const HttpRequest& request);
+  void start_warmup(UrlId url, bool prefetch, const HttpRequest& request);
   void finish_warmup(std::uint64_t id, const FetchResult& result);
 
   Simulator& sim_;
@@ -275,8 +300,15 @@ class MitmProxy : public HttpFetcher {
   Interceptor* interceptor_ = nullptr;
   LruCache* cache_ = nullptr;
   overload::AdmissionController* admission_ = nullptr;
-  FetchId next_id_ = 1;
-  PendingMap pending_;  // ordered: deferred_urls in arrival order
+  // The key space: the cache's table, or own_urls_ without a cache.
+  UrlTable own_urls_;
+  UrlTable* urls_ = &own_urls_;
+  CanonicalUrl canonical_;  // fetch()'s scratch; keeps its capacity
+  Slab<Pending> pending_;
+  std::uint64_t next_arrival_ = 1;
+  // By UrlId: the URL's deferred fetches (grown when a fetch defers).
+  std::vector<DeferredList> deferred_by_url_;
+  std::size_t deferred_count_ = 0;
   // Admitted requests waiting for an upstream slot: highest priority first,
   // FIFO within a priority class (multimap keeps insertion order for equal
   // keys).
@@ -284,9 +316,9 @@ class MitmProxy : public HttpFetcher {
   std::uint64_t next_warmup_id_ = 1;
   std::unordered_map<std::uint64_t, Warmup> warmups_;
   // URLs with a background revalidation in flight (dedupe).
-  std::unordered_set<std::string> revalidating_;
+  std::unordered_set<UrlId> revalidating_;
   // In-flight speculative warm-ups: URL to warm-up id, for cancellation.
-  std::unordered_map<std::string, std::uint64_t> prefetching_;
+  std::unordered_map<UrlId, std::uint64_t> prefetching_;
   Stats stats_;
 };
 

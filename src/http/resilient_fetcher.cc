@@ -200,6 +200,9 @@ void ResilientFetcher::finish(FetchId id, FetchResult result) {
   auto it = attempts_.find(id);
   MFHTTP_CHECK(it != attempts_.end());
   FetchCallbacks callbacks = std::move(it->second.callbacks);
+  // The result's url may view the record: keep the text alive for the call.
+  const std::string url = std::move(it->second.url);
+  result.url = url;
   attempts_.erase(it);
   callbacks.on_complete(result);
 }

@@ -14,14 +14,28 @@ SimHttpOrigin::SimHttpOrigin(Simulator& sim, const ObjectStore* store, Link* lin
   MFHTTP_CHECK(link_ != nullptr);
 }
 
+void SimHttpOrigin::Inflight::reset() {
+  // Field by field, keeping the strings' capacity for the next fetch.
+  pending_event = Simulator::kInvalidEvent;
+  transfer = Link::kInvalidTransfer;
+  url.text.clear();
+  url.path_begin = url.path_size = 0;
+  if_none_match.clear();
+  request_ms = 0;
+  received = total = 0;
+  status = 0;
+  done = false;
+  callbacks = {};
+}
+
 HttpFetcher::FetchId SimHttpOrigin::fetch(const HttpRequest& request,
                                           FetchCallbacks callbacks) {
   MFHTTP_CHECK(callbacks.on_complete != nullptr);
-  FetchId id = next_id_++;
-  Inflight& fl = inflight_[id];
-  fl.url = request.canonical_url();
-  fl.if_none_match =
-      request.headers.get_view("If-None-Match").value_or(std::string_view{});
+  const FetchId id = inflight_.insert();
+  Inflight& fl = *inflight_.find(id);
+  request.canonical_url(fl.url);
+  fl.if_none_match.assign(
+      request.headers.get_view(HeaderId::kIfNoneMatch).value_or(std::string_view{}));
   fl.request_ms = sim_.now();
   fl.callbacks = std::move(callbacks);
   fl.pending_event =
@@ -30,9 +44,9 @@ HttpFetcher::FetchId SimHttpOrigin::fetch(const HttpRequest& request,
 }
 
 void SimHttpOrigin::respond(FetchId id) {
-  auto it = inflight_.find(id);
-  if (it == inflight_.end()) return;  // cancelled
-  Inflight& fl = it->second;
+  Inflight* found = inflight_.find(id);
+  if (found == nullptr) return;  // cancelled
+  Inflight& fl = *found;
   fl.pending_event = Simulator::kInvalidEvent;
 
   const StoredObject* obj = store_->find(fl.url.path());
@@ -51,57 +65,56 @@ void SimHttpOrigin::respond(FetchId id) {
     // destroys the record (and a callable still stored in it).
     auto on_headers = std::move(fl.callbacks.on_headers);
     on_headers(meta);
-    it = inflight_.find(id);
-    if (it == inflight_.end()) return;
+    if (!inflight_.contains(id)) return;
   }
 
   if (not_modified) {
     // 304 carries headers only: complete without touching the link.
-    finish(it);
+    finish(id, fl);
     return;
   }
-  it->second.transfer = link_->submit(
+  fl.transfer = link_->submit(
       meta.body_size,
       [this, id](Bytes chunk, bool complete) { on_chunk(id, chunk, complete); });
 }
 
 void SimHttpOrigin::on_chunk(FetchId id, Bytes chunk, bool complete) {
-  auto it = inflight_.find(id);
-  if (it == inflight_.end()) return;
-  Inflight& fl = it->second;
-  fl.received += chunk;
-  if (fl.callbacks.on_progress) {
+  Inflight* fl = inflight_.find(id);
+  if (fl == nullptr) return;
+  fl->received += chunk;
+  if (fl->callbacks.on_progress) {
     // Same re-entrancy rule as on_headers: put back only if the fetch
     // survived its own callback.
-    auto on_progress = std::move(fl.callbacks.on_progress);
-    on_progress(chunk, fl.received, fl.total);
-    it = inflight_.find(id);
-    if (it == inflight_.end()) return;
-    it->second.callbacks.on_progress = std::move(on_progress);
+    auto on_progress = std::move(fl->callbacks.on_progress);
+    on_progress(chunk, fl->received, fl->total);
+    fl = inflight_.find(id);
+    if (fl == nullptr) return;
+    fl->callbacks.on_progress = std::move(on_progress);
   }
-  if (complete) finish(it);
+  if (complete) finish(id, *fl);
 }
 
-void SimHttpOrigin::finish(InflightMap::iterator it) {
+void SimHttpOrigin::finish(FetchId id, Inflight& fl) {
   FetchResult result;
-  result.url = std::move(it->second.url.text);
-  result.status = it->second.status;
-  result.body_size = it->second.received;
-  result.request_ms = it->second.request_ms;
+  result.url = fl.url.text;
+  result.status = fl.status;
+  result.body_size = fl.received;
+  result.request_ms = fl.request_ms;
   result.complete_ms = sim_.now();
-  auto on_complete = std::move(it->second.callbacks.on_complete);
-  inflight_.erase(it);
+  auto on_complete = std::move(fl.callbacks.on_complete);
+  // The record stays until the callback returns, so result.url stays valid;
+  // marked done, it is no longer cancellable.
+  fl.done = true;
   on_complete(result);
+  inflight_.erase(id);
 }
 
 bool SimHttpOrigin::cancel(FetchId id) {
-  auto it = inflight_.find(id);
-  if (it == inflight_.end()) return false;
-  if (it->second.pending_event != Simulator::kInvalidEvent)
-    sim_.cancel(it->second.pending_event);
-  if (it->second.transfer != Link::kInvalidTransfer)
-    link_->cancel(it->second.transfer);
-  inflight_.erase(it);
+  Inflight* fl = inflight_.find(id);
+  if (fl == nullptr || fl->done) return false;
+  if (fl->pending_event != Simulator::kInvalidEvent) sim_.cancel(fl->pending_event);
+  if (fl->transfer != Link::kInvalidTransfer) link_->cancel(fl->transfer);
+  inflight_.erase(id);
   return true;
 }
 

@@ -10,12 +10,13 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 
 #include "http/message.h"
 #include "http/object_store.h"
 #include "net/link.h"
 #include "sim/simulator.h"
+#include "util/slab.h"
 #include "util/types.h"
 
 namespace mfhttp {
@@ -30,7 +31,10 @@ struct SimResponseMeta {
 
 // Outcome of a completed fetch.
 struct FetchResult {
-  std::string url;
+  // Canonical URL of the request. A view into the fetcher's storage, valid
+  // at least until on_complete returns (a MitmProxy's stays valid as long as
+  // its UrlTable); copy it to keep it longer.
+  std::string_view url;
   int status = 0;
   Bytes body_size = 0;      // bytes actually delivered
   TimeMs request_ms = 0;    // when the request was issued
@@ -87,7 +91,8 @@ class SimHttpOrigin : public HttpFetcher {
  private:
   // Everything a fetch carries from request to completion. The closures
   // handed to the simulator and the link capture only (this, id) and find
-  // their state here, so they fit std::function's small buffer.
+  // their state here, so they fit std::function's small buffer. Records
+  // live on a Slab, so their strings keep their capacity across fetches.
   struct Inflight {
     Simulator::EventId pending_event = Simulator::kInvalidEvent;
     Link::TransferId transfer = Link::kInvalidTransfer;
@@ -97,23 +102,26 @@ class SimHttpOrigin : public HttpFetcher {
     Bytes received = 0;
     Bytes total = 0;
     int status = 0;
+    // Completed: on_complete is running and the record goes after it.
+    bool done = false;
     FetchCallbacks callbacks;
+
+    void reset();
   };
-  using InflightMap = std::unordered_map<FetchId, Inflight>;
 
   // The request delay elapsed: answer from the store.
   void respond(FetchId id);
   // One link delivery of the response body.
   void on_chunk(FetchId id, Bytes chunk, bool complete);
-  // Erase the record and report the fetch to its client.
-  void finish(InflightMap::iterator it);
+  // Report the fetch to its client, then erase the record (which the
+  // result's url views until on_complete returns).
+  void finish(FetchId id, Inflight& fl);
 
   Simulator& sim_;
   const ObjectStore* store_;
   Link* link_;
   Params params_;
-  FetchId next_id_ = 1;
-  InflightMap inflight_;
+  Slab<Inflight> inflight_;
 };
 
 }  // namespace mfhttp

@@ -232,9 +232,10 @@ HttpFetcher::FetchId SocketTransport::SocketOrigin::fetch(
   meta.status = wire.response.status;
   meta.body_size = static_cast<Bytes>(wire.response.body.size());
   meta.content_type = std::string(
-      wire.response.headers.get_view("Content-Type").value_or(std::string_view{}));
+      wire.response.headers.get_view(HeaderId::kContentType).value_or(
+          std::string_view{}));
   meta.etag = std::string(
-      wire.response.headers.get_view("ETag").value_or(std::string_view{}));
+      wire.response.headers.get_view(HeaderId::kETag).value_or(std::string_view{}));
 
   fl.pending_event = sim_.schedule_after(
       params_.request_delay_ms,
@@ -328,13 +329,13 @@ SocketTransport::SocketTransport(Simulator& sim, const ObjectStore* store,
           404, "Not Found",
           std::string(static_cast<std::size_t>(error_body), 'x'), "text/plain");
     }
-    const auto inm = req.headers.get_view("If-None-Match");
+    const auto inm = req.headers.get_view(HeaderId::kIfNoneMatch);
     if (!obj->etag.empty() && inm && *inm == obj->etag) {
       HttpResponse resp;
       resp.status = 304;
       resp.reason = "Not Modified";
-      resp.headers.set("Content-Type", obj->content_type);
-      resp.headers.set("ETag", obj->etag);
+      resp.headers.set(HeaderId::kContentType, obj->content_type);
+      resp.headers.set(HeaderId::kETag, obj->etag);
       return resp;
     }
     std::string body =
@@ -342,7 +343,7 @@ SocketTransport::SocketTransport(Simulator& sim, const ObjectStore* store,
                   : std::string(static_cast<std::size_t>(obj->size), 'x');
     HttpResponse resp =
         HttpResponse::make(200, "OK", std::move(body), obj->content_type);
-    if (!obj->etag.empty()) resp.headers.set("ETag", obj->etag);
+    if (!obj->etag.empty()) resp.headers.set(HeaderId::kETag, obj->etag);
     return resp;
   };
 

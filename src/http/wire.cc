@@ -95,12 +95,12 @@ HttpResponse WireHttpServer::handle(const HttpRequest& request) const {
   // Conditional requests: a weak entity tag derived from (path, size). A
   // matching If-None-Match short-circuits to 304 Not Modified.
   const std::string etag = object_etag(path, obj->wire_size());
-  if (auto inm = request.headers.get_view("If-None-Match")) {
+  if (auto inm = request.headers.get_view(HeaderId::kIfNoneMatch)) {
     if (trim(*inm) == etag || trim(*inm) == "*") {
       HttpResponse resp;
       resp.status = 304;
       resp.reason = std::string(default_reason(304));
-      resp.headers.set("ETag", etag);
+      resp.headers.set(HeaderId::kETag, etag);
       return resp;
     }
   }
@@ -110,12 +110,12 @@ HttpResponse WireHttpServer::handle(const HttpRequest& request) const {
 
   // RFC 9110 byte serving: a valid single Range gets 206 Partial Content
   // with a Content-Range header; an unsatisfiable one gets 416.
-  if (auto range_header = request.headers.get_view("Range")) {
+  if (auto range_header = request.headers.get_view(HeaderId::kRange)) {
     auto body_size = static_cast<long long>(body.size());
     auto range = parse_byte_range(*range_header, body_size);
     if (!range) {
       HttpResponse resp = HttpResponse::make(416, "Range Not Satisfiable", "");
-      resp.headers.set("Content-Range", strformat("bytes */%lld", body_size));
+      resp.headers.set(HeaderId::kContentRange, strformat("bytes */%lld", body_size));
       return resp;
     }
     std::string slice = body.substr(
@@ -123,7 +123,7 @@ HttpResponse WireHttpServer::handle(const HttpRequest& request) const {
         static_cast<std::size_t>(range->last - range->first + 1));
     HttpResponse resp = HttpResponse::make(206, "Partial Content",
                                            std::move(slice), obj->content_type);
-    resp.headers.set("Content-Range",
+    resp.headers.set(HeaderId::kContentRange,
                      strformat("bytes %lld-%lld/%lld", range->first, range->last,
                                body_size));
     if (iequals(request.method, "HEAD")) resp.body.clear();
@@ -132,8 +132,8 @@ HttpResponse WireHttpServer::handle(const HttpRequest& request) const {
 
   HttpResponse resp = HttpResponse::make(200, "OK", std::move(body),
                                          obj->content_type);
-  resp.headers.set("Accept-Ranges", "bytes");
-  resp.headers.set("ETag", etag);
+  resp.headers.set(HeaderId::kAcceptRanges, "bytes");
+  resp.headers.set(HeaderId::kETag, etag);
   if (iequals(request.method, "HEAD")) resp.body.clear();  // length kept
   return resp;
 }

@@ -28,7 +28,7 @@ bool bodiless_status(int status) {
 }
 
 bool wants_close(const HttpRequest& request) {
-  auto connection = request.headers.get_view("Connection");
+  auto connection = request.headers.get_view(HeaderId::kConnection);
   return connection && iequals(trim(*connection), "close");
 }
 
@@ -107,7 +107,7 @@ void HttpServer::on_data(std::uint64_t ordinal) {
       ++stats_.shed;
       shed_counter().inc();
       HttpResponse response = HttpResponse::make(503, "", "overloaded");
-      response.headers.set("x-mfhttp-shed",
+      response.headers.set(HeaderId::kXMfhttpShed,
                            backpressured ? "backpressure" : "admission");
       if (!respond(conn, response, close_after)) return;
       continue;
@@ -132,7 +132,7 @@ void HttpServer::on_data(std::uint64_t ordinal) {
     HttpResponse response =
         violation ? HttpResponse::make(431, "", "header limits exceeded")
                   : HttpResponse::make(400, "", "malformed request");
-    response.headers.set("Connection", "close");
+    response.headers.set(HeaderId::kConnection, "close");
     respond(conn, response, /*close_after=*/true);
     return;
   }
@@ -160,8 +160,8 @@ bool HttpServer::respond(Conn& conn, const HttpResponse& response,
   // non-bodiless body needs an explicit zero or keep-alive clients would
   // read until close.
   if (out.body.empty() && !bodiless_status(out.status) &&
-      !out.headers.contains("Content-Length"))
-    out.headers.set("Content-Length", "0");
+      !out.headers.contains(HeaderId::kContentLength))
+    out.headers.set(HeaderId::kContentLength, "0");
   if (!conn.tcp->send(out.serialize())) {
     // Out-pipe hard bound: nothing more can queue. Abort — the peer gets a
     // reset, the taxonomy an errored request.

@@ -31,30 +31,33 @@ Link::~Link() {
 Link::TransferId Link::submit(Bytes size, ProgressFn on_progress, int priority) {
   MFHTTP_CHECK(size >= 0);
   MFHTTP_CHECK(on_progress != nullptr);
-  TransferId id = next_id_++;
+  const TransferId id = transfers_.insert();
   static obs::Counter& submitted = obs::metrics().counter("net.link.transfers_total");
   submitted.inc();
   active_transfers_gauge().add(1);
-  transfers_[id] =
-      Transfer{size, std::move(on_progress), next_order_++, priority, false};
+  Transfer& t = *transfers_.find(id);
+  t.remaining = size;
+  t.on_progress = std::move(on_progress);
+  t.order = next_order_++;
+  t.priority = priority;
   sim_.schedule_after(params_.latency_ms, [this, id] {
-    auto it = transfers_.find(id);
-    if (it == transfers_.end()) return;  // cancelled during latency
-    if (it->second.remaining == 0) {
-      ProgressFn cb = std::move(it->second.on_progress);
-      transfers_.erase(it);
+    Transfer* t = transfers_.find(id);
+    if (t == nullptr) return;  // cancelled during latency
+    if (t->remaining == 0) {
+      ProgressFn cb = std::move(t->on_progress);
+      transfers_.erase(id);
       note_transfer_completed();
       cb(0, true);
       return;
     }
-    it->second.started = true;
+    t->started = true;
     arm_tick();
   });
   return id;
 }
 
 bool Link::cancel(TransferId id) {
-  if (transfers_.erase(id) == 0) return false;
+  if (!transfers_.erase(id)) return false;
   static obs::Counter& cancelled =
       obs::metrics().counter("net.link.transfers_cancelled_total");
   cancelled.inc();
@@ -83,8 +86,9 @@ void Link::tick() {
 
   // Started transfers: priority first (kFifo serving order), then FIFO.
   active_.clear();
-  for (auto& [id, t] : transfers_)
+  transfers_.for_each([this](TransferId id, Transfer& t) {
     if (t.started) active_.push_back({id, &t});
+  });
   std::sort(active_.begin(), active_.end(), [](auto& a, auto& b) {
     if (a.second->priority != b.second->priority)
       return a.second->priority > b.second->priority;
@@ -163,11 +167,10 @@ void Link::tick() {
   // on it is a no-op reporting false). A transfer in neither place was
   // cancelled mid-dispatch and gets nothing more, even chunks it had earned.
   for (const Delivery& d : deliveries_) {
-    if (auto it = transfers_.find(d.id); it != transfers_.end()) {
-      ProgressFn fn = std::move(it->second.on_progress);
+    if (Transfer* t = transfers_.find(d.id)) {
+      ProgressFn fn = std::move(t->on_progress);
       fn(d.bytes, false);
-      if (auto back = transfers_.find(d.id); back != transfers_.end())
-        back->second.on_progress = std::move(fn);
+      if (Transfer* back = transfers_.find(d.id)) back->on_progress = std::move(fn);
       continue;
     }
     auto f = std::lower_bound(
@@ -178,8 +181,10 @@ void Link::tick() {
   }
   finished_.clear();
 
-  bool any_started = std::any_of(transfers_.begin(), transfers_.end(),
-                                 [](auto& kv) { return kv.second.started; });
+  bool any_started = false;
+  transfers_.for_each([&any_started](TransferId, const Transfer& t) {
+    any_started = any_started || t.started;
+  });
   if (any_started)
     arm_tick();
   else

@@ -17,11 +17,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "net/bandwidth_trace.h"
 #include "sim/simulator.h"
+#include "util/slab.h"
 #include "util/types.h"
 
 namespace mfhttp {
@@ -81,11 +81,13 @@ class Link {
 
  private:
   struct Transfer {
-    Bytes remaining;
+    Bytes remaining = 0;
     ProgressFn on_progress;
-    std::uint64_t order;  // FIFO position within a priority class
-    int priority = 0;     // higher is served first (kFifo)
-    bool started = false; // latency elapsed, eligible for bandwidth
+    std::uint64_t order = 0;  // FIFO position within a priority class
+    int priority = 0;         // higher is served first (kFifo)
+    bool started = false;     // latency elapsed, eligible for bandwidth
+
+    void reset() { *this = Transfer{}; }
   };
   // One chunk earned in a quantum; its callable is looked up at dispatch.
   struct Delivery {
@@ -106,9 +108,8 @@ class Link {
 
   Simulator& sim_;
   Params params_;
-  TransferId next_id_ = 1;
   std::uint64_t next_order_ = 1;
-  std::map<TransferId, Transfer> transfers_;
+  Slab<Transfer> transfers_;
   Simulator::EventId tick_event_ = Simulator::kInvalidEvent;
   // Fractional bytes carried between quanta so low rates are not rounded away.
   double carry_bytes_ = 0;

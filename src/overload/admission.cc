@@ -94,19 +94,29 @@ void AdmissionController::apply_budget(const AdmissionParams& sliced) {
   global_bucket_ = TokenBucket(sliced.global_rate_per_s, sliced.global_burst);
 }
 
-TokenBucket& AdmissionController::session_bucket(const std::string& session) {
+TokenBucket& AdmissionController::session_bucket(std::string_view session) {
   auto it = session_buckets_.find(session);
   if (it == session_buckets_.end()) {
     it = session_buckets_
-             .emplace(session,
+             .emplace(std::string(session),
                       TokenBucket(params_.session_rate_per_s, params_.session_burst))
              .first;
   }
   return it->second;
 }
 
-Decision AdmissionController::on_request(const std::string& session, int priority,
+void AdmissionController::prune_full_buckets(TimeMs now_ms) {
+  // full_at() reads without refilling: a refill split into two steps is not
+  // bitwise equal to one, so touching a bucket that stays could flip a later
+  // verdict. A dropped bucket comes back fresh, which is what it was.
+  for (auto it = session_buckets_.begin(); it != session_buckets_.end();)
+    it = it->second.full_at(now_ms) ? session_buckets_.erase(it) : std::next(it);
+}
+
+Decision AdmissionController::on_request(std::string_view session, int priority,
                                          TimeMs now_ms) {
+  if (++requests_ % kPruneEvery == 0) prune_full_buckets(now_ms);
+
   // Brownout shedding first: under pressure the cheapest thing to do with a
   // condemned request is to never touch a bucket or a queue on its behalf.
   // Level 1 sheds speculative work, level 2 also transient, level 3 also
@@ -152,25 +162,29 @@ Decision AdmissionController::on_request(const std::string& session, int priorit
   return {Verdict::kAdmit, ""};
 }
 
-bool AdmissionController::try_defer(const std::string& session) {
+bool AdmissionController::try_defer(std::string_view session) {
   if (params_.max_deferred_global > 0 && deferred_total_ >= params_.max_deferred_global) {
     return false;
   }
-  int& per_session = deferred_by_session_[session];
+  auto it = deferred_by_session_.find(session);
+  const int per_session = it == deferred_by_session_.end() ? 0 : it->second;
   if (params_.max_deferred_per_session > 0 &&
       per_session >= params_.max_deferred_per_session) {
     return false;
   }
-  ++per_session;
+  if (it == deferred_by_session_.end())
+    deferred_by_session_.emplace(std::string(session), 1);
+  else
+    ++it->second;
   ++deferred_total_;
   return true;
 }
 
-void AdmissionController::on_undefer(const std::string& session) {
+void AdmissionController::on_undefer(std::string_view session) {
   auto it = deferred_by_session_.find(session);
-  if (it == deferred_by_session_.end() || it->second <= 0) return;
-  --it->second;
+  if (it == deferred_by_session_.end()) return;
   --deferred_total_;
+  if (--it->second == 0) deferred_by_session_.erase(it);
 }
 
 bool AdmissionController::try_acquire_upstream() {

@@ -13,7 +13,10 @@
 //
 // Rate limiting combines a global token bucket with per-session buckets
 // (lazily created, same parameters, seed-derived jitterless refill) so a
-// single hot session cannot starve its neighbours. Shedding is ordered by
+// single hot session cannot starve its neighbours. Per-session state is
+// bounded by the live sessions: every kPruneEvery requests the buckets that
+// are full again are dropped (a full bucket answers exactly like a fresh
+// one), and a session's deferral count goes when it reaches zero. Shedding is ordered by
 // the request's InterceptDecision-style priority: speculative work dies
 // first, then transient, then viewport-critical; structural requests are
 // never shed — a page that loads nothing is worse than a slow page.
@@ -33,6 +36,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "overload/token_bucket.h"
 #include "util/rng.h"
@@ -133,15 +137,18 @@ class AdmissionController {
  public:
   explicit AdmissionController(AdmissionParams params = {});
 
+  // on_request calls between two sweeps for full per-session buckets.
+  static constexpr std::uint64_t kPruneEvery = 1024;
+
   // Front-door decision for a request from `session` at priority `priority`.
-  Decision on_request(const std::string& session, int priority, TimeMs now_ms);
+  Decision on_request(std::string_view session, int priority, TimeMs now_ms);
 
   // Deferred-queue accounting (MitmProxy defer path). try_defer returns
   // false when either the per-session or the global bound is full; the
   // proxy then rejects instead of parking. on_undefer is called when a
   // deferred request is released, failed, or aborted.
-  bool try_defer(const std::string& session);
-  void on_undefer(const std::string& session);
+  bool try_defer(std::string_view session);
+  void on_undefer(std::string_view session);
 
   // Upstream concurrency slots. try_acquire_upstream returns false when all
   // slots are busy (caller queues in its dispatch queue). has_dispatch_room
@@ -174,20 +181,25 @@ class AdmissionController {
   void apply_budget(const AdmissionParams& sliced);
 
   int inflight_upstream() const { return inflight_upstream_; }
-  // Per-session token buckets created so far (none while per-session
+  // Per-session token buckets currently held (none while per-session
   // limiting is disabled).
   std::size_t session_bucket_count() const { return session_buckets_.size(); }
+  // Sessions with at least one deferred request.
+  std::size_t deferred_session_count() const { return deferred_by_session_.size(); }
   int deferred_total() const { return deferred_total_; }
   const AdmissionParams& params() const { return params_; }
 
  private:
-  TokenBucket& session_bucket(const std::string& session);
+  TokenBucket& session_bucket(std::string_view session);
+  // Drop the per-session buckets that are full at `now_ms`.
+  void prune_full_buckets(TimeMs now_ms);
 
   AdmissionParams params_;
   Rng rng_;
   TokenBucket global_bucket_;
-  std::map<std::string, TokenBucket> session_buckets_;
-  std::map<std::string, int> deferred_by_session_;
+  std::map<std::string, TokenBucket, std::less<>> session_buckets_;
+  std::map<std::string, int, std::less<>> deferred_by_session_;
+  std::uint64_t requests_ = 0;
   int deferred_total_ = 0;
   int inflight_upstream_ = 0;
   BrownoutLevel brownout_ = BrownoutLevel::kNormal;

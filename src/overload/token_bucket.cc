@@ -26,6 +26,15 @@ bool TokenBucket::try_take(TimeMs now_ms, double cost) {
   return true;
 }
 
+bool TokenBucket::full_at(TimeMs now_ms) const {
+  if (!enabled()) return true;
+  // The same arithmetic refill() would do; min(burst_, x) >= burst_ iff
+  // x >= burst_.
+  if (now_ms <= last_ms_) return tokens_ >= burst_;
+  return tokens_ + rate_per_s_ * static_cast<double>(now_ms - last_ms_) / 1000.0 >=
+         burst_;
+}
+
 double TokenBucket::level(TimeMs now_ms) {
   if (!enabled()) return burst_;
   refill(now_ms);

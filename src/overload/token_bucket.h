@@ -27,6 +27,13 @@ class TokenBucket {
   // Refill to `now_ms` and report the current fill (== burst when disabled).
   double level(TimeMs now_ms);
 
+  // Whether level(now_ms) would report a full bucket, without refilling.
+  // A bucket full at now_ms behaves exactly like a fresh one from then on
+  // (both answer every later call from a full bucket), so the admission
+  // controller may drop it and recreate it lazily. Disabled buckets are
+  // always full.
+  bool full_at(TimeMs now_ms) const;
+
   double burst() const { return burst_; }
   double rate_per_s() const { return rate_per_s_; }
 

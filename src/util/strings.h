@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,6 +29,16 @@ bool iequals(std::string_view a, std::string_view b);
 // FNV-1a over the case-folded bytes: iequals(a, b) implies
 // ifold_hash(a) == ifold_hash(b). The header-name interner's probe key.
 std::uint64_t ifold_hash(std::string_view s);
+
+// Transparent hash for std::string-keyed unordered containers, so a
+// string_view looks a key up without building a std::string (pair it with
+// std::equal_to<>).
+struct StringHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view s) const {
+    return std::hash<std::string_view>{}(s);
+  }
+};
 
 // Lowercase ASCII copy.
 std::string to_lower(std::string_view s);

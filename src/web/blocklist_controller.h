@@ -27,6 +27,7 @@
 #include "core/scroll_tracker.h"
 #include "fault/degradation.h"
 #include "http/proxy.h"
+#include "util/strings.h"
 #include "web/page.h"
 
 namespace mfhttp {
@@ -114,7 +115,8 @@ class BlockListController : public Interceptor {
   std::vector<std::uint8_t> blocked_;  // 1 = parked, by canonical index
   std::size_t blocked_count_ = 0;
   std::vector<TimeMs> release_at_ms_;  // kNeverReleased until first release
-  std::unordered_map<std::string, std::size_t> url_to_image_;
+  std::unordered_map<std::string, std::size_t, StringHash, std::equal_to<>>
+      url_to_image_;
   std::size_t releases_ = 0;
   int brownout_level_ = 0;
   bool prefetch_enabled_ = false;

@@ -19,6 +19,12 @@
 namespace mfhttp {
 namespace {
 
+// The cache key of `url` in the key space of `owner` (a cache or ghost list).
+template <class Owner>
+UrlId key(Owner& owner, std::string_view url) {
+  return owner.urls().intern(url);
+}
+
 CachedObject cached(Bytes size, std::string etag = "", TimeMs ttl_ms = 0) {
   return CachedObject{size, 200, "image/jpeg", std::move(etag), ttl_ms};
 }
@@ -27,17 +33,17 @@ CachedObject cached(Bytes size, std::string etag = "", TimeMs ttl_ms = 0) {
 
 TEST(HttpCacheTest, TtlTakesPrecedenceOverEtag) {
   HttpCache cache(CacheParams{1'000'000});
-  cache.put("u", cached(1'000, "\"v1\"", 100), 0);
+  cache.put(key(cache, "u"), cached(1'000, "\"v1\"", 100), 0);
 
   // Within the TTL the entry is fresh: no revalidation wanted, etag or not.
-  auto hit = cache.lookup("u", 50);
+  auto hit = cache.lookup(key(cache, "u"), 50);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->freshness, HttpCache::Freshness::kFresh);
   EXPECT_FALSE(hit->revalidatable);
 
   // Freshness boundary is exclusive: fresh at 99, stale at exactly 100.
-  EXPECT_EQ(cache.lookup("u", 99)->freshness, HttpCache::Freshness::kFresh);
-  auto stale = cache.lookup("u", 100);
+  EXPECT_EQ(cache.lookup(key(cache, "u"), 99)->freshness, HttpCache::Freshness::kFresh);
+  auto stale = cache.lookup(key(cache, "u"), 100);
   ASSERT_TRUE(stale.has_value());
   EXPECT_EQ(stale->freshness, HttpCache::Freshness::kStale);
   // Past the TTL the etag makes the entry revalidatable instead of dead.
@@ -46,8 +52,8 @@ TEST(HttpCacheTest, TtlTakesPrecedenceOverEtag) {
 
 TEST(HttpCacheTest, StaleWithoutEtagIsNotRevalidatable) {
   HttpCache cache(CacheParams{1'000'000});
-  cache.put("u", cached(1'000, "", 100), 0);
-  auto stale = cache.lookup("u", 200);
+  cache.put(key(cache, "u"), cached(1'000, "", 100), 0);
+  auto stale = cache.lookup(key(cache, "u"), 200);
   ASSERT_TRUE(stale.has_value());
   EXPECT_EQ(stale->freshness, HttpCache::Freshness::kStale);
   EXPECT_FALSE(stale->revalidatable);
@@ -59,15 +65,15 @@ TEST(HttpCacheTest, ZeroTtlIsImmortalAndDefaultTtlApplies) {
   params.default_ttl_ms = 50;
   HttpCache cache(params);
   // Explicit TTL wins over the default; ttl 0 inherits the default.
-  cache.put("explicit", cached(100, "", 1'000), 0);
-  cache.put("defaulted", cached(100), 0);
-  EXPECT_TRUE(cache.has_fresh("explicit", 500));
-  EXPECT_FALSE(cache.has_fresh("defaulted", 500));
+  cache.put(key(cache, "explicit"), cached(100, "", 1'000), 0);
+  cache.put(key(cache, "defaulted"), cached(100), 0);
+  EXPECT_TRUE(cache.has_fresh(key(cache, "explicit"), 500));
+  EXPECT_FALSE(cache.has_fresh(key(cache, "defaulted"), 500));
 
   // With no default either, entries never go stale.
   HttpCache immortal(CacheParams{1'000'000});
-  immortal.put("u", cached(100), 0);
-  EXPECT_TRUE(immortal.has_fresh("u", 1'000'000'000));
+  immortal.put(key(immortal, "u"), cached(100), 0);
+  EXPECT_TRUE(immortal.has_fresh(key(immortal, "u"), 1'000'000'000));
 }
 
 // ---------- HttpCache: stale-while-revalidate window ----------
@@ -77,19 +83,19 @@ TEST(HttpCacheTest, SwrWindowBoundaries) {
   params.capacity_bytes = 1'000'000;
   params.stale_while_revalidate_ms = 50;
   HttpCache cache(params);
-  cache.put("u", cached(1'000, "\"v1\"", 100), 0);
+  cache.put(key(cache, "u"), cached(1'000, "\"v1\"", 100), 0);
 
   // Expired at 100; servable-while-revalidating until (exclusive) 150.
-  auto inside = cache.lookup("u", 100);
+  auto inside = cache.lookup(key(cache, "u"), 100);
   ASSERT_TRUE(inside.has_value());
   EXPECT_EQ(inside->freshness, HttpCache::Freshness::kStale);
   EXPECT_TRUE(inside->within_swr);
 
-  auto edge = cache.lookup("u", 149);
+  auto edge = cache.lookup(key(cache, "u"), 149);
   ASSERT_TRUE(edge.has_value());
   EXPECT_TRUE(edge->within_swr);
 
-  auto beyond = cache.lookup("u", 150);
+  auto beyond = cache.lookup(key(cache, "u"), 150);
   ASSERT_TRUE(beyond.has_value());
   EXPECT_FALSE(beyond->within_swr);
   EXPECT_TRUE(beyond->revalidatable);  // blocking conditional GET territory
@@ -104,8 +110,8 @@ TEST(HttpCacheTest, SwrWindowBoundaries) {
 
 TEST(HttpCacheTest, SwrDisabledMeansNoStaleServing) {
   HttpCache cache(CacheParams{1'000'000});  // swr 0
-  cache.put("u", cached(1'000, "\"v1\"", 100), 0);
-  auto stale = cache.lookup("u", 101);
+  cache.put(key(cache, "u"), cached(1'000, "\"v1\"", 100), 0);
+  auto stale = cache.lookup(key(cache, "u"), 101);
   ASSERT_TRUE(stale.has_value());
   EXPECT_FALSE(stale->within_swr);
 }
@@ -114,25 +120,25 @@ TEST(HttpCacheTest, SwrDisabledMeansNoStaleServing) {
 
 TEST(HttpCacheTest, RevalidatedRestartsTtlClock) {
   HttpCache cache(CacheParams{1'000'000});
-  cache.put("u", cached(1'000, "\"v1\"", 100), 0);
-  EXPECT_FALSE(cache.has_fresh("u", 150));
-  EXPECT_TRUE(cache.revalidated("u", 150));
-  EXPECT_TRUE(cache.has_fresh("u", 200));   // fresh until 250 now
-  EXPECT_FALSE(cache.has_fresh("u", 250));
+  cache.put(key(cache, "u"), cached(1'000, "\"v1\"", 100), 0);
+  EXPECT_FALSE(cache.has_fresh(key(cache, "u"), 150));
+  EXPECT_TRUE(cache.revalidated(key(cache, "u"), 150));
+  EXPECT_TRUE(cache.has_fresh(key(cache, "u"), 200));   // fresh until 250 now
+  EXPECT_FALSE(cache.has_fresh(key(cache, "u"), 250));
   EXPECT_EQ(cache.stats().revalidations, 1u);
-  EXPECT_FALSE(cache.revalidated("gone", 0));
+  EXPECT_FALSE(cache.revalidated(key(cache, "gone"), 0));
 }
 
 // ---------- HttpCache: eviction and cost-aware admission ----------
 
 TEST(HttpCacheTest, PlainLruEvictsLeastRecentlyUsed) {
   HttpCache cache(CacheParams{100});
-  cache.put("x", cached(60), 0);
-  cache.put("y", cached(40), 0);
-  ASSERT_TRUE(cache.lookup("x", 0).has_value());  // x is now most recent
-  EXPECT_TRUE(cache.put("z", cached(40), 0));
-  EXPECT_TRUE(cache.contains("x"));
-  EXPECT_FALSE(cache.contains("y"));
+  cache.put(key(cache, "x"), cached(60), 0);
+  cache.put(key(cache, "y"), cached(40), 0);
+  ASSERT_TRUE(cache.lookup(key(cache, "x"), 0).has_value());  // x is now most recent
+  EXPECT_TRUE(cache.put(key(cache, "z"), cached(40), 0));
+  EXPECT_TRUE(cache.contains(key(cache, "x")));
+  EXPECT_FALSE(cache.contains(key(cache, "y")));
   EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
@@ -141,25 +147,26 @@ TEST(HttpCacheTest, CostAwareAdmissionProtectsHotEntries) {
   params.capacity_bytes = 100'000;
   params.cost_aware_admission = true;
   HttpCache cache(params);
-  cache.put("hot_a", cached(50'000), 0);
-  cache.put("hot_b", cached(50'000), 0);
+  cache.put(key(cache, "hot_a"), cached(50'000), 0);
+  cache.put(key(cache, "hot_b"), cached(50'000), 0);
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(cache.lookup("hot_a", 0).has_value());
-    ASSERT_TRUE(cache.lookup("hot_b", 0).has_value());
+    ASSERT_TRUE(cache.lookup(key(cache, "hot_a"), 0).has_value());
+    ASSERT_TRUE(cache.lookup(key(cache, "hot_b"), 0).has_value());
   }
 
   // One cold giant whose hit-per-byte density loses to either victim: the
   // put is refused and the hot set survives.
-  EXPECT_FALSE(cache.put("cold_giant", cached(60'000), 0));
+  EXPECT_FALSE(cache.put(key(cache, "cold_giant"), cached(60'000), 0));
   EXPECT_EQ(cache.stats().admission_rejected, 1u);
-  EXPECT_TRUE(cache.contains("hot_a"));
-  EXPECT_TRUE(cache.contains("hot_b"));
+  EXPECT_TRUE(cache.contains(key(cache, "hot_a")));
+  EXPECT_TRUE(cache.contains(key(cache, "hot_b")));
 
   // Misses build ghost frequency; a genuinely demanded object earns its way
   // in even though it must evict the hot entries.
-  for (int i = 0; i < 5; ++i) EXPECT_FALSE(cache.lookup("cold_giant", 0).has_value());
-  EXPECT_TRUE(cache.put("cold_giant", cached(60'000), 0));
-  EXPECT_TRUE(cache.contains("cold_giant"));
+  for (int i = 0; i < 5; ++i)
+    EXPECT_FALSE(cache.lookup(key(cache, "cold_giant"), 0).has_value());
+  EXPECT_TRUE(cache.put(key(cache, "cold_giant"), cached(60'000), 0));
+  EXPECT_TRUE(cache.contains(key(cache, "cold_giant")));
   EXPECT_GE(cache.stats().evictions, 1u);
 }
 
@@ -167,11 +174,12 @@ TEST(HttpCacheTest, WithoutCostAwarenessColdGiantFlushesHotSet) {
   // Control arm for the test above: plain LRU admits the same cold giant
   // immediately.
   HttpCache cache(CacheParams{100'000});
-  cache.put("hot_a", cached(50'000), 0);
-  cache.put("hot_b", cached(50'000), 0);
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(cache.lookup("hot_a", 0).has_value());
-  EXPECT_TRUE(cache.put("cold_giant", cached(60'000), 0));
-  EXPECT_FALSE(cache.contains("hot_b"));
+  cache.put(key(cache, "hot_a"), cached(50'000), 0);
+  cache.put(key(cache, "hot_b"), cached(50'000), 0);
+  for (int i = 0; i < 3; ++i)
+    ASSERT_TRUE(cache.lookup(key(cache, "hot_a"), 0).has_value());
+  EXPECT_TRUE(cache.put(key(cache, "cold_giant"), cached(60'000), 0));
+  EXPECT_FALSE(cache.contains(key(cache, "hot_b")));
 }
 
 TEST(HttpCacheTest, MaxObjectFractionRejectsOversized) {
@@ -179,34 +187,34 @@ TEST(HttpCacheTest, MaxObjectFractionRejectsOversized) {
   params.capacity_bytes = 100'000;
   params.max_object_fraction = 0.25;
   HttpCache cache(params);
-  EXPECT_FALSE(cache.put("big", cached(25'001), 0));
-  EXPECT_TRUE(cache.put("ok", cached(25'000), 0));
+  EXPECT_FALSE(cache.put(key(cache, "big"), cached(25'001), 0));
+  EXPECT_TRUE(cache.put(key(cache, "ok"), cached(25'000), 0));
 }
 
 // ---------- HttpCache: prefetch usefulness / waste accounting ----------
 
 TEST(HttpCacheTest, PrefetchedEntryHitCountsUseful) {
   HttpCache cache(CacheParams{1'000'000});
-  cache.put("warm", cached(10'000), 0, /*prefetched=*/true);
+  cache.put(key(cache, "warm"), cached(10'000), 0, /*prefetched=*/true);
   EXPECT_EQ(cache.stats().prefetch_insertions, 1u);
   EXPECT_EQ(cache.prefetched_unused_bytes(), 10'000);
 
-  ASSERT_TRUE(cache.lookup("warm", 0).has_value());
+  ASSERT_TRUE(cache.lookup(key(cache, "warm"), 0).has_value());
   EXPECT_EQ(cache.stats().prefetch_useful, 1u);
   EXPECT_EQ(cache.prefetched_unused_bytes(), 0);
 
   // Once useful, later eviction does not count it as waste.
-  cache.erase("warm");
+  cache.erase(key(cache, "warm"));
   EXPECT_EQ(cache.stats().prefetch_wasted_bytes, 0);
 }
 
 TEST(HttpCacheTest, UnhitPrefetchCountsWastedOnEviction) {
   HttpCache cache(CacheParams{20'000});
-  cache.put("wrong_guess", cached(10'000), 0, /*prefetched=*/true);
+  cache.put(key(cache, "wrong_guess"), cached(10'000), 0, /*prefetched=*/true);
   // Demand traffic pushes the unhit speculation out.
-  cache.put("demand_a", cached(10'000), 0);
-  cache.put("demand_b", cached(10'000), 0);
-  EXPECT_FALSE(cache.contains("wrong_guess"));
+  cache.put(key(cache, "demand_a"), cached(10'000), 0);
+  cache.put(key(cache, "demand_b"), cached(10'000), 0);
+  EXPECT_FALSE(cache.contains(key(cache, "wrong_guess")));
   EXPECT_EQ(cache.stats().prefetch_wasted_bytes, 10'000);
   EXPECT_EQ(cache.stats().prefetch_useful, 0u);
 }
@@ -348,7 +356,9 @@ TEST_F(CacheProxyFixture, ChangedContentRevalidatesWithFullBody) {
 
   EXPECT_EQ(fetch_and_wait("http://site.example/img/a.jpg").status, 200);
   const std::string old_etag =
-      pipeline->cache()->peek("http://site.example/img/a.jpg")->etag;
+      pipeline->cache()
+          ->peek(key(*pipeline->cache(), "http://site.example/img/a.jpg"))
+          ->etag;
   const Bytes server_bytes = server_link->bytes_delivered_total();
 
   // Content changes upstream: the conditional GET misses and a 200 body
@@ -367,7 +377,8 @@ TEST_F(CacheProxyFixture, ChangedContentRevalidatesWithFullBody) {
   EXPECT_EQ(out->body_size, 50'000);
   EXPECT_EQ(proxy.stats().revalidations, 0u);  // body refresh, not a 304
   EXPECT_EQ(server_link->bytes_delivered_total(), server_bytes + 50'000);
-  const auto refreshed = pipeline->cache()->peek("http://site.example/img/a.jpg");
+  const auto refreshed =
+      pipeline->cache()->peek(key(*pipeline->cache(), "http://site.example/img/a.jpg"));
   ASSERT_TRUE(refreshed.has_value());
   EXPECT_NE(refreshed->etag, old_etag);
 }

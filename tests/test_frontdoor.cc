@@ -32,6 +32,12 @@
 namespace mfhttp {
 namespace {
 
+// The cache key of `url` in the key space of `owner` (a cache or ghost list).
+template <class Owner>
+UrlId key(Owner& owner, std::string_view url) {
+  return owner.urls().intern(url);
+}
+
 // ---------- MpscQueue ----------
 
 TEST(MpscQueue, SingleProducerFifo) {
@@ -362,16 +368,16 @@ TEST(ShardCacheSegments, IsolatedResidencySharedGhostHistory) {
   // Residency is strictly per segment: B never sees A's insertions.
   CachedObject obj;
   obj.size = 1024;
-  ASSERT_TRUE(segment_a.put("http://o/x", obj, 0));
-  EXPECT_TRUE(segment_a.contains("http://o/x"));
-  EXPECT_FALSE(segment_b.contains("http://o/x"));
+  ASSERT_TRUE(segment_a.put(key(segment_a, "http://o/x"), obj, 0));
+  EXPECT_TRUE(segment_a.contains(key(segment_a, "http://o/x")));
+  EXPECT_FALSE(segment_b.contains(key(segment_b, "http://o/x")));
 
   // Misses on either segment feed the SAME ghost list: popularity earned on
   // shard A is visible to shard B's admission fight.
-  for (int i = 0; i < 5; ++i) segment_a.lookup("http://o/hot", 0);
-  EXPECT_GT(ghosts->frequency("http://o/hot"), 0.0);
-  EXPECT_DOUBLE_EQ(ghosts->frequency("http://o/hot"),
-                   segment_b.ghosts()->frequency("http://o/hot"));
+  for (int i = 0; i < 5; ++i) segment_a.lookup(key(segment_a, "http://o/hot"), 0);
+  EXPECT_GT(ghosts->frequency(key(*ghosts, "http://o/hot")), 0.0);
+  EXPECT_DOUBLE_EQ(ghosts->frequency(key(*ghosts, "http://o/hot")),
+                   segment_b.ghosts()->frequency(key(segment_b, "http://o/hot")));
 }
 
 // ---------- The sharded front door ----------

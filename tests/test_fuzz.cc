@@ -5,6 +5,7 @@
 // a real aio socket pair into the loopback HTTP server (ISSUE 8).
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
 
 #include "http/message.h"
@@ -34,6 +35,26 @@ std::string random_token(Rng& rng, std::size_t max_len) {
   return out;
 }
 
+// Well-known names that do not frame the message, so any of them may ride
+// any request.
+constexpr HeaderId kFreeHeaders[] = {
+    HeaderId::kAccept,         HeaderId::kAcceptEncoding, HeaderId::kCacheControl,
+    HeaderId::kIfNoneMatch,    HeaderId::kRange,          HeaderId::kReferer,
+    HeaderId::kUserAgent,      HeaderId::kXMfhttpPriority,
+    HeaderId::kXMfhttpSession,
+};
+
+// `name` with each letter's case drawn at random.
+std::string random_case(Rng& rng, std::string_view name) {
+  std::string out(name);
+  for (char& c : out) {
+    if (!rng.chance(0.5)) continue;
+    if (c >= 'a' && c <= 'z') c = static_cast<char>(c - 'a' + 'A');
+    else if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+  }
+  return out;
+}
+
 HttpRequest random_request(Rng& rng) {
   HttpRequest req;
   req.method = rng.chance(0.8) ? "GET" : "POST";
@@ -42,6 +63,12 @@ HttpRequest random_request(Rng& rng) {
   int extra = static_cast<int>(rng.uniform_int(0, 5));
   for (int i = 0; i < extra; ++i)
     req.headers.add("X-" + random_token(rng, 8), random_token(rng, 24));
+  int known = static_cast<int>(rng.uniform_int(0, 3));
+  for (int i = 0; i < known; ++i) {
+    const HeaderId id = kFreeHeaders[rng.uniform_int(
+        0, static_cast<std::int64_t>(std::size(kFreeHeaders)) - 1)];
+    req.headers.add(random_case(rng, header_name(id)), random_token(rng, 24));
+  }
   if (req.method == "POST") {
     std::size_t body_len = static_cast<std::size_t>(rng.uniform_int(0, 2000));
     req.body.assign(body_len, 'b');
@@ -94,6 +121,18 @@ TEST_P(ParserFuzz, RequestsRoundTripAtRandomSplits) {
       EXPECT_EQ(got.target, expected.target);
       EXPECT_EQ(got.body, expected.body);
       EXPECT_EQ(got.headers.get_view("Host"), expected.headers.get_view("Host"));
+      // Mixed-case well-known names: found by id and by any spelling, with
+      // the sender's spelling kept (serialize() may append a Content-Length).
+      ASSERT_GE(got.headers.size(), expected.headers.size());
+      for (std::size_t h = 0; h < expected.headers.size(); ++h) {
+        EXPECT_EQ(got.headers.entry(h).name(), expected.headers.entry(h).name());
+        EXPECT_EQ(got.headers.entry(h).id(), expected.headers.entry(h).id());
+      }
+      for (HeaderId id : kFreeHeaders) {
+        EXPECT_EQ(got.headers.get_view(id), expected.headers.get_view(id));
+        EXPECT_EQ(got.headers.get_view(id),
+                  got.headers.get_view(random_case(rng, header_name(id))));
+      }
       expect_canonical_matches_reference(got);
     }
   }

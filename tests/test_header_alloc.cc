@@ -17,6 +17,7 @@
 
 #include "http/header_map.h"
 #include "http/header_names.h"
+#include "http/parser.h"
 
 namespace {
 
@@ -179,6 +180,76 @@ TEST(HeaderNames, UnknownNamesAreNotInterned) {
   EXPECT_TRUE(intern_header_name("").empty());
   EXPECT_FALSE(is_well_known_header("x-definitely-not-known"));
   EXPECT_TRUE(is_well_known_header("etag"));
+}
+
+// `name` with its letters' case alternating, starting upper (`upper_first`)
+// or lower: a spelling no code path writes.
+std::string mixed_case(std::string_view name, bool upper_first) {
+  std::string out(name);
+  bool upper = upper_first;
+  for (char& c : out) {
+    if (c >= 'a' && c <= 'z' && upper) c = static_cast<char>(c - 'a' + 'A');
+    if (c >= 'A' && c <= 'Z' && !upper) c = static_cast<char>(c - 'A' + 'a');
+    if ((c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')) upper = !upper;
+  }
+  return out;
+}
+
+// Lookup by compile-time id and lookup by (differently cased) text agree on
+// every vocabulary name of a map parsed from foreign wire bytes.
+TEST(HeaderNames, IdLookupMatchesMixedCaseTextOnParsedWire) {
+  std::string wire = "GET /x HTTP/1.1\r\n";
+  for (std::size_t i = 0; i < kWellKnownHeaderCount; ++i) {
+    const auto id = static_cast<HeaderId>(i);
+    std::string value = "v" + std::to_string(i);
+    if (id == HeaderId::kContentLength) value = "0";  // framing must stay valid
+    if (id == HeaderId::kTransferEncoding) value = "identity";
+    wire += mixed_case(header_name(id), true) + ": " + value + "\r\n";
+  }
+  wire += "X-Novel-Name: novel\r\n\r\n";
+  HttpParser parser(HttpParser::Mode::kRequest);
+  ASSERT_TRUE(parser.feed(wire)) << parser.error();
+  ASSERT_EQ(parser.message_count(), 1u);
+  const HttpRequest req = parser.take_request();
+  ASSERT_EQ(req.headers.size(), kWellKnownHeaderCount + 1);
+
+  for (std::size_t i = 0; i < kWellKnownHeaderCount; ++i) {
+    const auto id = static_cast<HeaderId>(i);
+    const std::string_view name = header_name(id);
+    const auto by_id = req.headers.get_view(id);
+    ASSERT_TRUE(by_id.has_value()) << name;
+    EXPECT_EQ(by_id, req.headers.get_view(mixed_case(name, false))) << name;
+    EXPECT_EQ(by_id, req.headers.get_view(name)) << name;
+    EXPECT_TRUE(req.headers.contains(id)) << name;
+    // The entry keeps the wire's spelling and carries the interned id.
+    const HeaderMap::Entry& e = req.headers.entry(i);
+    EXPECT_EQ(e.name(), mixed_case(name, true));
+    EXPECT_EQ(e.id(), id);
+  }
+  EXPECT_EQ(req.headers.get_view("x-novel-name").value_or(""), "novel");
+  EXPECT_EQ(req.headers.entry(kWellKnownHeaderCount).id(), HeaderId::kUnknown);
+
+  // The same bytes come back out, and parse to the same map.
+  HttpParser again(HttpParser::Mode::kRequest);
+  ASSERT_TRUE(again.feed(req.serialize())) << again.error();
+  ASSERT_EQ(again.message_count(), 1u);
+  EXPECT_EQ(again.take_request().headers, req.headers);
+}
+
+TEST(HeaderNames, IdFormsAddSetAndRemoveByIdOnly) {
+  HeaderMap h;
+  h.add("ETAG", "\"a\"");         // foreign spelling, interned on add
+  h.add(HeaderId::kETag, "\"b\"");  // canonical spelling, no interning
+  h.add("x-etag", "other");
+  EXPECT_EQ(h.get_all("etag").size(), 2u);
+  EXPECT_EQ(h.get_view(HeaderId::kETag).value_or(""), "\"a\"");
+  h.set(HeaderId::kETag, "\"c\"");
+  EXPECT_EQ(h.size(), 2u);
+  EXPECT_EQ(h.get_view("Etag").value_or(""), "\"c\"");
+  EXPECT_EQ(h.entry(1).name(), "ETag");
+  EXPECT_EQ(h.remove(HeaderId::kETag), 1u);
+  EXPECT_EQ(h.remove(HeaderId::kETag), 0u);
+  EXPECT_EQ(h.get_view("X-ETag").value_or(""), "other");
 }
 
 TEST(HeaderNames, InternerLookupIsAllocFree) {

@@ -4,6 +4,8 @@
 // (determinism, zero stranded requests, protection beating no protection).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -117,6 +119,105 @@ TEST(Admission, EnabledSessionLimitStillLimitsEverySession) {
     ASSERT_STREQ(again.reason, "session_rate");
   }
   EXPECT_EQ(admission.session_bucket_count(), 10'000u);
+}
+
+// What the controller answered before it learned to forget: every session it
+// was ever given keeps its bucket and its deferral count for good. Viewport
+// priority only, so neither the brownout ladder nor the guard jitter runs.
+class RememberEverySession {
+ public:
+  explicit RememberEverySession(const AdmissionParams& p)
+      : params_(p), global_(p.global_rate_per_s, p.global_burst) {}
+
+  Verdict on_request(const std::string& session, TimeMs now) {
+    auto it = buckets_.try_emplace(session, params_.session_rate_per_s,
+                                   params_.session_burst)
+                  .first;
+    if (!it->second.try_take(now)) return Verdict::kReject;
+    return global_.try_take(now) ? Verdict::kAdmit : Verdict::kReject;
+  }
+  bool try_defer(const std::string& session) {
+    if (total_ >= params_.max_deferred_global) return false;
+    int& n = deferred_[session];
+    if (n >= params_.max_deferred_per_session) return false;
+    ++n;
+    ++total_;
+    return true;
+  }
+  void on_undefer(const std::string& session) {
+    --deferred_[session];
+    --total_;
+  }
+  std::size_t sessions() const { return buckets_.size(); }
+
+ private:
+  AdmissionParams params_;
+  TokenBucket global_;
+  std::map<std::string, TokenBucket> buckets_;
+  std::map<std::string, int> deferred_;
+  int total_ = 0;
+};
+
+TEST(Admission, SessionStateIsBoundedByLiveSessions) {
+  AdmissionParams p;
+  p.global_rate_per_s = 2'500;  // below the offered ~3,000/s: some global rejects
+  p.global_burst = 100;
+  p.session_rate_per_s = 2;  // a visit's third request finds its bucket empty
+  p.session_burst = 2;
+  p.max_deferred_per_session = 1;
+  p.max_deferred_global = 64;
+  AdmissionController admission(p);
+  RememberEverySession reference(p);
+
+  // Visit v arrives at v ms and sends three requests, one per ms; the first
+  // parks one deferred request, which the third releases. Visits churn
+  // through 100k distinct sessions, except that every tenth comes back 300
+  // visits later (its bucket still refilling: state that must survive) and
+  // every tenth-plus-five 5,000 visits later (long full again: state that
+  // may go).
+  constexpr int kVisits = 110'000;
+  std::vector<std::string> session(kVisits);
+  int distinct = 0;
+  for (int v = 0; v < kVisits; ++v) {
+    if (v % 10 == 0 && v >= 300)
+      session[v] = session[v - 300];
+    else if (v % 10 == 5 && v >= 5'000)
+      session[v] = session[v - 5'000];
+    else
+      session[v] = "s" + std::to_string(distinct++);
+  }
+  ASSERT_GE(distinct, 80'000);
+  std::vector<bool> deferred(kVisits, false);
+  std::size_t max_buckets = 0, max_deferring = 0, rejects = 0, checked = 0;
+  for (int t = 0; t < kVisits + 2; ++t) {
+    for (int step = 0; step < 3; ++step) {
+      const int v = t - step;
+      if (v < 0 || v >= kVisits) continue;
+      const Verdict got =
+          admission.on_request(session[v], kPriorityViewport, t).verdict;
+      ASSERT_EQ(got, reference.on_request(session[v], t)) << "visit " << v;
+      rejects += got == Verdict::kReject;
+      ++checked;
+      if (step == 0) {
+        deferred[v] = admission.try_defer(session[v]);
+        ASSERT_EQ(deferred[v], reference.try_defer(session[v])) << "visit " << v;
+      } else if (step == 2 && deferred[v]) {
+        admission.on_undefer(session[v]);
+        reference.on_undefer(session[v]);
+      }
+    }
+    max_buckets = std::max(max_buckets, admission.session_bucket_count());
+    max_deferring = std::max(max_deferring, admission.deferred_session_count());
+  }
+  EXPECT_EQ(checked, 3u * kVisits);
+  EXPECT_GT(rejects, static_cast<std::size_t>(kVisits));  // every third, and more
+  EXPECT_EQ(reference.sessions(), static_cast<std::size_t>(distinct));
+  // Live sessions: the ~1,000 visits of the last second still refilling,
+  // plus what one prune interval admits.
+  EXPECT_LE(max_buckets, 1'000 + 2 * AdmissionController::kPruneEvery);
+  EXPECT_LE(max_deferring, 3u);
+  EXPECT_EQ(admission.deferred_session_count(), 0u);
+  EXPECT_EQ(admission.deferred_total(), 0);
 }
 
 // Same seed + same request trace => identical admit trace. The guard jitter

@@ -23,6 +23,12 @@
 namespace mfhttp {
 namespace {
 
+// The cache key of `url` in the key space of `owner` (a cache or ghost list).
+template <class Owner>
+UrlId key(Owner& owner, std::string_view url) {
+  return owner.urls().intern(url);
+}
+
 using prefetch::CacheConfig;
 using prefetch::PrefetchBudget;
 using prefetch::Prefetcher;
@@ -156,8 +162,8 @@ TEST_F(PrefetcherFixture, PlanWarmsCacheAndHitCountsUseful) {
   EXPECT_EQ(prefetcher->stats().launched, 2u);
   EXPECT_EQ(prefetcher->stats().denied, 0u);
   HttpCache& cache = *pipeline->cache();
-  EXPECT_TRUE(cache.contains("http://site.example/img/a.jpg"));
-  EXPECT_TRUE(cache.contains("http://site.example/img/b.jpg"));
+  EXPECT_TRUE(cache.contains(key(cache, "http://site.example/img/a.jpg")));
+  EXPECT_TRUE(cache.contains(key(cache, "http://site.example/img/b.jpg")));
   EXPECT_EQ(cache.stats().prefetch_insertions, 2u);
   EXPECT_EQ(pipeline->proxy().stats().prefetches, 2u);
 
@@ -196,9 +202,9 @@ TEST_F(PrefetcherFixture, NewPlanCancelsPendingAndInflightItems) {
 
   sim.run();
   HttpCache& cache = *pipeline->cache();
-  EXPECT_TRUE(cache.contains("http://site.example/img/c.jpg"));
-  EXPECT_FALSE(cache.contains("http://site.example/img/big.jpg"));
-  EXPECT_FALSE(cache.contains("http://site.example/img/b.jpg"));
+  EXPECT_TRUE(cache.contains(key(cache, "http://site.example/img/c.jpg")));
+  EXPECT_FALSE(cache.contains(key(cache, "http://site.example/img/big.jpg")));
+  EXPECT_FALSE(cache.contains(key(cache, "http://site.example/img/b.jpg")));
 }
 
 TEST_F(PrefetcherFixture, ResubmittedUrlKeepsItsSchedule) {
@@ -257,7 +263,8 @@ TEST_F(PrefetcherFixture, DeniedLaunchCountsAtThePrefetcher) {
   sim.run();
   EXPECT_EQ(prefetcher->stats().launched, 0u);
   EXPECT_EQ(prefetcher->stats().denied, 1u);
-  EXPECT_FALSE(pipeline->cache()->contains("http://site.example/img/a.jpg"));
+  EXPECT_FALSE(pipeline->cache()->contains(
+      key(*pipeline->cache(), "http://site.example/img/a.jpg")));
 }
 
 TEST_F(PrefetcherFixture, PrefetchSkipsFreshAndInflightUrls) {

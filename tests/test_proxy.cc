@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "fault/fault_plan.h"
 #include "fault/faulty_fetcher.h"
@@ -230,6 +232,53 @@ TEST_F(ProxyFixture, MultipleDeferredSameUrlAllReleased) {
   EXPECT_EQ(proxy->release("http://s.example/img/b.jpg"), 3u);
   sim.run();
   EXPECT_EQ(completions, 3);
+}
+
+TEST_F(ProxyFixture, ReleaseStartsDeferredFetchesInArrivalOrder) {
+  // On a FIFO client link the fetches complete in the order release started
+  // them: each URL's deferred fetches in arrival order, other URLs untouched.
+  Link::Params fifo;
+  fifo.bandwidth = BandwidthTrace::constant(100'000);
+  fifo.sharing = Link::Sharing::kFifo;
+  Link fifo_link(sim, fifo);
+  MitmProxy fifo_proxy(sim, &*origin, &fifo_link);
+  ScriptedInterceptor deferrer(InterceptDecision::defer());
+  fifo_proxy.set_interceptor(&deferrer);
+
+  // Park and abort three fetches first, so the records below reuse freed
+  // slots out of arrival order.
+  const std::string low = "http://s.example/img/a_low.jpg";
+  for (int i = 0; i < 3; ++i) {
+    FetchCallbacks cbs;
+    cbs.on_complete = [](const FetchResult&) {};
+    fifo_proxy.fetch(HttpRequest::get(low), std::move(cbs));
+  }
+  EXPECT_EQ(fifo_proxy.abort_deferred(low), 3u);
+  sim.run();
+
+  const std::string a = "http://s.example/img/a.jpg";
+  const std::string b = "http://s.example/img/b.jpg";
+  const std::vector<std::string> arrivals = {b, b, a, a, b};
+  std::vector<int> completed;
+  for (int i = 0; i < static_cast<int>(arrivals.size()); ++i) {
+    FetchCallbacks cbs;
+    cbs.on_complete = [&completed, i](const FetchResult&) { completed.push_back(i); };
+    fifo_proxy.fetch(HttpRequest::get(arrivals[i]), std::move(cbs));
+  }
+  sim.run_until(sim.now() + 50);
+  EXPECT_EQ(fifo_proxy.deferred_urls(), arrivals);
+  EXPECT_EQ(fifo_proxy.deferred_depth(), 5u);
+
+  EXPECT_EQ(fifo_proxy.release(b), 3u);
+  EXPECT_EQ(fifo_proxy.deferred_urls(), (std::vector<std::string>{a, a}));
+  sim.run();
+  EXPECT_EQ(completed, (std::vector<int>{0, 1, 4}));
+
+  EXPECT_EQ(fifo_proxy.release(b), 0u);
+  EXPECT_EQ(fifo_proxy.release(a), 2u);
+  sim.run();
+  EXPECT_EQ(completed, (std::vector<int>{0, 1, 4, 2, 3}));
+  EXPECT_EQ(fifo_proxy.deferred_depth(), 0u);
 }
 
 TEST_F(ProxyFixture, ReleasePriorityReordersFifoLink) {

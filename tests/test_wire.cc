@@ -13,6 +13,12 @@
 namespace mfhttp {
 namespace {
 
+// The cache key of `url` in the key space of `owner` (a cache or ghost list).
+template <class Owner>
+UrlId key(Owner& owner, std::string_view url) {
+  return owner.urls().intern(url);
+}
+
 Link::Params fifo_link(BytesPerSec rate, TimeMs latency = 2) {
   Link::Params p;
   p.bandwidth = BandwidthTrace::constant(rate);
@@ -468,51 +474,51 @@ TEST_F(WireProxyFixture, ReleaseWrongUrlFails) {
 
 TEST(LruCache, PutGetRoundTrip) {
   LruCache cache(1000);
-  EXPECT_TRUE(cache.put("u1", {400, 200, "image/jpeg"}, 0));
-  auto hit = cache.lookup("u1", 0);
+  EXPECT_TRUE(cache.put(key(cache, "u1"), {400, 200, "image/jpeg"}, 0));
+  auto hit = cache.lookup(key(cache, "u1"), 0);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->freshness, HttpCache::Freshness::kFresh);
   EXPECT_EQ(hit->object.size, 400);
   EXPECT_EQ(hit->object.content_type, "image/jpeg");
   EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_FALSE(cache.lookup("u2", 0).has_value());
+  EXPECT_FALSE(cache.lookup(key(cache, "u2"), 0).has_value());
   EXPECT_EQ(cache.stats().misses, 1u);
 }
 
 TEST(LruCache, EvictsLeastRecentlyUsed) {
   LruCache cache(1000);
-  cache.put("a", {400, 200, ""}, 0);
-  cache.put("b", {400, 200, ""}, 0);
-  cache.lookup("a", 0);            // a is now most recent
-  cache.put("c", {400, 200, ""}, 0);  // must evict b
-  EXPECT_TRUE(cache.contains("a"));
-  EXPECT_FALSE(cache.contains("b"));
-  EXPECT_TRUE(cache.contains("c"));
+  cache.put(key(cache, "a"), {400, 200, ""}, 0);
+  cache.put(key(cache, "b"), {400, 200, ""}, 0);
+  cache.lookup(key(cache, "a"), 0);            // a is now most recent
+  cache.put(key(cache, "c"), {400, 200, ""}, 0);  // must evict b
+  EXPECT_TRUE(cache.contains(key(cache, "a")));
+  EXPECT_FALSE(cache.contains(key(cache, "b")));
+  EXPECT_TRUE(cache.contains(key(cache, "c")));
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_LE(cache.bytes_used(), 1000);
 }
 
 TEST(LruCache, RejectsOversizedObject) {
   LruCache cache(100);
-  EXPECT_FALSE(cache.put("huge", {101, 200, ""}, 0));
+  EXPECT_FALSE(cache.put(key(cache, "huge"), {101, 200, ""}, 0));
   EXPECT_EQ(cache.entry_count(), 0u);
-  EXPECT_TRUE(cache.put("fits", {100, 200, ""}, 0));
+  EXPECT_TRUE(cache.put(key(cache, "fits"), {100, 200, ""}, 0));
 }
 
 TEST(LruCache, OverwriteReplacesSize) {
   LruCache cache(1000);
-  cache.put("a", {600, 200, ""}, 0);
-  cache.put("a", {200, 200, ""}, 0);
+  cache.put(key(cache, "a"), {600, 200, ""}, 0);
+  cache.put(key(cache, "a"), {200, 200, ""}, 0);
   EXPECT_EQ(cache.bytes_used(), 200);
   EXPECT_EQ(cache.entry_count(), 1u);
 }
 
 TEST(LruCache, EraseAndClear) {
   LruCache cache(1000);
-  cache.put("a", {100, 200, ""}, 0);
-  cache.put("b", {100, 200, ""}, 0);
-  EXPECT_TRUE(cache.erase("a"));
-  EXPECT_FALSE(cache.erase("a"));
+  cache.put(key(cache, "a"), {100, 200, ""}, 0);
+  cache.put(key(cache, "b"), {100, 200, ""}, 0);
+  EXPECT_TRUE(cache.erase(key(cache, "a")));
+  EXPECT_FALSE(cache.erase(key(cache, "a")));
   EXPECT_EQ(cache.bytes_used(), 100);
   cache.clear();
   EXPECT_EQ(cache.entry_count(), 0u);
@@ -523,7 +529,8 @@ TEST(LruCache, ManyInsertsRespectCapacity) {
   LruCache cache(10'000);
   Rng rng(5);
   for (int i = 0; i < 500; ++i) {
-    cache.put("u" + std::to_string(i), {rng.uniform_int(100, 3000), 200, ""}, 0);
+    cache.put(key(cache, "u" + std::to_string(i)), {rng.uniform_int(100, 3000), 200, ""},
+              0);
     EXPECT_LE(cache.bytes_used(), 10'000);
   }
 }
@@ -552,7 +559,7 @@ TEST(ProxyCache, SecondFetchSkipsUpstream) {
   proxy.fetch(HttpRequest::get("http://o.example/x.jpg"), std::move(c1));
   sim.run();
   ASSERT_GT(first, 0);
-  EXPECT_TRUE(cache.contains("http://o.example/x.jpg"));
+  EXPECT_TRUE(cache.contains(key(cache, "http://o.example/x.jpg")));
 
   Bytes upstream_after_first = server_link.bytes_delivered_total();
   TimeMs t0 = sim.now();
@@ -584,7 +591,7 @@ TEST(ProxyCache, BlockedAndErrorResponsesNotCached) {
   cbs.on_complete = [](const FetchResult&) {};
   proxy.fetch(HttpRequest::get("http://o.example/missing"), std::move(cbs));
   sim.run();
-  EXPECT_FALSE(cache.contains("http://o.example/missing"));
+  EXPECT_FALSE(cache.contains(key(cache, "http://o.example/missing")));
 }
 
 }  // namespace
