@@ -1,6 +1,5 @@
 #include "core/middleware.h"
 
-#include <algorithm>
 #include <chrono>
 
 #include "obs/metrics.h"
@@ -23,51 +22,14 @@ Middleware::Middleware(Params params, std::vector<MediaObject> objects,
       sim_(sim),
       gesture_uplink_ms_(params.gesture_uplink_ms),
       enable_flywheel_(params.enable_flywheel),
-      unscaled_viewport_(params.initial_viewport),
       viewport_(params.initial_viewport, params.tracker.content_bounds) {
   object_index_.rebuild(objects_);
-}
-
-void Middleware::set_objects(std::vector<MediaObject> objects,
-                             Rect initial_viewport) {
-  objects_ = std::move(objects);
-  object_index_.rebuild(objects_);
-  unscaled_viewport_ = initial_viewport;
-  viewport_scale_ = 1.0;
-  viewport_ = ViewportState(initial_viewport, tracker_.params().content_bounds);
-  last_analysis_.reset();
-  last_policy_.reset();
 }
 
 void Middleware::append_objects(std::vector<MediaObject> objects) {
   objects_.reserve(objects_.size() + objects.size());
   for (MediaObject& o : objects) objects_.push_back(std::move(o));
   object_index_.rebuild(objects_);
-}
-
-void Middleware::set_viewport_scale(double scale, TimeMs at_time_ms) {
-  MFHTTP_CHECK_MSG(scale > 0, "viewport scale must be positive");
-  Rect current = viewport_.interrupt(at_time_ms);
-  viewport_scale_ = scale;
-  Rect scaled{0, 0, unscaled_viewport_.w / scale, unscaled_viewport_.h / scale};
-  scaled.x = current.center().x - scaled.w / 2;
-  scaled.y = current.center().y - scaled.h / 2;
-  ViewportState next(scaled, tracker_.params().content_bounds);
-  // Re-clamp inside the content by panning nowhere.
-  Gesture noop;
-  next.apply_contact_pan(noop);
-  viewport_ = next;
-}
-
-void Middleware::on_pinch(const PinchGesture& pinch, double min_scale,
-                          double max_scale) {
-  MFHTTP_CHECK(min_scale > 0 && max_scale >= min_scale);
-  static obs::Counter& pinches_total =
-      obs::metrics().counter("core.middleware.pinches_total");
-  pinches_total.inc();
-  double next = std::clamp(viewport_scale_ * pinch.scale_factor(), min_scale,
-                           max_scale);
-  set_viewport_scale(next, pinch.end_time_ms);
 }
 
 void Middleware::on_gesture(const Gesture& gesture) {
@@ -125,21 +87,13 @@ void Middleware::process_gesture(const Gesture& gesture) {
     }
   }
 
-  // A new touch aborts any unfinished scroll simulation (§4.2). Finger-space
-  // quantities convert to content space through the viewport scale.
-  Gesture content_gesture = gesture;
-  if (viewport_scale_ != 1.0) {
-    content_gesture.up_pos =
-        gesture.down_pos + gesture.finger_displacement() / viewport_scale_;
-    content_gesture.release_velocity =
-        gesture.release_velocity / viewport_scale_;
-  }
-  viewport_.interrupt(content_gesture.down_time_ms);
-  viewport_.apply_contact_pan(content_gesture);
+  // A new touch aborts any unfinished scroll simulation (§4.2).
+  viewport_.interrupt(gesture.down_time_ms);
+  viewport_.apply_contact_pan(gesture);
 
-  if (!content_gesture.scrolls()) return;
+  if (!gesture.scrolls()) return;
 
-  Gesture boosted = content_gesture;
+  Gesture boosted = gesture;
   boosted.release_velocity += carried_velocity;
 
   Rect vp_at_release = viewport_.at(gesture.up_time_ms);

@@ -11,7 +11,6 @@
 #include "core/flow_controller.h"
 #include "core/scroll_tracker.h"
 #include "core/viewport_state.h"
-#include "gesture/pinch.h"
 #include "gesture/recognizer.h"
 #include "net/bandwidth_trace.h"
 #include "sim/simulator.h"
@@ -75,27 +74,12 @@ class Middleware {
   // Entry point for gestures from the touch event monitor.
   void on_gesture(const Gesture& gesture);
 
-  // Replace the content model (e.g. a new page was loaded).
-  void set_objects(std::vector<MediaObject> objects, Rect initial_viewport);
-
   // Grow the content model in place (an infinite-scroll feed revealing more
-  // posts). Unlike set_objects this preserves viewport state and the last
-  // analysis/policy: appended objects simply join the knapsack from the next
-  // gesture on — the incremental optimizer's prefix reuse carries across the
-  // append because existing object indices are unchanged.
+  // posts). Viewport state and the last analysis/policy are preserved:
+  // appended objects simply join the knapsack from the next gesture on —
+  // the incremental optimizer's prefix reuse carries across the append
+  // because existing object indices are unchanged.
   void append_objects(std::vector<MediaObject> objects);
-
-  // Viewport scale (§3.2 device configuration): pinch zoom. At scale s > 1
-  // the screen shows 1/s of the content in each dimension, and finger travel
-  // of Δ screen px pans the content by Δ/s. The viewport resizes about its
-  // center at `at_time_ms` (any active animation is settled there first).
-  void set_viewport_scale(double scale, TimeMs at_time_ms);
-  double viewport_scale() const { return viewport_scale_; }
-
-  // Pinch gesture from the touch event monitor: multiplies the current
-  // viewport scale by the pinch's span ratio (clamped to [min, max]).
-  void on_pinch(const PinchGesture& pinch, double min_scale = 1.0,
-                double max_scale = 8.0);
 
   Rect viewport_at(TimeMs time_ms) const { return viewport_.at(time_ms); }
   const std::vector<MediaObject>& objects() const { return objects_; }
@@ -128,8 +112,6 @@ class Middleware {
   Simulator* sim_;
   TimeMs gesture_uplink_ms_;
   bool enable_flywheel_;
-  double viewport_scale_ = 1.0;
-  Rect unscaled_viewport_;  // screen-sized viewport shape (scale == 1)
   ViewportState viewport_;
   PolicyCallback on_policy_;
   std::optional<ScrollAnalysis> last_analysis_;

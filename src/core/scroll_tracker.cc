@@ -27,16 +27,6 @@ Rect ScrollPrediction::viewport_at(double t_ms) const {
   return viewport0.translated(d);
 }
 
-std::vector<ScrollPrediction::PathSample> ScrollPrediction::sample_path(
-    double step_ms) const {
-  MFHTTP_CHECK(step_ms > 0);
-  std::vector<PathSample> out;
-  for (double t = 0; t < duration_ms; t += step_ms)
-    out.push_back({t, viewport_at(t), animation.speed_at(t)});
-  out.push_back({duration_ms, final_viewport(), 0.0});
-  return out;
-}
-
 ScrollPrediction ScrollTracker::predict(const Gesture& gesture,
                                         const Rect& viewport) const {
   static obs::Counter& predictions_total =

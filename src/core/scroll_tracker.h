@@ -33,15 +33,6 @@ struct ScrollPrediction {
 
   // Viewport position t_ms after release (clamp-aware).
   Rect viewport_at(double t_ms) const;
-
-  // Sampled trajectory for export/visualization: viewport rect and scroll
-  // speed every `step_ms`, inclusive of t = 0 and t = duration.
-  struct PathSample {
-    double t_ms = 0;
-    Rect viewport;
-    double speed_px_s = 0;
-  };
-  std::vector<PathSample> sample_path(double step_ms) const;
 };
 
 // Per-object result of analyzing one scroll (§3.3.3 + §3.3.4).

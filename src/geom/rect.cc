@@ -8,15 +8,6 @@ bool Rect::overlaps(const Rect& o) const {
   return x < o.right() && o.x < right() && y < o.bottom() && o.y < bottom();
 }
 
-Rect Rect::intersection(const Rect& o) const {
-  double l = std::max(x, o.x);
-  double t = std::max(y, o.y);
-  double r = std::min(right(), o.right());
-  double b = std::min(bottom(), o.bottom());
-  if (r <= l || b <= t) return {};
-  return {l, t, r - l, b - t};
-}
-
 double Rect::overlap_area(const Rect& o) const {
   // Eq. (6): [min(y_i+h_i, y_p+h_p) - max(y_i, y_p)] *
   //          [min(x_i+w_i, x_p+w_p) - max(x_i, x_p)], clamped at 0.
@@ -24,16 +15,6 @@ double Rect::overlap_area(const Rect& o) const {
   double dx = std::min(right(), o.right()) - std::max(x, o.x);
   if (dx <= 0 || dy <= 0) return 0;
   return dx * dy;
-}
-
-Rect Rect::union_with(const Rect& o) const {
-  if (empty()) return o;
-  if (o.empty()) return *this;
-  double l = std::min(x, o.x);
-  double t = std::min(y, o.y);
-  double r = std::max(right(), o.right());
-  double b = std::max(bottom(), o.bottom());
-  return {l, t, r - l, b - t};
 }
 
 }  // namespace mfhttp

@@ -49,14 +49,8 @@ struct Rect {
   // matches the strict inequalities in the paper's in-viewport conditions).
   bool overlaps(const Rect& o) const;
 
-  // Intersection rectangle; empty (w==h==0 at origin) if no positive overlap.
-  Rect intersection(const Rect& o) const;
-
   // Overlap area — Eq. (6) of the paper when applied to object vs viewport.
   double overlap_area(const Rect& o) const;
-
-  // Smallest rectangle containing both.
-  Rect union_with(const Rect& o) const;
 };
 
 }  // namespace mfhttp

@@ -30,9 +30,6 @@ struct SweptRegion {
 
   Rect final_viewport() const { return at(1.0); }
 
-  // Bounding box of the whole sweep.
-  Rect bounding_box() const { return viewport.union_with(final_viewport()); }
-
   // Area of the hexagonal covered region.
   double area() const;
 };

@@ -56,34 +56,6 @@ TouchTrace synthesize_tap(Vec2 pos, TimeMs time_ms) {
   };
 }
 
-TouchTrace synthesize_pinch(Vec2 center, double start_span, double end_span,
-                            TimeMs start_time_ms, TimeMs duration_ms) {
-  MFHTTP_CHECK(start_span > 0 && end_span > 0);
-  MFHTTP_CHECK(duration_ms > 0);
-  const Vec2 axis{1, 0};  // horizontal pinch
-  auto finger = [&](double span, int which) {
-    double sign = which == 0 ? -0.5 : 0.5;
-    return center + axis * (span * sign);
-  };
-  TouchTrace trace;
-  trace.push_back({start_time_ms, finger(start_span, 0), TouchAction::kDown, 0});
-  trace.push_back({start_time_ms, finger(start_span, 1), TouchAction::kDown, 1});
-  const TimeMs step = 16;
-  for (TimeMs dt = step; dt < duration_ms; dt += step) {
-    double frac = static_cast<double>(dt) / static_cast<double>(duration_ms);
-    double span = start_span + (end_span - start_span) * frac;
-    trace.push_back(
-        {start_time_ms + dt, finger(span, 0), TouchAction::kMove, 0});
-    trace.push_back(
-        {start_time_ms + dt, finger(span, 1), TouchAction::kMove, 1});
-  }
-  trace.push_back({start_time_ms + duration_ms, finger(end_span, 0),
-                   TouchAction::kUp, 0});
-  trace.push_back({start_time_ms + duration_ms, finger(end_span, 1),
-                   TouchAction::kUp, 1});
-  return trace;
-}
-
 TouchTrace BrowsingGestureSource::next_swipe(TimeMs not_before_ms) {
   TimeMs think =
       rng_.uniform_int(params_.min_think_ms, params_.max_think_ms);

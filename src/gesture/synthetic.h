@@ -38,11 +38,6 @@ TouchTrace synthesize_swipe(const SwipeSpec& spec);
 // Build a tap (click) at the given position/time.
 TouchTrace synthesize_tap(Vec2 pos, TimeMs time_ms);
 
-// Build a two-finger pinch about `center`: fingers start `start_span` apart
-// and end `end_span` apart (px), interleaved MOVE events for both pointers.
-TouchTrace synthesize_pinch(Vec2 center, double start_span, double end_span,
-                            TimeMs start_time_ms, TimeMs duration_ms = 300);
-
 // Web-browsing session gestures: random vertical flings (mostly downward).
 class BrowsingGestureSource {
  public:

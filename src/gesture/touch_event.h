@@ -16,7 +16,7 @@ struct TouchEvent {
   TimeMs time_ms = 0;   // event timestamp
   Vec2 pos;             // finger position in screen px
   TouchAction action = TouchAction::kMove;
-  int pointer = 0;      // pointer id (0 = primary finger; 1 = pinch partner)
+  int pointer = 0;      // pointer id (0 = primary finger)
 
   bool operator==(const TouchEvent&) const = default;
 };

@@ -107,13 +107,6 @@ std::size_t CacheGhosts::size() const {
   return present_;
 }
 
-void CacheGhosts::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  counts_.assign(counts_.size(), 0);
-  present_ = 0;
-  ops_ = 0;
-}
-
 HttpCache::HttpCache(CacheParams params)
     : params_(params),
       ghosts_(params.shared_ghosts ? params.shared_ghosts
@@ -262,11 +255,6 @@ void HttpCache::retire_prefetch_locked(const Entry& e) {
   prefetch_wasted_counter().inc(static_cast<std::uint64_t>(e.object.size));
 }
 
-bool HttpCache::erase(UrlId url) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return erase_locked(url);
-}
-
 bool HttpCache::erase_locked(UrlId url) {
   const Entry* e = find_locked(url);
   if (e == nullptr) return false;
@@ -289,14 +277,6 @@ void HttpCache::evict_one_locked() {
   lru_.pop_back();
   ++stats_.evictions;
   evictions_counter().inc();
-}
-
-void HttpCache::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
-  index_.assign(index_.size(), lru_.end());
-  ghosts_->clear();
-  used_ = 0;
 }
 
 Bytes HttpCache::bytes_used() const {

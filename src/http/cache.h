@@ -89,7 +89,6 @@ class CacheGhosts {
   double frequency(UrlId url) const;
   // URLs holding a count.
   std::size_t size() const;
-  void clear();
 
  private:
   // The count slot of `url`, grown to cover the table on demand.
@@ -125,8 +124,7 @@ struct CacheParams {
   bool cost_aware_admission = false;
   // Ghost list shared with other caches (the sharded front door passes one
   // instance to every per-shard segment). Null: the cache owns a private
-  // one, which is the historical single-box behavior. Note clear() clears
-  // the ghost list it uses — shared or not.
+  // one, which is the historical single-box behavior.
   std::shared_ptr<CacheGhosts> shared_ghosts = nullptr;
 };
 
@@ -189,12 +187,6 @@ class HttpCache {
   // A conditional fetch came back 304: the entry is still valid — restart
   // its TTL clock from `now_ms`. False if the entry vanished meanwhile.
   bool revalidated(UrlId url, TimeMs now_ms);
-
-  // Remove one entry; returns true if present.
-  bool erase(UrlId url);
-
-  // Drop every entry and the ghost counts (not the URL table: ids stay valid).
-  void clear();
 
   Bytes capacity() const { return params_.capacity_bytes; }
   Bytes bytes_used() const;

@@ -610,11 +610,17 @@ FrontDoorResult run_front_door(const FrontDoorParams& params,
           static_cast<double>(wall_ns() - enqueue_ns) / 1000.0);
     };
     for (const sim::TouchEvent& e : timeline) {
-      const std::uint64_t mask =
+      std::uint64_t mask =
           supervised ? supervisor->healthy_mask() : all_healthy;
       std::int32_t s = assigned[e.session];
       if (s < 0) {
         const std::size_t primary = shard_of(e.session, params.shards);
+        // A crashed worker lowers `serving` at the crash event itself, a
+        // watchdog sample or two before the mask shows it: pin no new
+        // session to it from that event on.
+        if (supervised &&
+            !shards[primary]->heartbeat.serving.load(std::memory_order_relaxed))
+          mask &= ~(1ULL << primary);
         if (!supervised || !params.supervisor.failover || mask == 0 ||
             ((mask >> primary) & 1ULL) != 0) {
           s = static_cast<std::int32_t>(primary);

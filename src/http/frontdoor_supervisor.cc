@@ -18,15 +18,6 @@ std::uint64_t wall_ns() {
 
 }  // namespace
 
-const char* to_string(ShardHealth health) {
-  switch (health) {
-    case ShardHealth::kHealthy: return "healthy";
-    case ShardHealth::kSlow: return "slow";
-    case ShardHealth::kWedged: return "wedged";
-  }
-  return "?";
-}
-
 FrontDoorSupervisor::FrontDoorSupervisor(SupervisorParams params,
                                          std::size_t shards)
     : params_(params),

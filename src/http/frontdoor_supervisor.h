@@ -63,7 +63,6 @@ class Histogram;
 namespace mfhttp {
 
 enum class ShardHealth { kHealthy, kSlow, kWedged };
-const char* to_string(ShardHealth health);
 
 struct SupervisorParams {
   bool enabled = false;   // master switch; off = PR-6 behavior exactly

@@ -752,20 +752,6 @@ std::size_t MitmProxy::release_rewritten(const std::string& url,
   return released_count;
 }
 
-std::size_t MitmProxy::abort_deferred(const std::string& url) {
-  std::size_t aborted_count = 0;
-  for (FetchId id : deferred_of(url)) {
-    const Pending* p = pending_.find(id);
-    if (p == nullptr || !p->deferred) continue;
-    ++aborted_count;
-    ++stats_.aborted;
-    static obs::Counter& aborted = obs::metrics().counter("http.proxy.aborted_total");
-    aborted.inc();
-    finish_blocked(id, 403);
-  }
-  return aborted_count;
-}
-
 std::vector<std::string> MitmProxy::deferred_urls() const {
   std::vector<std::pair<std::uint64_t, UrlId>> parked;
   pending_.for_each([&parked](FetchId, const Pending& p) {

@@ -4,10 +4,9 @@
 // responses stream back to the client over the (bottleneck) client link.
 //
 // Deferral is the mechanism behind the flow controller's block list: a
-// deferred request is parked until release(url) (object became relevant) or
-// abort_deferred(url) (object stays blocked). Rewriting maps a request to a
-// different representation (e.g. a lower-resolution tile in the 360° video
-// case study).
+// deferred request is parked until release(url) (object became relevant).
+// Rewriting maps a request to a different representation (e.g. a
+// lower-resolution tile in the 360° video case study).
 //
 // Integer-keyed request path (DESIGN.md §21): fetch() interns the request's
 // canonical URL once into the cache's UrlTable (a private one without a
@@ -92,7 +91,6 @@ class MitmProxy : public HttpFetcher {
     std::size_t blocked = 0;
     std::size_t deferred = 0;
     std::size_t released = 0;
-    std::size_t aborted = 0;
     std::size_t rewritten = 0;
     std::size_t rejected = 0;  // bounced by admission (429, or 503 on full queues)
     std::size_t shed = 0;      // dropped by brownout load shedding (503)
@@ -166,9 +164,6 @@ class MitmProxy : public HttpFetcher {
   std::size_t release_rewritten(const std::string& url,
                                 const std::string& substitute_url,
                                 int priority = 0);
-
-  // Fail all deferred requests whose URL matches as blocked. Returns count.
-  std::size_t abort_deferred(const std::string& url);
 
   // URLs currently parked in the deferred queue (in arrival order).
   std::vector<std::string> deferred_urls() const;

@@ -75,20 +75,4 @@ void BytePipe::consume(std::size_t n) {
   if (begin_ == end_ && window_ == 0) begin_ = end_ = 0;
 }
 
-bool BytePipe::pull_line(std::string_view* line) {
-  std::string_view data = peek();
-  std::size_t lf = data.find('\n');
-  if (lf == std::string_view::npos) return false;
-  std::size_t len = (lf > 0 && data[lf - 1] == '\r') ? lf - 1 : lf;
-  *line = data.substr(0, len);
-  begin_ += lf + 1;
-  if (begin_ == end_ && window_ == 0) begin_ = end_ = 0;
-  return true;
-}
-
-void BytePipe::clear() {
-  begin_ = end_ = 0;
-  window_ = 0;
-}
-
 }  // namespace mfhttp::aio

@@ -8,8 +8,8 @@
 //   ssize_t n = read(fd, w.data, w.size);
 //   if (n > 0) pipe.push_finish(static_cast<std::size_t>(n));
 //   ...
-//   std::string_view line;
-//   while (pipe.pull_line(&line)) consume_header(line);
+//   parser.feed(pipe.peek());
+//   pipe.consume(pipe.size());
 //
 // The write window ("reservation") survives *any* intervening push_begin:
 // re-reserving a larger window may grow or compact the backing store, but
@@ -61,12 +61,6 @@ class BytePipe {
 
   // Drop the first n readable bytes. Requires n <= size().
   void consume(std::size_t n);
-
-  // Extract one LF-terminated line (CR stripped) as a view into the buffer.
-  // Valid until the next mutating call. False when no full line is buffered.
-  bool pull_line(std::string_view* line);
-
-  void clear();
 
   std::size_t size() const { return end_ - begin_; }
   bool empty() const { return begin_ == end_; }

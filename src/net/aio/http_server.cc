@@ -96,9 +96,11 @@ void HttpServer::on_data(std::uint64_t ordinal) {
 
   // Serve complete requests first — pipelined requests ahead of a malformed
   // one still deserve answers.
+  bool completed = false;
   while (conn.parser.has_message()) {
     HttpRequest request = conn.parser.take_request();
     ++stats_.requests;
+    completed = true;
     const bool close_after = wants_close(request) || draining_;
 
     const bool backpressured =
@@ -143,10 +145,12 @@ void HttpServer::on_data(std::uint64_t ordinal) {
       conn.request_deadline_armed = false;
     }
     if (draining_) conn.tcp->close_when_drained();
-  } else if (!conn.request_deadline_armed &&
+  } else if ((completed || !conn.request_deadline_armed) &&
              params_.request_deadline_ms > 0) {
     // First bytes of a request landed: the rest must follow within the
-    // deadline — a trickling header (slowloris) dies here.
+    // deadline — a trickling header (slowloris) dies here. A request that
+    // completed in this read ends its own deadline; the bytes after it
+    // start the next request's.
     conn.tcp->arm_read_deadline(params_.request_deadline_ms);
     conn.request_deadline_armed = true;
   }

@@ -2,7 +2,6 @@
 
 #include <arpa/inet.h>
 #include <errno.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <string.h>
@@ -11,29 +10,6 @@
 #include <unistd.h>
 
 namespace mfhttp::aio {
-
-const char* io_status_name(IoStatus status) {
-  switch (status) {
-    case IoStatus::kOk: return "ok";
-    case IoStatus::kWouldBlock: return "would_block";
-    case IoStatus::kEof: return "eof";
-    case IoStatus::kReset: return "reset";
-    case IoStatus::kError: return "error";
-  }
-  return "?";
-}
-
-int set_nonblocking(int fd) {
-  int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0) return -1;
-  return ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-int set_cloexec(int fd) {
-  int flags = ::fcntl(fd, F_GETFD, 0);
-  if (flags < 0) return -1;
-  return ::fcntl(fd, F_SETFD, flags | FD_CLOEXEC);
-}
 
 namespace {
 

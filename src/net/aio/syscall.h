@@ -25,12 +25,6 @@ struct IoResult {
   int err = 0;        // errno when kReset/kError
 };
 
-const char* io_status_name(IoStatus status);
-
-// Both return 0 on success, -1 (with errno) on failure.
-int set_nonblocking(int fd);
-int set_cloexec(int fd);
-
 IoResult read_some(int fd, char* buf, std::size_t len);
 IoResult write_some(int fd, const char* buf, std::size_t len);
 

@@ -24,16 +24,6 @@ obs::Counter& shed_counter() {
 
 }  // namespace
 
-const char* to_string(BrownoutLevel level) {
-  switch (level) {
-    case BrownoutLevel::kNormal: return "normal";
-    case BrownoutLevel::kNoSpeculation: return "no-speculation";
-    case BrownoutLevel::kLowResOnly: return "low-res-only";
-    case BrownoutLevel::kShed: return "shed";
-  }
-  return "?";
-}
-
 AdmissionParams shard_slice(const AdmissionParams& params, std::size_t shard,
                             std::size_t shards) {
   MFHTTP_CHECK(shards > 0 && shard < shards);

@@ -61,8 +61,6 @@ enum class BrownoutLevel {
   kShed = 3,          // additionally shed viewport work; structure only
 };
 
-const char* to_string(BrownoutLevel level);
-
 struct AdmissionParams {
   // Global token bucket; <= 0 disables (bounded-only arm).
   double global_rate_per_s = 0;

@@ -2,7 +2,6 @@
 
 #include "util/json.h"
 #include "util/json_config.h"
-#include "util/logging.h"
 
 namespace mfhttp::overload {
 
@@ -51,21 +50,6 @@ std::optional<OverloadConfig> OverloadConfig::from_value(const JsonValue& doc,
   }
 
   if (!top.finish()) return std::nullopt;
-  return config;
-}
-
-std::optional<OverloadConfig> OverloadConfig::load(const std::string& path,
-                                                  std::string* error) {
-  std::string why;
-  auto doc = jsoncfg::load_object(path, "overload config", &why);
-  std::optional<OverloadConfig> config;
-  if (doc.has_value()) {
-    config = from_value(*doc, &why);
-    if (!config.has_value())
-      MFHTTP_WARN << "overload config '" << path << "': " << why;
-  }
-  if (!config.has_value() && error != nullptr)
-    *error = "'" + path + "': " + why;
   return config;
 }
 

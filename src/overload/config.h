@@ -47,8 +47,6 @@ struct OverloadConfig {
   // overload section (scenario::ScenarioSpec).
   static std::optional<OverloadConfig> from_value(const JsonValue& doc,
                                                   std::string* error = nullptr);
-  static std::optional<OverloadConfig> load(const std::string& path,
-                                            std::string* error = nullptr);
   std::string to_json() const;
 };
 

@@ -2,7 +2,6 @@
 
 #include "util/json.h"
 #include "util/json_config.h"
-#include "util/logging.h"
 
 namespace mfhttp::prefetch {
 
@@ -43,20 +42,6 @@ std::optional<CacheConfig> CacheConfig::from_value(const JsonValue& doc,
   }
 
   if (!top.finish()) return std::nullopt;
-  return config;
-}
-
-std::optional<CacheConfig> CacheConfig::load(const std::string& path,
-                                             std::string* error) {
-  std::optional<JsonValue> doc =
-      jsoncfg::load_object(path, "cache config", error);
-  if (!doc.has_value()) return std::nullopt;
-  std::string why;
-  auto config = from_value(*doc, &why);
-  if (!config.has_value()) {
-    if (error != nullptr) *error = why;
-    MFHTTP_WARN << "cache config '" << path << "': " << why;
-  }
   return config;
 }
 

@@ -43,8 +43,6 @@ struct CacheConfig {
   // section (scenario::ScenarioSpec).
   static std::optional<CacheConfig> from_value(const JsonValue& doc,
                                                std::string* error = nullptr);
-  static std::optional<CacheConfig> load(const std::string& path,
-                                         std::string* error = nullptr);
   std::string to_json() const;
 };
 

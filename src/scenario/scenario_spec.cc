@@ -136,14 +136,6 @@ std::optional<WorkloadKind> workload_kind_from_name(std::string_view name) {
   return std::nullopt;
 }
 
-std::optional<WorkloadSpec> WorkloadSpec::named(std::string_view name) {
-  std::optional<WorkloadKind> kind = workload_kind_from_name(name);
-  if (!kind.has_value()) return std::nullopt;
-  WorkloadSpec w;
-  w.kind = *kind;
-  return w;
-}
-
 // ---------------------------------------------------------------------------
 // Parsing
 // ---------------------------------------------------------------------------

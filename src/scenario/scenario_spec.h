@@ -140,8 +140,6 @@ struct WorkloadSpec {
 
   // tiled_video knobs.
   int video_segments = 30;
-
-  static std::optional<WorkloadSpec> named(std::string_view name);
 };
 
 struct ScenarioSpec {

@@ -21,15 +21,4 @@ std::vector<TimeMs> poisson_arrivals(const ArrivalParams& params, Rng& rng) {
   return arrivals;
 }
 
-std::vector<TimeMs> uniform_arrivals(const ArrivalParams& params) {
-  MFHTTP_CHECK(params.rate_per_s > 0);
-  const double gap_ms = std::max(1.0, 1000.0 / params.rate_per_s);
-  std::vector<TimeMs> arrivals;
-  for (double t = static_cast<double>(params.start_ms) + gap_ms;
-       t < static_cast<double>(params.horizon_ms); t += gap_ms) {
-    arrivals.push_back(static_cast<TimeMs>(std::llround(t)));
-  }
-  return arrivals;
-}
-
 }  // namespace mfhttp

@@ -24,8 +24,4 @@ struct ArrivalParams {
 // Returns strictly increasing timestamps in [start_ms, horizon_ms).
 std::vector<TimeMs> poisson_arrivals(const ArrivalParams& params, Rng& rng);
 
-// Deterministic evenly-spaced arrivals with the same envelope — the control
-// arm for separating burstiness effects from rate effects.
-std::vector<TimeMs> uniform_arrivals(const ArrivalParams& params);
-
 }  // namespace mfhttp

@@ -92,31 +92,6 @@ std::optional<TouchTrace> read_touch_trace(std::istream& in) {
   return trace;
 }
 
-void write_bandwidth_trace(std::ostream& out, const BandwidthTrace& trace) {
-  PrecisionGuard guard(out);
-  out << "slot_ms=" << trace.slot_ms() << '\n';
-  for (BytesPerSec r : trace.slots()) out << r << '\n';
-}
-
-std::optional<BandwidthTrace> read_bandwidth_trace(std::istream& in) {
-  std::string line;
-  if (!std::getline(in, line)) return std::nullopt;
-  std::string_view header = trim(line);
-  if (!starts_with(header, "slot_ms=")) return std::nullopt;
-  auto slot_ms = parse_int(header.substr(8));
-  if (!slot_ms || *slot_ms <= 0) return std::nullopt;
-  std::vector<BytesPerSec> rates;
-  while (std::getline(in, line)) {
-    std::string_view sv = trim(line);
-    if (sv.empty()) continue;
-    auto r = parse_double(sv);
-    if (!r || *r < 0) return std::nullopt;
-    rates.push_back(*r);
-  }
-  if (rates.empty()) return std::nullopt;
-  return BandwidthTrace::from_slots(std::move(rates), *slot_ms);
-}
-
 bool save_touch_trace(const std::string& path, const TouchTrace& trace) {
   std::ofstream out(path);
   if (!out) return false;
@@ -128,19 +103,6 @@ std::optional<TouchTrace> load_touch_trace(const std::string& path) {
   std::ifstream in(path);
   if (!in) return std::nullopt;
   return read_touch_trace(in);
-}
-
-bool save_bandwidth_trace(const std::string& path, const BandwidthTrace& trace) {
-  std::ofstream out(path);
-  if (!out) return false;
-  write_bandwidth_trace(out, trace);
-  return static_cast<bool>(out);
-}
-
-std::optional<BandwidthTrace> load_bandwidth_trace(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  return read_bandwidth_trace(in);
 }
 
 }  // namespace mfhttp

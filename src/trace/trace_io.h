@@ -1,10 +1,9 @@
-// CSV persistence for touch traces and bandwidth traces, so experiments can
-// be recorded once and replayed (the paper records volunteer touches and
-// replays them through MF-HTTP, §6.2.1).
+// CSV persistence for touch traces, so experiments can be recorded once and
+// replayed (the paper records volunteer touches and replays them through
+// MF-HTTP, §6.2.1).
 //
 // Touch trace CSV:      time_ms,action,x,y[,pointer]   (action: DOWN/MOVE/UP;
 //                       pointer defaults to 0 when the column is absent)
-// Bandwidth trace CSV:  slot_ms header line, then one bytes_per_sec per line
 #pragma once
 
 #include <iosfwd>
@@ -12,7 +11,6 @@
 #include <string>
 
 #include "gesture/touch_event.h"
-#include "net/bandwidth_trace.h"
 
 namespace mfhttp {
 
@@ -21,13 +19,8 @@ void write_touch_trace(std::ostream& out, const TouchTrace& trace);
 // out-of-order timestamps).
 std::optional<TouchTrace> read_touch_trace(std::istream& in);
 
-void write_bandwidth_trace(std::ostream& out, const BandwidthTrace& trace);
-std::optional<BandwidthTrace> read_bandwidth_trace(std::istream& in);
-
 // File-path convenience wrappers; return false / nullopt on I/O failure.
 bool save_touch_trace(const std::string& path, const TouchTrace& trace);
 std::optional<TouchTrace> load_touch_trace(const std::string& path);
-bool save_bandwidth_trace(const std::string& path, const BandwidthTrace& trace);
-std::optional<BandwidthTrace> load_bandwidth_trace(const std::string& path);
 
 }  // namespace mfhttp

@@ -1,14 +1,11 @@
 #include "util/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <mutex>
 
 namespace mfhttp {
 
 namespace {
-std::atomic<LogLevel> g_level{LogLevel::kWarn};
-
 // One process-wide sink mutex: lines from concurrent callers (simulator
 // thread vs. a metrics snapshot) emit whole, never interleaved.
 std::mutex& sink_mutex() {
@@ -29,10 +26,7 @@ const char* level_tag(LogLevel level) {
 }
 }  // namespace
 
-void set_log_level(LogLevel level) {
-  g_level.store(level, std::memory_order_relaxed);
-}
-LogLevel log_level() { return g_level.load(std::memory_order_relaxed); }
+LogLevel log_level() { return LogLevel::kWarn; }
 
 namespace detail {
 void log_write(LogLevel level, const std::string& msg) {

@@ -1,10 +1,9 @@
 // Minimal leveled logger.
 //
-// The library is silent by default (Level::kWarn); experiment harnesses and
-// examples raise the level to trace middleware decisions. Thread-safe: the
-// level is atomic and log_write serializes emission through one mutex-guarded
-// sink, so callers off the simulator thread (e.g. the metrics snapshot path)
-// never interleave partial lines.
+// Only warnings and errors are emitted (LogLevel::kWarn and up). Thread-safe:
+// log_write serializes emission through one mutex-guarded sink, so callers
+// off the simulator thread (e.g. the metrics snapshot path) never interleave
+// partial lines.
 #pragma once
 
 #include <sstream>
@@ -15,7 +14,6 @@ namespace mfhttp {
 enum class LogLevel { kTrace = 0, kDebug = 1, kInfo = 2, kWarn = 3, kError = 4, kOff = 5 };
 
 // Global minimum level; messages below it are dropped.
-void set_log_level(LogLevel level);
 LogLevel log_level();
 
 namespace detail {

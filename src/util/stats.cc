@@ -46,24 +46,4 @@ double Samples::percentile(double p) const {
   return sorted[lo] * (1 - frac) + sorted[hi] * frac;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  MFHTTP_CHECK(hi > lo);
-  MFHTTP_CHECK(bins > 0);
-}
-
-void Histogram::add(double x) {
-  double frac = (x - lo_) / (hi_ - lo_);
-  auto bin = static_cast<std::ptrdiff_t>(frac * static_cast<double>(counts_.size()));
-  bin = std::clamp<std::ptrdiff_t>(bin, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(bin)];
-  ++total_;
-}
-
-double Histogram::bin_lo(std::size_t bin) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(bin) / static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_hi(std::size_t bin) const { return bin_lo(bin + 1); }
-
 }  // namespace mfhttp

@@ -39,22 +39,4 @@ class Samples {
   std::vector<double> xs_;
 };
 
-// Histogram with fixed-width bins over [lo, hi); out-of-range samples clamp
-// into the first/last bin.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-  void add(double x);
-  std::size_t bin_count() const { return counts_.size(); }
-  std::size_t count(std::size_t bin) const { return counts_[bin]; }
-  std::size_t total() const { return total_; }
-  double bin_lo(std::size_t bin) const;
-  double bin_hi(std::size_t bin) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
-
 }  // namespace mfhttp

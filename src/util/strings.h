@@ -44,7 +44,6 @@ struct StringHash {
 std::string to_lower(std::string_view s);
 
 bool starts_with(std::string_view s, std::string_view prefix);
-bool ends_with(std::string_view s, std::string_view suffix);
 
 // printf-style formatting into std::string.
 std::string strformat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

@@ -5,7 +5,6 @@
 
 #include "http/fetch_pipeline.h"
 #include "http/proxy.h"
-#include "util/json.h"
 #include "http/sim_http.h"
 #include "sim/simulator.h"
 #include "util/check.h"
@@ -36,26 +35,6 @@ double StreamingSessionResult::mean_resolution(const VideoAsset& video) const {
     ++n;
   }
   return n > 0 ? sum / n : 0.0;
-}
-
-std::string StreamingSessionResult::to_json() const {
-  JsonWriter w;
-  w.begin_object();
-  w.key("scheduler").value(scheduler);
-  w.key("total_bytes").value(static_cast<long long>(total_bytes));
-  w.key("segments").begin_array();
-  for (const SegmentRecord& s : segments) {
-    w.begin_object();
-    w.key("segment").value(s.segment);
-    w.key("visible_tiles").value(s.visible_tiles);
-    w.key("viewport_quality").value(s.viewport_quality);
-    w.key("bytes").value(static_cast<long long>(s.bytes));
-    w.key("degraded").value(s.degraded);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  return w.str();
 }
 
 StreamingSessionResult run_streaming_session(const VideoAsset& video,

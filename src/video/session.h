@@ -41,9 +41,6 @@ struct StreamingSessionResult {
 
   // Mean resolution over non-NA seconds (0 if all NA).
   double mean_resolution(const VideoAsset& video) const;
-
-  // Machine-readable export (util/json.h) for analysis pipelines.
-  std::string to_json() const;
 };
 
 struct StreamingSessionParams {

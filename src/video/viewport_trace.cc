@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "gesture/recognizer.h"
 #include "util/check.h"
 
 namespace mfhttp {
@@ -43,16 +42,6 @@ void ViewportTrace::add_gesture(const Gesture& gesture) {
     ViewOrientation settled = rotate(at_release, anim.total_displacement());
     push_key(gesture.up_time_ms + static_cast<TimeMs>(anim.duration_ms()), settled);
   }
-}
-
-ViewportTrace ViewportTrace::from_touch_trace(Params params,
-                                              const TouchTrace& trace) {
-  ViewportTrace vt(params);
-  GestureRecognizer recognizer(vt.params_.device);
-  for (const TouchEvent& ev : trace) {
-    if (auto g = recognizer.on_touch_event(ev)) vt.add_gesture(*g);
-  }
-  return vt;
 }
 
 ViewOrientation ViewportTrace::at(TimeMs time_ms) const {

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "gesture/gesture.h"
-#include "gesture/touch_event.h"
 #include "scroll/animation.h"
 #include "scroll/device_profile.h"
 #include "video/projection.h"
@@ -37,9 +36,6 @@ class ViewportTrace {
   // time order. Clicks are ignored; drags rotate during contact; flings add
   // their post-release scroll displacement over the animation duration.
   void add_gesture(const Gesture& gesture);
-
-  // Build directly from a raw touch trace (runs the recognizer internally).
-  static ViewportTrace from_touch_trace(Params params, const TouchTrace& trace);
 
   // Orientation at an absolute time (interpolated between keyframes).
   ViewOrientation at(TimeMs time_ms) const;

@@ -26,8 +26,6 @@ BlockListController::BlockListController(const WebPage& page, Rect initial_viewp
     const MediaObject& img = page_.images[i];
     ImageRecord& rec = records_[i];
     rec.top_url = &img.top_version().url;
-    rec.lowest_url = &img.versions.front().url;
-    rec.multi_version = img.versions.size() > 1;
     url_to_image_[*rec.top_url] = i;
   }
   // Canonical index per unique URL (last writer, matching the old map), so
@@ -56,9 +54,6 @@ InterceptDecision BlockListController::on_request(const HttpRequest& request) {
   const bool is_image = it != url_to_image_.end();
   const bool parked = is_image && blocked_[canonical_[it->second]] != 0;
   if (!degradation_.degraded() && parked) {
-    // Deep brownout: a proxy that is shedding load must not grow its
-    // deferred queue — condemned images fail fast instead of parking.
-    if (brownout_level_ >= 3) return InterceptDecision::block();
     return InterceptDecision::defer();  // step (2)
   }
   // Unblocked images are viewport-critical; anything else is structure.
@@ -95,15 +90,6 @@ void BlockListController::set_degraded(bool degraded) {
   if (degradation_.force(degraded) && degraded) release_all();
 }
 
-void BlockListController::set_brownout_level(int level) {
-  if (level == brownout_level_) return;
-  MFHTTP_INFO << "block list brownout level " << brownout_level_ << " -> " << level;
-  static obs::Counter& changes =
-      obs::metrics().counter("web.blocklist.brownout_changes_total");
-  changes.inc();
-  brownout_level_ = level;
-}
-
 void BlockListController::release_all() {
   MFHTTP_INFO << "block list degraded: releasing " << blocked_count_
               << " parked urls";
@@ -131,18 +117,7 @@ void BlockListController::release_image(std::size_t index, int priority) {
     static obs::Counter& releases =
         obs::metrics().counter("web.blocklist.releases_total");
     releases.inc();
-    // Brownout level >= 2: the link only gets the cheapest representation —
-    // the parked request completes with the lowest-resolution version's
-    // bytes instead of the one the page asked for.
-    std::size_t released;
-    if (brownout_level_ >= 2 && rec.multi_version && *rec.lowest_url != url) {
-      static obs::Counter& lowres =
-          obs::metrics().counter("web.blocklist.brownout_lowres_total");
-      released = proxy_->release_rewritten(url, *rec.lowest_url, priority);
-      lowres.inc(released);
-    } else {
-      released = proxy_->release(url, priority);
-    }
+    const std::size_t released = proxy_->release(url, priority);
     // Wasted block: the browser already wanted this object — it sat parked
     // at the proxy until the tracker proved it relevant. Each such release
     // is delay the block list inflicted on a byte that was needed anyway.
@@ -170,10 +145,7 @@ void BlockListController::on_policy(const ScrollAnalysis& analysis,
       continue;
     }
     // Transient images: released only with a positive optimizer value, and
-    // at a lower link priority than viewport-critical images. Any brownout
-    // level suppresses them entirely — corridor speculation is the first
-    // spend an overloaded middleware stops.
-    if (brownout_level_ >= 1) continue;
+    // at a lower link priority than viewport-critical images.
     if (cov->involved) {
       const DownloadDecision* d = policy.find(i);
       if (d != nullptr && d->download() && d->value > 0)
@@ -185,7 +157,7 @@ void BlockListController::on_policy(const ScrollAnalysis& analysis,
   // warmed into the middleware cache over the fast origin hop. The client
   // link sees no byte until a later gesture actually releases them — but
   // that release then streams straight from the proxy.
-  if (prefetch_enabled_ && brownout_level_ == 0) {
+  if (prefetch_enabled_) {
     static obs::Counter& prefetched =
         obs::metrics().counter("web.blocklist.prefetches_total");
     for (const ObjectCoverage* cov : listed) {

@@ -57,14 +57,6 @@ class BlockListController : public Interceptor {
   void set_degraded(bool degraded);
   bool degraded() const { return degradation_.degraded(); }
 
-  // Brownout hook (overload/brownout.h levels). Level >= 1 suppresses
-  // transient releases (viewport-critical only); level >= 2 additionally
-  // rewrites every release to the object's lowest-resolution version;
-  // level >= 3 blocks new block-listed requests outright instead of
-  // parking them — a shedding proxy must not accumulate deferred state.
-  void set_brownout_level(int level);
-  int brownout_level() const { return brownout_level_; }
-
   // Transfer priorities on the client link (meaningful on kFifo links):
   // structural resources above everything, then viewport-critical images,
   // then transient-corridor images.
@@ -75,9 +67,8 @@ class BlockListController : public Interceptor {
   // Speculative cache warm-up: when enabled, every on_policy pass asks the
   // proxy to prefetch corridor images the optimizer left parked — they cost
   // only the fast origin hop now, and a later gesture's release streams from
-  // the middleware cache with no upstream round trip. Suppressed by any
-  // brownout level (speculation is the first spend to stop) and subject to
-  // the proxy's own admission headroom check.
+  // the middleware cache with no upstream round trip. Subject to the
+  // proxy's own admission headroom check.
   void set_prefetch_enabled(bool enabled) { prefetch_enabled_ = enabled; }
   bool prefetch_enabled() const { return prefetch_enabled_; }
   std::size_t prefetches_requested() const { return prefetches_requested_; }
@@ -98,9 +89,7 @@ class BlockListController : public Interceptor {
   // walks these parallel vectors; the string hash map is only touched on
   // the request path, where the URL is all we have.
   struct ImageRecord {
-    const std::string* top_url = nullptr;     // into page_.images[i]
-    const std::string* lowest_url = nullptr;  // versions.front().url
-    bool multi_version = false;
+    const std::string* top_url = nullptr;  // into page_.images[i]
   };
   static constexpr TimeMs kNeverReleased = -1;
 
@@ -118,7 +107,6 @@ class BlockListController : public Interceptor {
   std::unordered_map<std::string, std::size_t, StringHash, std::equal_to<>>
       url_to_image_;
   std::size_t releases_ = 0;
-  int brownout_level_ = 0;
   bool prefetch_enabled_ = false;
   std::size_t prefetches_requested_ = 0;
 };

@@ -95,13 +95,6 @@ double Browser::viewport_fill_fraction(const Rect& viewport) const {
   return static_cast<double>(have) / static_cast<double>(want);
 }
 
-Bytes Browser::bytes_received() const {
-  Bytes total = 0;
-  for (const ResourceLoadState& s : structure_) total += s.received;
-  for (const ResourceLoadState& s : images_) total += s.received;
-  return total;
-}
-
 std::size_t Browser::images_completed() const {
   return static_cast<std::size_t>(
       std::count_if(images_.begin(), images_.end(),
@@ -112,13 +105,6 @@ std::size_t Browser::images_blocked() const {
   return static_cast<std::size_t>(
       std::count_if(images_.begin(), images_.end(),
                     [](const ResourceLoadState& s) { return s.blocked; }));
-}
-
-std::size_t Browser::images_unrequested_or_pending() const {
-  return static_cast<std::size_t>(std::count_if(
-      images_.begin(), images_.end(), [](const ResourceLoadState& s) {
-        return !s.complete() && !s.blocked;
-      }));
 }
 
 }  // namespace mfhttp

@@ -58,10 +58,8 @@ class Browser {
   // 1.0 when the viewport contains no images.
   double viewport_fill_fraction(const Rect& viewport) const;
 
-  Bytes bytes_received() const;
   std::size_t images_completed() const;
   std::size_t images_blocked() const;
-  std::size_t images_unrequested_or_pending() const;
 
   void set_on_image_complete(ImageCompleteFn fn) { on_image_complete_ = std::move(fn); }
 

@@ -7,21 +7,15 @@
 
 namespace mfhttp {
 
-DependencyGraph::NodeId DependencyGraph::add_node(std::string label) {
-  labels_.push_back(std::move(label));
+DependencyGraph::NodeId DependencyGraph::add_node() {
   deps_.emplace_back();
-  return labels_.size() - 1;
+  return deps_.size() - 1;
 }
 
 void DependencyGraph::add_edge(NodeId before, NodeId after) {
   MFHTTP_CHECK(before < node_count() && after < node_count());
   MFHTTP_CHECK_MSG(before != after, "self-dependency");
   deps_[after].push_back(before);
-}
-
-const std::string& DependencyGraph::label(NodeId node) const {
-  MFHTTP_CHECK(node < node_count());
-  return labels_[node];
 }
 
 const std::vector<DependencyGraph::NodeId>& DependencyGraph::dependencies(
@@ -78,10 +72,10 @@ DependencyGraph page_dependency_graph(
   structure_nodes->clear();
   image_nodes->clear();
 
-  for (const PageResource& r : page.structure)
-    structure_nodes->push_back(graph.add_node(r.url));
-  for (const MediaObject& img : page.images)
-    image_nodes->push_back(graph.add_node(img.top_version().url));
+  for (std::size_t i = 0; i < page.structure.size(); ++i)
+    structure_nodes->push_back(graph.add_node());
+  for (std::size_t i = 0; i < page.images.size(); ++i)
+    image_nodes->push_back(graph.add_node());
 
   const DependencyGraph::NodeId html = (*structure_nodes)[0];
   std::vector<DependencyGraph::NodeId> stylesheets;

@@ -13,7 +13,6 @@
 
 #include <cstddef>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "web/page.h"
@@ -24,12 +23,11 @@ class DependencyGraph {
  public:
   using NodeId = std::size_t;
 
-  NodeId add_node(std::string label);
+  NodeId add_node();
   // `after` may not start before `before` has completed.
   void add_edge(NodeId before, NodeId after);
 
-  std::size_t node_count() const { return labels_.size(); }
-  const std::string& label(NodeId node) const;
+  std::size_t node_count() const { return deps_.size(); }
   const std::vector<NodeId>& dependencies(NodeId node) const;
 
   // Ready = every dependency's `done` flag set.
@@ -43,7 +41,6 @@ class DependencyGraph {
   bool has_cycle() const { return !topological_order().has_value(); }
 
  private:
-  std::vector<std::string> labels_;
   std::vector<std::vector<NodeId>> deps_;  // deps_[n] = prerequisites of n
 };
 

@@ -4,6 +4,8 @@
 // accounting, the 304 revalidation paths through MitmProxy, and the
 // "cache hits are free" invariants — a hit moves zero bytes on the server
 // link, consumes no admission tokens, and never takes an upstream slot.
+// Also the plain LRU cache (LruCache) on its own and behind the event-level
+// proxy.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -15,6 +17,7 @@
 #include "http/sim_http.h"
 #include "obs/metrics.h"
 #include "overload/admission.h"
+#include "util/rng.h"
 
 namespace mfhttp {
 namespace {
@@ -194,7 +197,7 @@ TEST(HttpCacheTest, MaxObjectFractionRejectsOversized) {
 // ---------- HttpCache: prefetch usefulness / waste accounting ----------
 
 TEST(HttpCacheTest, PrefetchedEntryHitCountsUseful) {
-  HttpCache cache(CacheParams{1'000'000});
+  HttpCache cache(CacheParams{20'000});
   cache.put(key(cache, "warm"), cached(10'000), 0, /*prefetched=*/true);
   EXPECT_EQ(cache.stats().prefetch_insertions, 1u);
   EXPECT_EQ(cache.prefetched_unused_bytes(), 10'000);
@@ -203,8 +206,11 @@ TEST(HttpCacheTest, PrefetchedEntryHitCountsUseful) {
   EXPECT_EQ(cache.stats().prefetch_useful, 1u);
   EXPECT_EQ(cache.prefetched_unused_bytes(), 0);
 
-  // Once useful, later eviction does not count it as waste.
-  cache.erase(key(cache, "warm"));
+  // Once useful, later eviction does not count it as waste: demand traffic
+  // pushes it out.
+  cache.put(key(cache, "demand_a"), cached(10'000), 0);
+  cache.put(key(cache, "demand_b"), cached(10'000), 0);
+  EXPECT_FALSE(cache.contains(key(cache, "warm")));
   EXPECT_EQ(cache.stats().prefetch_wasted_bytes, 0);
 }
 
@@ -425,6 +431,118 @@ TEST_F(CacheProxyFixture, SwrServesStaleImmediatelyAndRefreshesInBackground) {
   EXPECT_EQ(again->status, 200);
   EXPECT_EQ(proxy.stats().cache_hits, 2u);  // stale-served + this fresh hit
   EXPECT_EQ(server_link->bytes_delivered_total(), server_bytes);
+}
+
+// ---------- LruCache ----------
+
+TEST(LruCache, PutGetRoundTrip) {
+  LruCache cache(1000);
+  EXPECT_TRUE(cache.put(key(cache, "u1"), {400, 200, "image/jpeg"}, 0));
+  auto hit = cache.lookup(key(cache, "u1"), 0);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->freshness, HttpCache::Freshness::kFresh);
+  EXPECT_EQ(hit->object.size, 400);
+  EXPECT_EQ(hit->object.content_type, "image/jpeg");
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_FALSE(cache.lookup(key(cache, "u2"), 0).has_value());
+  EXPECT_EQ(cache.stats().misses, 1u);
+}
+
+TEST(LruCache, EvictsLeastRecentlyUsed) {
+  LruCache cache(1000);
+  cache.put(key(cache, "a"), {400, 200, ""}, 0);
+  cache.put(key(cache, "b"), {400, 200, ""}, 0);
+  cache.lookup(key(cache, "a"), 0);            // a is now most recent
+  cache.put(key(cache, "c"), {400, 200, ""}, 0);  // must evict b
+  EXPECT_TRUE(cache.contains(key(cache, "a")));
+  EXPECT_FALSE(cache.contains(key(cache, "b")));
+  EXPECT_TRUE(cache.contains(key(cache, "c")));
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_LE(cache.bytes_used(), 1000);
+}
+
+TEST(LruCache, RejectsOversizedObject) {
+  LruCache cache(100);
+  EXPECT_FALSE(cache.put(key(cache, "huge"), {101, 200, ""}, 0));
+  EXPECT_EQ(cache.entry_count(), 0u);
+  EXPECT_TRUE(cache.put(key(cache, "fits"), {100, 200, ""}, 0));
+}
+
+TEST(LruCache, OverwriteReplacesSize) {
+  LruCache cache(1000);
+  cache.put(key(cache, "a"), {600, 200, ""}, 0);
+  cache.put(key(cache, "a"), {200, 200, ""}, 0);
+  EXPECT_EQ(cache.bytes_used(), 200);
+  EXPECT_EQ(cache.entry_count(), 1u);
+}
+
+TEST(LruCache, ManyInsertsRespectCapacity) {
+  LruCache cache(10'000);
+  Rng rng(5);
+  for (int i = 0; i < 500; ++i) {
+    cache.put(key(cache, "u" + std::to_string(i)), {rng.uniform_int(100, 3000), 200, ""},
+              0);
+    EXPECT_LE(cache.bytes_used(), 10'000);
+  }
+}
+
+// ---------- cache wired into the event-level proxy ----------
+
+TEST(ProxyCache, SecondFetchSkipsUpstream) {
+  Simulator sim;
+  Link::Params cp;
+  cp.bandwidth = BandwidthTrace::constant(200'000);
+  Link client_link(sim, cp);
+  Link::Params sp;
+  sp.bandwidth = BandwidthTrace::constant(50'000);  // slow origin hop
+  sp.latency_ms = 100;
+  Link server_link(sim, sp);
+  ObjectStore store;
+  store.put("/x.jpg", 30'000, "image/jpeg");
+  SimHttpOrigin origin(sim, &store, &server_link);
+  MitmProxy proxy(sim, &origin, &client_link);
+  LruCache cache(1'000'000);
+  proxy.set_cache(&cache);
+
+  TimeMs first = -1, second = -1;
+  FetchCallbacks c1;
+  c1.on_complete = [&](const FetchResult& r) { first = r.latency_ms(); };
+  proxy.fetch(HttpRequest::get("http://o.example/x.jpg"), std::move(c1));
+  sim.run();
+  ASSERT_GT(first, 0);
+  EXPECT_TRUE(cache.contains(key(cache, "http://o.example/x.jpg")));
+
+  Bytes upstream_after_first = server_link.bytes_delivered_total();
+  TimeMs t0 = sim.now();
+  FetchCallbacks c2;
+  c2.on_complete = [&](const FetchResult& r) { second = r.complete_ms - t0; };
+  proxy.fetch(HttpRequest::get("http://o.example/x.jpg"), std::move(c2));
+  sim.run();
+  ASSERT_GT(second, 0);
+  // The cut-through proxy hides origin latency from the client either way;
+  // the cache's win is that the second fetch moves ZERO upstream bytes.
+  EXPECT_EQ(server_link.bytes_delivered_total(), upstream_after_first);
+  EXPECT_EQ(proxy.stats().cache_hits, 1u);
+  EXPECT_EQ(proxy.stats().bytes_from_upstream_saved, 30'000);
+  // And it is at least as fast for the client.
+  EXPECT_LE(second, first + 10);
+}
+
+TEST(ProxyCache, BlockedAndErrorResponsesNotCached) {
+  Simulator sim;
+  Link client_link(sim, Link::Params{});
+  Link server_link(sim, Link::Params{});
+  ObjectStore store;  // empty: everything 404s
+  SimHttpOrigin origin(sim, &store, &server_link);
+  MitmProxy proxy(sim, &origin, &client_link);
+  LruCache cache(1'000'000);
+  proxy.set_cache(&cache);
+
+  FetchCallbacks cbs;
+  cbs.on_complete = [](const FetchResult&) {};
+  proxy.fetch(HttpRequest::get("http://o.example/missing"), std::move(cbs));
+  sim.run();
+  EXPECT_FALSE(cache.contains(key(cache, "http://o.example/missing")));
 }
 
 }  // namespace

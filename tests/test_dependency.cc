@@ -19,9 +19,9 @@ const DeviceProfile kDevice = DeviceProfile::nexus6();
 
 TEST(DependencyGraph, ReadinessFollowsEdges) {
   DependencyGraph g;
-  auto a = g.add_node("a");
-  auto b = g.add_node("b");
-  auto c = g.add_node("c");
+  auto a = g.add_node();
+  auto b = g.add_node();
+  auto c = g.add_node();
   g.add_edge(a, b);
   g.add_edge(b, c);
   std::vector<bool> done(3, false);
@@ -36,8 +36,8 @@ TEST(DependencyGraph, ReadinessFollowsEdges) {
 
 TEST(DependencyGraph, ReadyNodesExcludesDone) {
   DependencyGraph g;
-  auto a = g.add_node("a");
-  auto b = g.add_node("b");
+  auto a = g.add_node();
+  auto b = g.add_node();
   g.add_edge(a, b);
   std::vector<bool> done = {true, false};
   auto ready = g.ready_nodes(done);
@@ -47,10 +47,10 @@ TEST(DependencyGraph, ReadyNodesExcludesDone) {
 
 TEST(DependencyGraph, TopologicalOrderRespectsEdges) {
   DependencyGraph g;
-  auto a = g.add_node("a");
-  auto b = g.add_node("b");
-  auto c = g.add_node("c");
-  auto d = g.add_node("d");
+  auto a = g.add_node();
+  auto b = g.add_node();
+  auto c = g.add_node();
+  auto d = g.add_node();
   g.add_edge(a, c);
   g.add_edge(b, c);
   g.add_edge(c, d);
@@ -66,8 +66,8 @@ TEST(DependencyGraph, TopologicalOrderRespectsEdges) {
 
 TEST(DependencyGraph, CycleDetected) {
   DependencyGraph g;
-  auto a = g.add_node("a");
-  auto b = g.add_node("b");
+  auto a = g.add_node();
+  auto b = g.add_node();
   g.add_edge(a, b);
   g.add_edge(b, a);
   EXPECT_TRUE(g.has_cycle());

@@ -179,8 +179,8 @@ TEST(FailureInjection, DeferredRequestsSurviveToSessionEndWithoutLeaks) {
   sim.run_until(60'000);
   EXPECT_EQ(completions, 0);
   EXPECT_EQ(proxy.deferred_urls().size(), 50u);
-  // Aborting them at teardown flushes everything exactly once.
-  proxy.abort_deferred("http://o.example/img");
+  // Releasing them at teardown flushes everything exactly once.
+  EXPECT_EQ(proxy.release("http://o.example/img"), 50u);
   sim.run();
   EXPECT_EQ(completions, 50);
 }

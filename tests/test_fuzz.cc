@@ -1,8 +1,7 @@
 // Randomized robustness suites: the HTTP parser against generated valid
 // traffic (round-trip at arbitrary split points) and against garbage; the
-// byte pipe against randomized send patterns; the knapsack against randomly
-// permuted capacities (validation contract); the same corpora pushed through
-// a real aio socket pair into the loopback HTTP server (ISSUE 8).
+// same corpora pushed through a real aio socket pair into the loopback HTTP
+// server; the URL canonicaliser and the JSON parser against malformed input.
 #include <gtest/gtest.h>
 
 #include <iterator>
@@ -11,12 +10,10 @@
 #include "http/message.h"
 #include "http/parser.h"
 #include "http/url.h"
-#include "http/wire.h"
 #include "net/aio/event_loop.h"
 #include "net/aio/http_server.h"
 #include "net/aio/syscall.h"
 #include "net/aio/tcp.h"
-#include "net/byte_pipe.h"
 #include "util/json.h"
 #include "util/rng.h"
 
@@ -227,62 +224,6 @@ TEST_P(ParserFuzz, CanonicalUrlMatchesReferenceOnMutatedStartLines) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParserFuzz, ::testing::Values(1u, 2u, 3u));
-
-// ---------- BytePipe randomized ----------
-
-class PipeFuzz : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(PipeFuzz, ArbitrarySendPatternsPreserveContent) {
-  Rng rng(GetParam());
-  Simulator sim;
-  Link::Params lp;
-  lp.bandwidth = BandwidthTrace::constant(rng.uniform(30'000, 500'000));
-  lp.quantum_ms = 5;
-  lp.sharing = Link::Sharing::kFifo;
-  Link link(sim, lp);
-  BytePipe pipe(sim, &link);
-  std::string received;
-  pipe.set_on_data([&](std::string_view d) { received.append(d); });
-
-  std::string sent;
-  // Sends interleaved with simulated time passage.
-  TimeMs t = 0;
-  for (int i = 0; i < 30; ++i) {
-    t += rng.uniform_int(0, 200);
-    std::string msg = random_token(rng, 2000);
-    sent += msg;
-    sim.schedule_at(t, [&pipe, msg] { pipe.send(msg); });
-  }
-  sim.run();
-  EXPECT_EQ(received, sent);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, PipeFuzz, ::testing::Values(10u, 20u, 30u, 40u));
-
-// ---------- wire server under fragmented load ----------
-
-TEST(WireFuzz, ServerSurvivesSlowlyTrickledRequests) {
-  Simulator sim;
-  Link::Params slow;
-  slow.bandwidth = BandwidthTrace::constant(2'000);  // 2 KB/s: heavy trickle
-  Link c2s(sim, slow);
-  Link s2c(sim, Link::Params{});
-  DuplexChannel channel(sim, &c2s, &s2c);
-  ObjectStore store;
-  store.put_body("/x", "tiny");
-  WireHttpServer server(&store, &channel.a_to_b(), &channel.b_to_a());
-  WireHttpClient client(&channel.a_to_b(), &channel.b_to_a());
-  int done = 0;
-  for (int i = 0; i < 3; ++i)
-    client.send(HttpRequest::get("http://h.example/x"),
-                [&](const HttpResponse& r) {
-                  EXPECT_EQ(r.body, "tiny");
-                  ++done;
-                });
-  sim.run();
-  EXPECT_EQ(done, 3);
-  EXPECT_EQ(server.requests_served(), 3u);
-}
 
 // ---------- malformed-URL corpus ----------
 

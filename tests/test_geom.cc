@@ -82,18 +82,6 @@ TEST(Rect, ContainedOverlapAreaIsInnerArea) {
   EXPECT_DOUBLE_EQ(outer.overlap_area(inner), inner.area());
 }
 
-TEST(Rect, IntersectionRect) {
-  Rect a{0, 0, 10, 10}, b{5, 5, 10, 10};
-  EXPECT_EQ(a.intersection(b), (Rect{5, 5, 5, 5}));
-  EXPECT_TRUE(a.intersection({20, 20, 1, 1}).empty());
-}
-
-TEST(Rect, UnionWith) {
-  Rect a{0, 0, 10, 10}, b{20, 5, 10, 10};
-  EXPECT_EQ(a.union_with(b), (Rect{0, 0, 30, 15}));
-  EXPECT_EQ(Rect{}.union_with(b), b);
-}
-
 TEST(Rect, ContainsPointAndRect) {
   Rect r{0, 0, 10, 10};
   EXPECT_TRUE(r.contains(Vec2{5, 5}));

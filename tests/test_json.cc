@@ -1,12 +1,7 @@
-// Tests for the JSON writer and the experiment exporters, plus the scroll
-// path sampler.
+// Tests for the JSON writer and reader and the browsing-session exporter.
 #include <gtest/gtest.h>
 
-#include "core/scroll_tracker.h"
 #include "util/json.h"
-#include "gesture/recognizer.h"
-#include "gesture/synthetic.h"
-#include "video/session.h"
 #include "web/corpus.h"
 #include "web/experiment.h"
 
@@ -97,56 +92,6 @@ TEST(BrowsingSessionJson, ExportsWellFormedDocument) {
   EXPECT_EQ(braces, 0);
   EXPECT_EQ(brackets, 0);
 }
-
-TEST(StreamingSessionJson, ExportsWellFormedDocument) {
-  VideoAsset::Params vp;
-  vp.duration_s = 5;
-  VideoAsset video(vp);
-  ViewportTrace::Params tp;
-  tp.device = DeviceProfile::nexus6();
-  ViewportTrace trace(tp);
-  MfHttpTileScheduler sched;
-  auto session = run_streaming_session(video, trace,
-                                       BandwidthTrace::constant(kb_per_sec(500)),
-                                       sched, StreamingSessionParams{});
-  std::string json = session.to_json();
-  EXPECT_NE(json.find("\"scheduler\":\"mf-http\""), std::string::npos);
-  EXPECT_NE(json.find("\"segments\":["), std::string::npos);
-  // One segment object per playback second.
-  std::size_t count = 0, pos = 0;
-  while ((pos = json.find("\"segment\":", pos)) != std::string::npos) {
-    ++count;
-    ++pos;
-  }
-  EXPECT_EQ(count, 5u);
-}
-
-TEST(ScrollPathSampler, CoversWholeAnimation) {
-  ScrollTracker::Params tp;
-  tp.scroll = ScrollConfig(DeviceProfile::nexus6());
-  ScrollTracker tracker(tp);
-  Gesture g;
-  g.kind = GestureKind::kFling;
-  g.down_time_ms = 0;
-  g.up_time_ms = 150;
-  g.release_velocity = {0, -6000};
-  ScrollPrediction pred = tracker.predict(g, {0, 0, 1440, 2560});
-  auto path = pred.sample_path(50);
-  ASSERT_GE(path.size(), 3u);
-  EXPECT_DOUBLE_EQ(path.front().t_ms, 0);
-  EXPECT_EQ(path.front().viewport, pred.viewport0);
-  EXPECT_DOUBLE_EQ(path.back().t_ms, pred.duration_ms);
-  EXPECT_EQ(path.back().viewport, pred.final_viewport());
-  EXPECT_DOUBLE_EQ(path.back().speed_px_s, 0);
-  // Monotone time and y; speed decreasing.
-  for (std::size_t i = 1; i < path.size(); ++i) {
-    EXPECT_GT(path[i].t_ms, path[i - 1].t_ms);
-    EXPECT_GE(path[i].viewport.y, path[i - 1].viewport.y);
-    EXPECT_LE(path[i].speed_px_s, path[i - 1].speed_px_s + 1e-9);
-  }
-}
-
-// ---------- JsonValue reader ----------
 
 TEST(JsonReader, ScalarsAndTypes) {
   auto doc = parse_json(R"({"s": "hi", "n": -2.5, "i": 42, "t": true,

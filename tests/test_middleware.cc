@@ -217,17 +217,6 @@ TEST(Middleware, GestureUplinkDelayDefersProcessing) {
   EXPECT_EQ(calls, 1);
 }
 
-TEST(Middleware, SetObjectsResetsState) {
-  Middleware mw(middleware_params(), column_objects(10),
-                BandwidthTrace::constant(1e6), nullptr);
-  mw.on_gesture(fling_gesture({0, -4000}, 1000));
-  ASSERT_TRUE(mw.last_policy().has_value());
-  mw.set_objects(column_objects(5), kViewport);
-  EXPECT_FALSE(mw.last_policy().has_value());
-  EXPECT_EQ(mw.objects().size(), 5u);
-  EXPECT_EQ(mw.viewport_at(99'999), kViewport);
-}
-
 TEST(Middleware, FlywheelCompoundsSuccessiveFlings) {
   // A second same-direction fling launched mid-animation inherits the
   // remaining speed (Android OverScroller flywheel).
@@ -284,49 +273,6 @@ TEST(Middleware, FlywheelNotAppliedAfterSettle) {
   ScrollAnimation reference({0, 8000}, ScrollConfig(kDevice));
   EXPECT_NEAR(mw.last_analysis()->prediction.displacement.y,
               reference.total_distance(), 1.0);
-}
-
-TEST(Middleware, ViewportScaleShrinksViewport) {
-  Middleware mw(middleware_params(), column_objects(60),
-                BandwidthTrace::constant(1e6), nullptr);
-  EXPECT_DOUBLE_EQ(mw.viewport_scale(), 1.0);
-  mw.set_viewport_scale(2.0, 0);
-  EXPECT_DOUBLE_EQ(mw.viewport_scale(), 2.0);
-  Rect vp = mw.viewport_at(0);
-  EXPECT_DOUBLE_EQ(vp.w, kViewport.w / 2);
-  EXPECT_DOUBLE_EQ(vp.h, kViewport.h / 2);
-  // Centered on the previous viewport's center, clamped into the page.
-  EXPECT_GE(vp.x, 0);
-  EXPECT_GE(vp.y, 0);
-}
-
-TEST(Middleware, ZoomedFlingCoversLessContent) {
-  // The same finger flick pans half the content distance at 2x zoom.
-  auto displacement_at_scale = [&](double scale) {
-    Middleware mw(middleware_params(), column_objects(60),
-                  BandwidthTrace::constant(1e6), nullptr);
-    if (scale != 1.0) mw.set_viewport_scale(scale, 0);
-    mw.on_gesture(fling_gesture({0, -8000}, 1000));
-    return mw.last_analysis()->prediction.displacement.norm();
-  };
-  double normal = displacement_at_scale(1.0);
-  double zoomed = displacement_at_scale(2.0);
-  EXPECT_LT(zoomed, normal);
-  // Content velocity halves; fling distance scales superlinearly in v, so
-  // the zoomed displacement is well under half.
-  EXPECT_LT(zoomed, normal * 0.55);
-}
-
-TEST(Middleware, ZoomedViewportInvolvesFewerObjects) {
-  Middleware normal(middleware_params(), column_objects(60),
-                    BandwidthTrace::constant(1e6), nullptr);
-  Middleware zoomed(middleware_params(), column_objects(60),
-                    BandwidthTrace::constant(1e6), nullptr);
-  zoomed.set_viewport_scale(3.0, 0);
-  normal.on_gesture(fling_gesture({0, -6000}, 1000));
-  zoomed.on_gesture(fling_gesture({0, -6000}, 1000));
-  EXPECT_LT(zoomed.last_policy()->decisions.size(),
-            normal.last_policy()->decisions.size());
 }
 
 TEST(Middleware, EndToEndFromRawTouches) {

@@ -475,14 +475,6 @@ TEST(OverloadConfig, SchemaViolationNamesTheField) {
   EXPECT_NE(error.find("global_rate_per_s"), std::string::npos) << error;
 }
 
-TEST(OverloadConfig, MissingFileReportsPathAndCause) {
-  std::string error;
-  auto parsed = OverloadConfig::load("/nonexistent/overload.json", &error);
-  EXPECT_FALSE(parsed.has_value());
-  EXPECT_NE(error.find("/nonexistent/overload.json"), std::string::npos) << error;
-  EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
-}
-
 // ---------- Arrival schedules ----------
 
 TEST(Arrivals, PoissonScheduleIsSeedDeterministicAndOrdered) {

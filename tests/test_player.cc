@@ -1,9 +1,8 @@
-// Tests for the MPD manifest round-trip and the event-driven buffered player.
+// Tests for the event-driven buffered player.
 #include <gtest/gtest.h>
 
 #include "gesture/recognizer.h"
 #include "gesture/synthetic.h"
-#include "video/mpd.h"
 #include "video/player.h"
 
 namespace mfhttp {
@@ -11,87 +10,11 @@ namespace {
 
 const DeviceProfile kDevice = DeviceProfile::nexus6();
 
-// ---------- MPD ----------
-
 VideoAsset small_asset() {
   VideoAsset::Params p;
   p.name = "clip";
   p.duration_s = 12;
   return VideoAsset(p);
-}
-
-TEST(Mpd, WriteContainsStructure) {
-  VideoAsset video = small_asset();
-  std::string xml = write_mpd(video, "http://cdn.example");
-  EXPECT_NE(xml.find("<MPD"), std::string::npos);
-  EXPECT_NE(xml.find("mediaPresentationDuration=\"PT12S\""), std::string::npos);
-  EXPECT_NE(xml.find("urn:mpeg:dash:srd:2014"), std::string::npos);
-  EXPECT_NE(xml.find("tile_0_0_360s"), std::string::npos);
-  EXPECT_NE(xml.find("tile_3_3_1080s"), std::string::npos);
-  EXPECT_NE(xml.find("seg_$Number$.m4s"), std::string::npos);
-}
-
-TEST(Mpd, RoundTripStructure) {
-  VideoAsset video = small_asset();
-  auto doc = parse_mpd(write_mpd(video, "http://cdn.example"));
-  ASSERT_TRUE(doc.has_value());
-  EXPECT_EQ(doc->duration_s, 12);
-  EXPECT_EQ(doc->segment_duration_ms, 1000);
-  ASSERT_EQ(doc->adaptation_sets.size(), 16u);
-  for (const MpdAdaptationSet& set : doc->adaptation_sets) {
-    EXPECT_EQ(set.srd_frame_w, 3840);
-    EXPECT_EQ(set.srd_frame_h, 1920);
-    EXPECT_EQ(set.srd_w, 960);
-    EXPECT_EQ(set.srd_h, 480);
-    ASSERT_EQ(set.representations.size(), 4u);
-    EXPECT_EQ(set.representations[0].quality, "360s");
-    EXPECT_EQ(set.representations[3].quality, "1080s");
-    // Bandwidth ascends with quality.
-    for (std::size_t q = 1; q < 4; ++q)
-      EXPECT_GT(set.representations[q].bandwidth,
-                set.representations[q - 1].bandwidth);
-  }
-  // SRD boxes tile the frame exactly once each.
-  double area = 0;
-  for (const MpdAdaptationSet& set : doc->adaptation_sets)
-    area += static_cast<double>(set.srd_w) * set.srd_h;
-  EXPECT_DOUBLE_EQ(area, 3840.0 * 1920.0);
-}
-
-TEST(Mpd, TemplateExpansion) {
-  EXPECT_EQ(MpdDocument::expand_template("clip/tile_0_0/360s/seg_$Number$.m4s", 7),
-            "clip/tile_0_0/360s/seg_007.m4s");
-  EXPECT_EQ(MpdDocument::expand_template("no-placeholder.m4s", 7),
-            "no-placeholder.m4s");
-}
-
-TEST(Mpd, TemplateMatchesAssetUrls) {
-  VideoAsset video = small_asset();
-  auto doc = parse_mpd(write_mpd(video, "http://cdn.example"));
-  ASSERT_TRUE(doc.has_value());
-  // AdaptationSet k corresponds to tile k (row-major): its expanded template
-  // must equal the asset's segment_url modulo the BaseURL prefix.
-  const MpdRepresentation& rep = doc->adaptation_sets[5].representations[2];
-  std::string expanded = MpdDocument::expand_template(rep.media_template, 3);
-  EXPECT_EQ("http://cdn.example/" + expanded, video.segment_url("http://cdn.example", 5, 3, 2));
-}
-
-TEST(Mpd, ParseRejectsMalformed) {
-  EXPECT_FALSE(parse_mpd("").has_value());
-  EXPECT_FALSE(parse_mpd("<MPD></MPD>").has_value());
-  EXPECT_FALSE(parse_mpd("<MPD mediaPresentationDuration=\"PT5S\">"
-                         "<Period></Period></MPD>")
-                   .has_value());
-  // SRD with wrong field count.
-  EXPECT_FALSE(
-      parse_mpd("<MPD mediaPresentationDuration=\"PT5S\"><Period>"
-                "<AdaptationSet id=\"0\">"
-                "<SupplementalProperty schemeIdUri=\"urn:mpeg:dash:srd:2014\""
-                " value=\"0,0,0\"/>"
-                "<Representation id=\"r_360s\" bandwidth=\"1\">"
-                "<SegmentTemplate media=\"x/seg_$Number$.m4s\"/>"
-                "</Representation></AdaptationSet></Period></MPD>")
-          .has_value());
 }
 
 // ---------- buffered player ----------

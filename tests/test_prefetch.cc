@@ -380,9 +380,6 @@ TEST(CacheConfigTest, ReportsSchemaAndParseErrors) {
 
   EXPECT_FALSE(CacheConfig::from_json("{nope", &error).has_value());
   EXPECT_NE(error.find("line"), std::string::npos);
-
-  EXPECT_FALSE(CacheConfig::load("/nonexistent/cache.json", &error).has_value());
-  EXPECT_EQ(error, "cannot open file");
 }
 
 }  // namespace

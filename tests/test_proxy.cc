@@ -183,21 +183,6 @@ TEST_F(ProxyFixture, ReleaseUnknownUrlIsNoop) {
   EXPECT_EQ(proxy->release("http://s.example/none"), 0u);
 }
 
-TEST_F(ProxyFixture, AbortDeferredFailsAsBlocked) {
-  ScriptedInterceptor deferrer(InterceptDecision::defer());
-  proxy->set_interceptor(&deferrer);
-  std::optional<FetchResult> out;
-  FetchCallbacks cbs;
-  cbs.on_complete = [&](const FetchResult& r) { out = r; };
-  proxy->fetch(HttpRequest::get("http://s.example/img/b.jpg"), std::move(cbs));
-  sim.run_until(100);
-  EXPECT_EQ(proxy->abort_deferred("http://s.example/img/b.jpg"), 1u);
-  sim.run();
-  ASSERT_TRUE(out.has_value());
-  EXPECT_TRUE(out->blocked);
-  EXPECT_EQ(proxy->stats().aborted, 1u);
-}
-
 TEST_F(ProxyFixture, RewriteFetchesDifferentObject) {
   ScriptedInterceptor rewriter(
       InterceptDecision::rewrite("http://s.example/img/a_low.jpg"));
@@ -245,7 +230,7 @@ TEST_F(ProxyFixture, ReleaseStartsDeferredFetchesInArrivalOrder) {
   ScriptedInterceptor deferrer(InterceptDecision::defer());
   fifo_proxy.set_interceptor(&deferrer);
 
-  // Park and abort three fetches first, so the records below reuse freed
+  // Park and release three fetches first, so the records below reuse freed
   // slots out of arrival order.
   const std::string low = "http://s.example/img/a_low.jpg";
   for (int i = 0; i < 3; ++i) {
@@ -253,7 +238,7 @@ TEST_F(ProxyFixture, ReleaseStartsDeferredFetchesInArrivalOrder) {
     cbs.on_complete = [](const FetchResult&) {};
     fifo_proxy.fetch(HttpRequest::get(low), std::move(cbs));
   }
-  EXPECT_EQ(fifo_proxy.abort_deferred(low), 3u);
+  EXPECT_EQ(fifo_proxy.release(low), 3u);
   sim.run();
 
   const std::string a = "http://s.example/img/a.jpg";

@@ -6,7 +6,6 @@
 
 #include "gesture/synthetic.h"
 #include "trace/trace_io.h"
-#include "util/rng.h"
 
 namespace mfhttp {
 namespace {
@@ -65,37 +64,8 @@ TEST(TouchTraceIo, SkipsBlankLinesAndHeader) {
   EXPECT_EQ(back->size(), 2u);
 }
 
-TEST(BandwidthTraceIo, RoundTrip) {
-  Rng rng(3);
-  auto original = BandwidthTrace::random_walk(rng, 500e3, 100e3, 100e3, 900e3, 30, 500);
-  std::stringstream ss;
-  write_bandwidth_trace(ss, original);
-  auto back = read_bandwidth_trace(ss);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->slot_ms(), 500);
-  ASSERT_EQ(back->slot_count(), 30u);
-  for (std::size_t i = 0; i < 30; ++i)
-    EXPECT_NEAR(back->slots()[i], original.slots()[i], original.slots()[i] * 1e-6);
-}
-
-TEST(BandwidthTraceIo, RejectsMissingHeader) {
-  std::stringstream ss("1000\n2000\n");
-  EXPECT_FALSE(read_bandwidth_trace(ss).has_value());
-}
-
-TEST(BandwidthTraceIo, RejectsNegativeRate) {
-  std::stringstream ss("slot_ms=1000\n100\n-5\n");
-  EXPECT_FALSE(read_bandwidth_trace(ss).has_value());
-}
-
-TEST(BandwidthTraceIo, RejectsEmptyBody) {
-  std::stringstream ss("slot_ms=1000\n");
-  EXPECT_FALSE(read_bandwidth_trace(ss).has_value());
-}
-
 TEST(TraceFileIo, SaveAndLoadFiles) {
   std::string touch_path = testing::TempDir() + "/mfhttp_touch.csv";
-  std::string bw_path = testing::TempDir() + "/mfhttp_bw.csv";
 
   SwipeSpec spec;
   spec.start = {10, 20};
@@ -105,20 +75,11 @@ TEST(TraceFileIo, SaveAndLoadFiles) {
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->size(), trace.size());
 
-  auto bw = BandwidthTrace::from_slots({1000, 2000}, 250);
-  ASSERT_TRUE(save_bandwidth_trace(bw_path, bw));
-  auto bw_back = load_bandwidth_trace(bw_path);
-  ASSERT_TRUE(bw_back.has_value());
-  EXPECT_EQ(bw_back->slot_count(), 2u);
-  EXPECT_EQ(bw_back->slot_ms(), 250);
-
   std::remove(touch_path.c_str());
-  std::remove(bw_path.c_str());
 }
 
 TEST(TraceFileIo, LoadMissingFileIsNullopt) {
   EXPECT_FALSE(load_touch_trace("/nonexistent/path.csv").has_value());
-  EXPECT_FALSE(load_bandwidth_trace("/nonexistent/path.csv").has_value());
 }
 
 }  // namespace

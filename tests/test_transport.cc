@@ -43,20 +43,6 @@ TEST(AioBytePipe, PushPullRoundTrip) {
   EXPECT_TRUE(pipe.empty());
 }
 
-TEST(AioBytePipe, PullLineStripsCrlf) {
-  aio::BytePipe pipe;
-  ASSERT_TRUE(pipe.append("GET / HTTP/1.1\r\nHost: x\r\n\r\ntail"));
-  std::string_view line;
-  ASSERT_TRUE(pipe.pull_line(&line));
-  EXPECT_EQ(line, "GET / HTTP/1.1");
-  ASSERT_TRUE(pipe.pull_line(&line));
-  EXPECT_EQ(line, "Host: x");
-  ASSERT_TRUE(pipe.pull_line(&line));
-  EXPECT_EQ(line, "");
-  EXPECT_FALSE(pipe.pull_line(&line));  // "tail" has no LF yet
-  EXPECT_EQ(pipe.peek(), "tail");
-}
-
 TEST(AioBytePipe, BoundedPipeSignalsBackpressure) {
   aio::BytePipe pipe(8, /*max_capacity=*/16);
   EXPECT_TRUE(pipe.append(std::string(16, 'a')));
@@ -205,6 +191,66 @@ TEST(AioHttpServer, ServesKeepAliveRequests) {
   EXPECT_FALSE(client.closed);  // keep-alive: conn stays up
   EXPECT_EQ(server.stats().requests, 2u);
   EXPECT_EQ(server.stats().responses, 2u);
+}
+
+TEST(AioHttpServer, PipelinedRequestsAnsweredInOrder) {
+  // A large answer ahead of a small one: responses leave in request order.
+  aio::EventLoop loop;
+  aio::HttpServer server(loop, 0, [](const HttpRequest& req) {
+    if (req.target == "/img/big.jpg")
+      return HttpResponse::make(200, "OK", std::string(50'000, 'x'),
+                                "image/jpeg");
+    return HttpResponse::make(200, "OK", "hello wire world", "text/plain");
+  });
+  RawClient client(loop, server.port());
+  ASSERT_TRUE(client.conn->send(
+      "GET /img/big.jpg HTTP/1.1\r\nHost: h.example\r\n\r\n"
+      "GET /hello.txt HTTP/1.1\r\nHost: h.example\r\n\r\n"));
+  ASSERT_TRUE(client.wait([&] {
+    return parse_responses(client.received).size() >= 2;
+  }));
+  std::vector<HttpResponse> responses = parse_responses(client.received);
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_EQ(responses[0].status, 200);
+  EXPECT_EQ(responses[0].body.size(), 50'000u);
+  EXPECT_EQ(responses[1].status, 200);
+  EXPECT_EQ(responses[1].body, "hello wire world");
+  EXPECT_EQ(server.stats().responses, 2u);
+}
+
+TEST(AioHttpServer, TrickledRequestWithinDeadlineIsServed) {
+  aio::EventLoop loop;
+  aio::HttpServerParams params;
+  params.request_deadline_ms = 400;
+  aio::HttpServer server(loop, 0, ok_handler, params);
+  RawClient client(loop, server.port());
+  std::string wire;
+  for (int i = 0; i < 4; ++i)
+    wire += "GET /x HTTP/1.1\r\nHost: h.example\r\n\r\n";
+  // 5 bytes every 20 ms: each 36-byte request takes ~150 ms, well inside its
+  // deadline, while the four together take ~580 ms, beyond one deadline.
+  // Chunks straddle request boundaries, so the next request's first bytes
+  // arrive with the end of the previous one.
+  constexpr std::size_t kChunk = 5;
+  constexpr TimeMs kGapMs = 20;
+  std::size_t sent = 0;
+  std::function<void()> send_next = [&] {
+    ASSERT_TRUE(client.conn->send(wire.substr(sent, kChunk)));
+    sent += kChunk;
+    if (sent < wire.size()) loop.add_timer_after(kGapMs, send_next);
+  };
+  send_next();
+  ASSERT_TRUE(client.wait(
+      [&] { return client.closed || parse_responses(client.received).size() >= 4; },
+      5000));
+  std::vector<HttpResponse> responses = parse_responses(client.received);
+  ASSERT_EQ(responses.size(), 4u);
+  for (const HttpResponse& r : responses) {
+    EXPECT_EQ(r.status, 200);
+    EXPECT_EQ(r.body, "served:/x");
+  }
+  EXPECT_FALSE(client.closed);
+  EXPECT_EQ(server.stats().timeouts, 0u);
 }
 
 TEST(AioHttpServer, OversizedHeadersAnswer431AndClose) {

@@ -186,35 +186,6 @@ TEST(Samples, UnsortedInputHandled) {
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
 }
 
-// ---------- Histogram ----------
-
-TEST(Histogram, BinAssignment) {
-  Histogram h(0, 10, 5);
-  h.add(0.5);   // bin 0
-  h.add(9.5);   // bin 4
-  h.add(5.0);   // bin 2
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(2), 1u);
-  EXPECT_EQ(h.count(4), 1u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, OutOfRangeClamps) {
-  Histogram h(0, 10, 5);
-  h.add(-100);
-  h.add(100);
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(4), 1u);
-}
-
-TEST(Histogram, BinEdges) {
-  Histogram h(0, 10, 5);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(4), 8.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(4), 10.0);
-}
-
 // ---------- strings ----------
 
 TEST(Strings, SplitBasic) {
@@ -259,8 +230,6 @@ TEST(Strings, ToLower) {
 TEST(Strings, StartsEndsWith) {
   EXPECT_TRUE(starts_with("http://x", "http://"));
   EXPECT_FALSE(starts_with("ftp://x", "http://"));
-  EXPECT_TRUE(ends_with("image.jpg", ".jpg"));
-  EXPECT_FALSE(ends_with("jpg", "image.jpg"));
 }
 
 TEST(Strings, Strformat) {

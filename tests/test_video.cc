@@ -284,7 +284,10 @@ TEST(ViewportTrace, FromTouchTraceEndToEnd) {
     now = t.back().time_ms;
     all.insert(all.end(), t.begin(), t.end());
   }
-  ViewportTrace vt = ViewportTrace::from_touch_trace(p, all);
+  ViewportTrace vt(p);
+  GestureRecognizer recognizer(p.device);
+  for (const TouchEvent& ev : all)
+    if (auto g = recognizer.on_touch_event(ev)) vt.add_gesture(*g);
   EXPECT_GT(vt.keyframe_count(), 10u);
   // Orientation actually moved during the session.
   ViewOrientation start = vt.at(0), end = vt.at(now);
