@@ -8,36 +8,40 @@ std::string ObjectStore::next_etag() {
   return "\"v" + std::to_string(++version_) + "\"";
 }
 
-void ObjectStore::put(std::string path, Bytes size, std::string content_type) {
-  MFHTTP_CHECK(size >= 0);
+StoredObject& ObjectStore::slot(std::string_view path) {
   MFHTTP_CHECK(!path.empty() && path[0] == '/');
-  objects_[std::move(path)] =
-      StoredObject{size, std::move(content_type), std::nullopt, next_etag()};
+  const UrlId id = paths_.intern(path);
+  if (id == objects_.size()) objects_.emplace_back();
+  return objects_[id];
 }
 
-void ObjectStore::put_body(std::string path, std::string body,
+void ObjectStore::put(std::string_view path, Bytes size, std::string content_type) {
+  MFHTTP_CHECK(size >= 0);
+  slot(path) = StoredObject{size, std::move(content_type), std::nullopt, next_etag()};
+}
+
+void ObjectStore::put_body(std::string_view path, std::string body,
                            std::string content_type) {
-  MFHTTP_CHECK(!path.empty() && path[0] == '/');
+  StoredObject& obj = slot(path);
   auto size = static_cast<Bytes>(body.size());
-  objects_[std::move(path)] =
-      StoredObject{size, std::move(content_type), std::move(body), next_etag()};
+  obj = StoredObject{size, std::move(content_type), std::move(body), next_etag()};
 }
 
 bool ObjectStore::bump(std::string_view path) {
-  auto it = objects_.find(std::string(path));
-  if (it == objects_.end()) return false;
-  it->second.etag = next_etag();
+  const UrlId id = paths_.find(path);
+  if (id == kNoUrl) return false;
+  objects_[id].etag = next_etag();
   return true;
 }
 
 const StoredObject* ObjectStore::find(std::string_view path) const {
-  auto it = objects_.find(std::string(path));
-  return it == objects_.end() ? nullptr : &it->second;
+  const UrlId id = paths_.find(path);
+  return id == kNoUrl ? nullptr : &objects_[id];
 }
 
 Bytes ObjectStore::total_bytes() const {
   Bytes total = 0;
-  for (const auto& [path, obj] : objects_) total += obj.wire_size();
+  for (const StoredObject& obj : objects_) total += obj.wire_size();
   return total;
 }
 

@@ -3,14 +3,20 @@
 // Experiments care about object *sizes* (what the link transfers and the
 // knapsack weighs), so bodies are stored as sizes; codec-level demos and
 // tests may attach real payload bytes.
+//
+// Paths are interned in the store's own UrlTable (one table per key space,
+// DESIGN.md §21.1) and objects live in a deque indexed by path id, so a
+// lookup hashes the path once and an object's address is stable for the
+// store's life (DESIGN.md §23.3).
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 
+#include "http/url_table.h"
 #include "util/types.h"
 
 namespace mfhttp {
@@ -28,11 +34,11 @@ class ObjectStore {
  public:
   // Register an object by path ("/img/3.jpg"). Replaces existing (and
   // assigns a fresh ETag — replacement is new content).
-  void put(std::string path, Bytes size,
+  void put(std::string_view path, Bytes size,
            std::string content_type = "application/octet-stream");
 
   // Register an object with a real payload.
-  void put_body(std::string path, std::string body,
+  void put_body(std::string_view path, std::string body,
                 std::string content_type = "text/plain");
 
   // The object's content changed in place: assign it a fresh ETag so
@@ -46,8 +52,11 @@ class ObjectStore {
 
  private:
   std::string next_etag();
+  // The object stored under `path`, added empty when the path is new.
+  StoredObject& slot(std::string_view path);
 
-  std::unordered_map<std::string, StoredObject> objects_;
+  UrlTable paths_;
+  std::deque<StoredObject> objects_;  // by path id
   std::uint64_t version_ = 0;
 };
 

@@ -32,6 +32,9 @@ class UrlTable {
   UrlTable() = default;
   UrlTable(const UrlTable&) = delete;
   UrlTable& operator=(const UrlTable&) = delete;
+  // Moving keeps every url(id) view valid: the text blocks do not move.
+  UrlTable(UrlTable&&) = default;
+  UrlTable& operator=(UrlTable&&) = default;
 
   // Id of `url`, adding it when absent (allocates only then).
   UrlId intern(std::string_view url);

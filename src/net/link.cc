@@ -1,6 +1,7 @@
 #include "net/link.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "obs/metrics.h"
 #include "util/check.h"
@@ -38,26 +39,36 @@ Link::TransferId Link::submit(Bytes size, ProgressFn on_progress, int priority) 
   Transfer& t = *transfers_.find(id);
   t.remaining = size;
   t.on_progress = std::move(on_progress);
-  t.order = next_order_++;
   t.priority = priority;
-  sim_.schedule_after(params_.latency_ms, [this, id] {
-    Transfer* t = transfers_.find(id);
-    if (t == nullptr) return;  // cancelled during latency
-    if (t->remaining == 0) {
-      ProgressFn cb = std::move(t->on_progress);
-      transfers_.erase(id);
-      note_transfer_completed();
-      cb(0, true);
-      return;
-    }
-    t->started = true;
-    arm_tick();
-  });
+  sim_.schedule_after(params_.latency_ms, [this, id] { start(id); });
   return id;
 }
 
+void Link::start(TransferId id) {
+  Transfer* t = transfers_.find(id);
+  if (t == nullptr) return;  // cancelled during latency
+  if (t->remaining == 0) {
+    ProgressFn cb = std::move(t->on_progress);
+    transfers_.erase(id);
+    note_transfers_completed(1);
+    cb(0, true);
+    return;
+  }
+  t->started = true;
+  ++started_;
+  // Every transfer waits the same latency, so this one was submitted after
+  // every started transfer: it goes at the tail of its priority class.
+  auto at = active_.end();
+  while (at != active_.begin() && std::prev(at)->priority < t->priority) --at;
+  active_.insert(at, {id, t, t->priority, kNotFinished});
+  arm_tick();
+}
+
 bool Link::cancel(TransferId id) {
-  if (!transfers_.erase(id)) return false;
+  const Transfer* t = transfers_.find(id);
+  if (t == nullptr) return false;
+  if (t->started) --started_;
+  transfers_.erase(id);
   static obs::Counter& cancelled =
       obs::metrics().counter("net.link.transfers_cancelled_total");
   cancelled.inc();
@@ -65,11 +76,11 @@ bool Link::cancel(TransferId id) {
   return true;
 }
 
-void Link::note_transfer_completed() {
+void Link::note_transfers_completed(std::size_t n) {
   static obs::Counter& completed =
       obs::metrics().counter("net.link.transfers_completed_total");
-  completed.inc();
-  active_transfers_gauge().sub(1);
+  completed.inc(n);
+  active_transfers_gauge().sub(static_cast<std::int64_t>(n));
 }
 
 void Link::arm_tick() {
@@ -84,53 +95,57 @@ void Link::tick() {
   double budget =
       params_.bandwidth.bytes_between(quantum_start, now) + carry_bytes_;
 
-  // Started transfers: priority first (kFifo serving order), then FIFO.
-  active_.clear();
-  transfers_.for_each([this](TransferId id, Transfer& t) {
-    if (t.started) active_.push_back({id, &t});
-  });
-  std::sort(active_.begin(), active_.end(), [](auto& a, auto& b) {
-    if (a.second->priority != b.second->priority)
-      return a.second->priority > b.second->priority;
-    return a.second->order < b.second->order;
-  });
+  // Drop the transfers that finished or were cancelled since the last
+  // quantum; the rest are already in serving order (priority first, then
+  // FIFO).
+  std::size_t kept = 0;
+  for (const Serving& s : active_)
+    if (transfers_.contains(s.id)) active_[kept++] = s;
+  active_.resize(kept);
 
   deliveries_.clear();
   finished_.clear();
-  auto give = [&](TransferId id, Transfer& t, double amount) {
+  auto give = [&](std::uint32_t at, double amount) {
+    Serving& s = active_[at];
+    Transfer& t = *s.t;
     auto grant = static_cast<Bytes>(amount);
     grant = std::min(grant, t.remaining);
     if (grant <= 0) return 0.0;
     t.remaining -= grant;
     delivered_total_ += grant;
     const bool complete = t.remaining == 0;
-    deliveries_.push_back({id, grant, complete});
-    if (complete) finished_.push_back({id, std::move(t.on_progress)});
+    deliveries_.push_back({at, grant, complete});
+    if (complete) {
+      s.finished = static_cast<std::uint32_t>(finished_.size());
+      finished_.push_back({s.id, std::move(t.on_progress)});
+    }
     return static_cast<double>(grant);
   };
 
   Bytes quantum_delivered = 0;
+  const auto serving = static_cast<std::uint32_t>(active_.size());
   if (params_.sharing == Sharing::kFifo) {
-    for (auto& [id, t] : active_) {
+    for (std::uint32_t at = 0; at < serving; ++at) {
       if (budget < 1) break;
-      double used = give(id, *t, budget);
+      double used = give(at, budget);
       budget -= used;
       quantum_delivered += static_cast<Bytes>(used);
     }
   } else {
     // Water-filling fair share: repeatedly split remaining budget among
     // transfers that still want bytes.
-    wanting_.assign(active_.begin(), active_.end());
+    wanting_.clear();
+    for (std::uint32_t at = 0; at < serving; ++at) wanting_.push_back(at);
     while (budget >= 1 && !wanting_.empty()) {
       double share = budget / static_cast<double>(wanting_.size());
       if (share < 1) share = 1;  // avoid infinite splitting
       double spent = 0;
       still_.clear();
-      for (auto& [id, t] : wanting_) {
+      for (std::uint32_t at : wanting_) {
         if (budget - spent < 1) break;
-        double used = give(id, *t, std::min(share, budget - spent));
+        double used = give(at, std::min(share, budget - spent));
         spent += used;
-        if (t->remaining > 0) still_.push_back({id, t});
+        if (active_[at].t->remaining > 0) still_.push_back(at);
       }
       budget -= spent;
       quantum_delivered += static_cast<Bytes>(spent);
@@ -142,13 +157,9 @@ void Link::tick() {
   // genuinely idled for part of the quantum, and idle capacity is not banked.
   carry_bytes_ = budget - static_cast<double>(static_cast<Bytes>(budget));
 
-  for (const Finished& f : finished_) {
-    transfers_.erase(f.id);
-    note_transfer_completed();
-  }
-  // Sorted by id so each delivery finds its finished callable by binary search.
-  std::sort(finished_.begin(), finished_.end(),
-            [](const Finished& a, const Finished& b) { return a.id < b.id; });
+  for (const Finished& f : finished_) transfers_.erase(f.id);
+  if (!finished_.empty()) note_transfers_completed(finished_.size());
+  started_ -= finished_.size();
 
   if (quantum_delivered > 0) {
     static obs::Counter& delivered =
@@ -167,25 +178,20 @@ void Link::tick() {
   // on it is a no-op reporting false). A transfer in neither place was
   // cancelled mid-dispatch and gets nothing more, even chunks it had earned.
   for (const Delivery& d : deliveries_) {
-    if (Transfer* t = transfers_.find(d.id)) {
-      ProgressFn fn = std::move(t->on_progress);
-      fn(d.bytes, false);
-      if (Transfer* back = transfers_.find(d.id)) back->on_progress = std::move(fn);
+    const Serving& s = active_[d.at];
+    if (s.finished != kNotFinished) {
+      finished_[s.finished].fn(d.bytes, d.complete);
       continue;
     }
-    auto f = std::lower_bound(
-        finished_.begin(), finished_.end(), d.id,
-        [](const Finished& e, TransferId id) { return e.id < id; });
-    if (f == finished_.end() || f->id != d.id) continue;
-    f->fn(d.bytes, d.complete);
+    if (Transfer* t = transfers_.find(s.id)) {
+      ProgressFn fn = std::move(t->on_progress);
+      fn(d.bytes, false);
+      if (Transfer* back = transfers_.find(s.id)) back->on_progress = std::move(fn);
+    }
   }
   finished_.clear();
 
-  bool any_started = false;
-  transfers_.for_each([&any_started](TransferId, const Transfer& t) {
-    any_started = any_started || t.started;
-  });
-  if (any_started)
+  if (started_ > 0)
     arm_tick();
   else
     carry_bytes_ = 0;  // idle link does not bank capacity

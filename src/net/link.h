@@ -13,6 +13,12 @@
 // active; the link is fully idle (no events) otherwise. Each transfer gets
 // streaming progress callbacks, so HTTP response bodies arrive incrementally
 // just as they would on a socket.
+//
+// Started transfers are kept in serving order (priority descending, then
+// submission order) as they start, so a quantum walks them without sorting:
+// every transfer on a link waits the same latency, so transfers start in
+// submission order and each new one goes at the tail of its priority class.
+// DESIGN.md §23.1.
 #pragma once
 
 #include <cstdint>
@@ -83,15 +89,24 @@ class Link {
   struct Transfer {
     Bytes remaining = 0;
     ProgressFn on_progress;
-    std::uint64_t order = 0;  // FIFO position within a priority class
-    int priority = 0;         // higher is served first (kFifo)
-    bool started = false;     // latency elapsed, eligible for bandwidth
+    int priority = 0;       // higher is served first (kFifo)
+    bool started = false;   // latency elapsed, eligible for bandwidth
 
     void reset() { *this = Transfer{}; }
   };
-  // One chunk earned in a quantum; its callable is looked up at dispatch.
-  struct Delivery {
+  static constexpr std::uint32_t kNotFinished = 0xffffffffu;
+  // A started transfer's place in serving order. The priority is a copy, so
+  // an entry whose transfer was cancelled — dropped at the next quantum —
+  // keeps its place even after the slot is reused.
+  struct Serving {
     TransferId id;
+    Transfer* t;
+    int priority;
+    std::uint32_t finished;  // index into finished_ this quantum
+  };
+  // One chunk earned in a quantum by active_[at].
+  struct Delivery {
+    std::uint32_t at;
     Bytes bytes;
     bool complete;
   };
@@ -100,24 +115,27 @@ class Link {
     TransferId id;
     ProgressFn fn;
   };
-  using Serving = std::pair<TransferId, Transfer*>;
 
+  void start(TransferId id);
   void arm_tick();
   void tick();
-  static void note_transfer_completed();
+  static void note_transfers_completed(std::size_t n);
 
   Simulator& sim_;
   Params params_;
-  std::uint64_t next_order_ = 1;
   Slab<Transfer> transfers_;
+  std::size_t started_ = 0;  // live transfers past their latency
   Simulator::EventId tick_event_ = Simulator::kInvalidEvent;
   // Fractional bytes carried between quanta so low rates are not rounded away.
   double carry_bytes_ = 0;
   Bytes delivered_total_ = 0;
   std::vector<std::pair<TimeMs, Bytes>> consumption_log_;
+  // Started transfers in serving order, plus entries of transfers finished
+  // or cancelled since the last quantum, which the next quantum drops.
+  std::vector<Serving> active_;
   // Per-quantum scratch, cleared and refilled by tick(); kept as members so
   // a steady-state quantum reuses their capacity instead of allocating.
-  std::vector<Serving> active_, wanting_, still_;
+  std::vector<std::uint32_t> wanting_, still_;  // indices into active_
   std::vector<Delivery> deliveries_;
   std::vector<Finished> finished_;
 };

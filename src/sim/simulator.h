@@ -14,8 +14,17 @@
 // std::function's small buffer). An EventId names a slot and the slot's
 // generation at scheduling time; firing or cancelling bumps the generation,
 // so an old id never aliases a later event in the same slot. DESIGN.md §18.
+//
+// The queue is a calendar: one FIFO bucket per millisecond for a window of
+// kWindowMs milliseconds starting at or before now(), and a binary heap
+// ordered by (time, seq) for events at or beyond the window's end. When the
+// window moves forward it first moves the heap events it now covers into
+// their buckets, in heap order, so a bucket always holds its heap arrivals
+// ahead of the events scheduled into it directly — later, with a larger seq
+// — and events fire in exactly (time, seq) order. DESIGN.md §23.2.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <queue>
@@ -32,6 +41,8 @@ class Simulator {
   // (generation << 32) | slot. Generations start at 1, so no live id is 0.
   using EventId = std::uint64_t;
   static constexpr EventId kInvalidEvent = 0;
+  // Calendar window length; a power of two, so a time's bucket is its low bits.
+  static constexpr TimeMs kWindowMs = 256;
 
   Simulator() = default;
   Simulator(const Simulator&) = delete;
@@ -68,6 +79,13 @@ class Simulator {
   void run_until(TimeMs deadline_ms);
 
  private:
+  static constexpr std::size_t kBuckets = static_cast<std::size_t>(kWindowMs);
+  static constexpr std::uint32_t kNil = 0xffffffffu;
+
+  static constexpr std::size_t bucket_of(TimeMs time) {
+    return static_cast<std::size_t>(time) & (kBuckets - 1);
+  }
+
   struct QueueEntry {
     TimeMs time;
     std::uint64_t seq;
@@ -83,12 +101,44 @@ class Simulator {
     std::uint32_t generation = 1;
   };
 
+  // One bucket entry; a cancelled event's node stays until it reaches the
+  // front of its bucket and is skipped, as its heap entry would be.
+  struct Node {
+    EventId id;
+    std::uint32_t next;  // next node in the bucket, or in the free list
+  };
+  struct Bucket {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+  };
+
   // Empties a live slot onto the free list; returns its callback.
   Callback release(EventId id);
 
+  void push_bucket(TimeMs time, EventId id);
+  // Unlinks the front node of `time`'s bucket; returns its event id.
+  EventId pop_bucket(TimeMs time);
+  // Offset from base_ of the first non-empty bucket; needs in_window_ > 0.
+  TimeMs first_occupied_offset() const;
+  // Time of the earliest live event, dropping cancelled entries ahead of
+  // it; false when none is left. Never moves the window.
+  bool next_time(TimeMs* time);
+  // Start the window at `time` (>= base_, with no bucket before it in
+  // use), moving the heap events it now covers into their buckets.
+  void advance_to(TimeMs time);
+  // Fire the earliest live event, which next_time() put at `time`.
+  void fire(TimeMs time);
+
   TimeMs now_ = 0;
   std::uint64_t next_seq_ = 1;
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> queue_;
+  // Buckets cover [base_, base_ + kWindowMs); base_ <= now_.
+  TimeMs base_ = 0;
+  std::array<Bucket, kBuckets> ring_{};
+  std::array<std::uint64_t, kBuckets / 64> occupied_{};  // non-empty buckets
+  std::size_t in_window_ = 0;                            // nodes in ring_
+  std::vector<Node> nodes_;                               // shared node pool
+  std::uint32_t free_node_ = kNil;
+  std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> far_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;  // reusable slot indices, LIFO
 };

@@ -1,12 +1,17 @@
 // Tests for bandwidth traces and the rate-limited link.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "net/bandwidth_trace.h"
 #include "net/link.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
+#include "util/slab.h"
 
 namespace mfhttp {
 namespace {
@@ -428,6 +433,299 @@ TEST(Link, StatefulFunctorObservesEveryDelivery) {
       EXPECT_GE(final_calls[i], sizes[i] / 500) << "transfer " << i;
     }
   }
+}
+
+// ---------- Ordered active list vs. the per-quantum sort ----------
+
+// Link as it was before it kept its started transfers in serving order:
+// each quantum collects the started transfers and sorts them by priority,
+// then submission order; each delivery to a transfer that finished this
+// quantum finds its callable by binary search in finished transfers sorted
+// by id. Water-filling, carry and dispatch are Link's. Kept as the oracle
+// the ordered link is held to, delivery for delivery.
+class SortedLink {
+ public:
+  using TransferId = Link::TransferId;
+  using ProgressFn = Link::ProgressFn;
+
+  SortedLink(Simulator& sim, Link::Params params) : sim_(sim), params_(std::move(params)) {}
+
+  TransferId submit(Bytes size, ProgressFn on_progress, int priority = 0) {
+    const TransferId id = transfers_.insert();
+    Transfer& t = *transfers_.find(id);
+    t.remaining = size;
+    t.on_progress = std::move(on_progress);
+    t.order = next_order_++;
+    t.priority = priority;
+    sim_.schedule_after(params_.latency_ms, [this, id] {
+      Transfer* t = transfers_.find(id);
+      if (t == nullptr) return;
+      if (t->remaining == 0) {
+        ProgressFn cb = std::move(t->on_progress);
+        transfers_.erase(id);
+        cb(0, true);
+        return;
+      }
+      t->started = true;
+      arm_tick();
+    });
+    return id;
+  }
+
+  bool cancel(TransferId id) { return transfers_.erase(id); }
+
+ private:
+  struct Transfer {
+    Bytes remaining = 0;
+    ProgressFn on_progress;
+    std::uint64_t order = 0;
+    int priority = 0;
+    bool started = false;
+
+    void reset() { *this = Transfer{}; }
+  };
+  struct Delivery {
+    TransferId id;
+    Bytes bytes;
+    bool complete;
+  };
+  struct Finished {
+    TransferId id;
+    ProgressFn fn;
+  };
+  using Serving = std::pair<TransferId, Transfer*>;
+
+  void arm_tick() {
+    if (tick_event_ != Simulator::kInvalidEvent && sim_.pending(tick_event_)) return;
+    tick_event_ = sim_.schedule_after(params_.quantum_ms, [this] { tick(); });
+  }
+
+  void tick() {
+    tick_event_ = Simulator::kInvalidEvent;
+    const TimeMs now = sim_.now();
+    double budget =
+        params_.bandwidth.bytes_between(now - params_.quantum_ms, now) + carry_bytes_;
+    std::vector<Serving> active;
+    transfers_.for_each([&active](TransferId id, Transfer& t) {
+      if (t.started) active.push_back({id, &t});
+    });
+    std::sort(active.begin(), active.end(), [](auto& a, auto& b) {
+      if (a.second->priority != b.second->priority)
+        return a.second->priority > b.second->priority;
+      return a.second->order < b.second->order;
+    });
+    std::vector<Delivery> deliveries;
+    std::vector<Finished> finished;
+    auto give = [&](TransferId id, Transfer& t, double amount) {
+      auto grant = std::min(static_cast<Bytes>(amount), t.remaining);
+      if (grant <= 0) return 0.0;
+      t.remaining -= grant;
+      const bool complete = t.remaining == 0;
+      deliveries.push_back({id, grant, complete});
+      if (complete) finished.push_back({id, std::move(t.on_progress)});
+      return static_cast<double>(grant);
+    };
+    if (params_.sharing == Link::Sharing::kFifo) {
+      for (auto& [id, t] : active) {
+        if (budget < 1) break;
+        budget -= give(id, *t, budget);
+      }
+    } else {
+      std::vector<Serving> wanting(active), still;
+      while (budget >= 1 && !wanting.empty()) {
+        double share = budget / static_cast<double>(wanting.size());
+        if (share < 1) share = 1;
+        double spent = 0;
+        still.clear();
+        for (auto& [id, t] : wanting) {
+          if (budget - spent < 1) break;
+          spent += give(id, *t, std::min(share, budget - spent));
+          if (t->remaining > 0) still.push_back({id, t});
+        }
+        budget -= spent;
+        if (spent < 1) break;
+        wanting.swap(still);
+      }
+    }
+    carry_bytes_ = budget - static_cast<double>(static_cast<Bytes>(budget));
+    for (const Finished& f : finished) transfers_.erase(f.id);
+    std::sort(finished.begin(), finished.end(),
+              [](const Finished& a, const Finished& b) { return a.id < b.id; });
+    for (const Delivery& d : deliveries) {
+      if (Transfer* t = transfers_.find(d.id)) {
+        ProgressFn fn = std::move(t->on_progress);
+        fn(d.bytes, false);
+        if (Transfer* back = transfers_.find(d.id)) back->on_progress = std::move(fn);
+        continue;
+      }
+      auto f = std::lower_bound(
+          finished.begin(), finished.end(), d.id,
+          [](const Finished& e, TransferId id) { return e.id < id; });
+      if (f == finished.end() || f->id != d.id) continue;
+      f->fn(d.bytes, d.complete);
+    }
+    bool any_started = false;
+    transfers_.for_each([&any_started](TransferId, const Transfer& t) {
+      any_started = any_started || t.started;
+    });
+    if (any_started)
+      arm_tick();
+    else
+      carry_bytes_ = 0;
+  }
+
+  Simulator& sim_;
+  Link::Params params_;
+  std::uint64_t next_order_ = 1;
+  Slab<Transfer> transfers_;
+  Simulator::EventId tick_event_ = Simulator::kInvalidEvent;
+  double carry_bytes_ = 0;
+};
+
+// A seeded mix of submits (sizes from zero up, priorities 0-3), cancels
+// from outside and from inside ProgressFns (of a sibling, of the transfer
+// itself, and of itself followed at once by a submit that reuses the freed
+// slot), run against a link. The trace is every (time, id, bytes,
+// complete) delivery, submit and cancel result; the script's draws follow
+// the trace, so two links that deliver alike consume the same draws.
+template <class L>
+class LinkScript {
+ public:
+  using Trace = std::vector<std::array<std::int64_t, 5>>;
+
+  LinkScript(std::uint64_t seed, Link::Sharing sharing)
+      : rng_(seed), link_(sim_, params(sharing)) {}
+
+  Trace run() {
+    for (int i = 0; i < 40; ++i)
+      sim_.schedule_at(rng_.uniform_int(0, 3'000), [this] { client(); });
+    sim_.run();
+    return std::move(trace_);
+  }
+
+  int self_cancels() const { return self_cancels_; }
+  int slot_reuses() const { return slot_reuses_; }
+
+ private:
+  Link::Params params(Link::Sharing sharing) {
+    Link::Params p;
+    p.bandwidth = BandwidthTrace::constant(
+        static_cast<double>(rng_.uniform_int(1, 40)) * 10'000);
+    p.latency_ms = rng_.uniform_int(0, 30);
+    p.quantum_ms = 5;
+    p.sharing = sharing;
+    return p;
+  }
+
+  void client() {
+    const auto n = rng_.uniform_int(1, 3);
+    for (std::int64_t i = 0; i < n; ++i) submit();
+    if (rng_.uniform_int(0, 2) == 0) cancel_random();
+  }
+
+  Link::TransferId submit() {
+    const Bytes size = rng_.uniform_int(0, 5) == 0 ? 0 : rng_.uniform_int(1, 30'000);
+    const auto priority = static_cast<int>(rng_.uniform_int(0, 3));
+    const std::size_t label = ids_.size();
+    ids_.push_back(link_.submit(
+        size, [this, label](Bytes bytes, bool complete) { progress(label, bytes, complete); },
+        priority));
+    trace_.push_back({'s', sim_.now(), static_cast<std::int64_t>(ids_[label]), size,
+                      priority});
+    return ids_[label];
+  }
+
+  void progress(std::size_t label, Bytes bytes, bool complete) {
+    const Link::TransferId self = ids_[label];
+    trace_.push_back({'d', sim_.now(), static_cast<std::int64_t>(self), bytes, complete});
+    const bool may_submit = ids_.size() < 400;
+    switch (rng_.uniform_int(0, 19)) {
+      case 0:
+        record_cancel(self);
+        ++self_cancels_;
+        break;
+      case 1:
+        cancel_random();
+        break;
+      case 2:
+        if (!may_submit) break;
+        // The freed slot is the next one a submit takes.
+        if (link_.cancel(self) && (submit() & 0xffffffffu) == (self & 0xffffffffu))
+          ++slot_reuses_;
+        break;
+      case 3:
+        if (may_submit) submit();
+        break;
+      default:
+        break;
+    }
+  }
+
+  void cancel_random() {
+    if (ids_.empty()) return;
+    record_cancel(ids_[static_cast<std::size_t>(
+        rng_.uniform_int(0, static_cast<std::int64_t>(ids_.size()) - 1))]);
+  }
+  void record_cancel(Link::TransferId id) {
+    const bool cancelled = link_.cancel(id);
+    trace_.push_back({'c', sim_.now(), static_cast<std::int64_t>(id), cancelled, 0});
+  }
+
+  Rng rng_;
+  Simulator sim_;
+  L link_;
+  std::vector<Link::TransferId> ids_;
+  Trace trace_;
+  int self_cancels_ = 0;
+  int slot_reuses_ = 0;
+};
+
+TEST(LinkOrder, DeliveriesMatchThePerQuantumSort) {
+  for (Link::Sharing sharing : {Link::Sharing::kFifo, Link::Sharing::kFairShare}) {
+    int self_cancels = 0, slot_reuses = 0;
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+      LinkScript<Link> ordered(seed, sharing);
+      LinkScript<SortedLink> sorted(seed, sharing);
+      const auto got = ordered.run();
+      const auto want = sorted.run();
+      ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+      for (std::size_t i = 0; i < got.size(); ++i)
+        ASSERT_EQ(got[i], want[i]) << "seed " << seed << ", trace entry " << i;
+      self_cancels += ordered.self_cancels();
+      slot_reuses += ordered.slot_reuses();
+    }
+    EXPECT_GT(self_cancels, 50);
+    EXPECT_GT(slot_reuses, 50);
+  }
+}
+
+TEST(LinkOrder, StartAfterCancelAndSlotReuseTakesItsPriorityPlace) {
+  // X and A (priority 1) and Y (priority 0) are mid-flight when A is
+  // cancelled and C (priority 3) takes A's freed slot. With no latency, C
+  // starts before the next quantum drops A's entry, so that entry must
+  // still sort as priority 1, not as the priority its reused slot now
+  // holds: C is served ahead of everything.
+  Simulator sim;
+  Link link(sim, fifo_params(100'000));  // 500 B per quantum, no latency
+  Bytes x_bytes_while_c_runs = 0;
+  TimeMs c_started = -1, c_done = -1;
+  link.submit(100'000, [&](Bytes b, bool) {
+    if (c_started >= 0 && c_done < 0) x_bytes_while_c_runs += b;
+  }, 1);
+  const Link::TransferId a = link.submit(100'000, [](Bytes, bool) {}, 1);
+  link.submit(100'000, [](Bytes, bool) {}, 0);
+  sim.schedule_at(51, [&] {
+    ASSERT_TRUE(link.cancel(a));
+    const Link::TransferId c = link.submit(5'000, [&](Bytes, bool complete) {
+      if (c_started < 0) c_started = sim.now();
+      if (complete) c_done = sim.now();
+    }, 3);
+    EXPECT_EQ(c & 0xffffffffu, a & 0xffffffffu);  // the freed slot
+  });
+  sim.run_until(400);
+  EXPECT_EQ(c_started, 55);
+  EXPECT_EQ(c_done, 100);  // 5,000 B in ten 500 B quanta, nothing shared
+  EXPECT_EQ(x_bytes_while_c_runs, 0);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <iterator>
+#include <ostream>
 #include <vector>
 
 #include "core/scroll_tracker.h"
@@ -720,6 +721,34 @@ TEST(ScrollTracker, SparseAnalysisListsViewportEdgeObjects) {
 }
 
 // ---------- cross-device property sweep ----------
+
+}  // namespace
+
+// The device class a profile is. gtest prints each TrackerDeviceSweep
+// parameter with it instead of a byte dump, and gtest_discover_tests names
+// the index-numbered cases by that printed value, so ctest lists
+// ".../Nexus6". (A name generator would keep gtest's "# GetParam() = ..."
+// comment in the ctest name.)
+const char* device_class(const DeviceProfile& d) {
+  const struct {
+    const char* name;
+    DeviceProfile profile;
+  } classes[] = {{"Nexus6", DeviceProfile::nexus6()},
+                 {"Nexus5", DeviceProfile::nexus5()},
+                 {"Tablet10", DeviceProfile::tablet10()},
+                 {"LowEnd", DeviceProfile::lowend()}};
+  for (const auto& c : classes)
+    if (c.profile.screen_w_px == d.screen_w_px &&
+        c.profile.screen_h_px == d.screen_h_px && c.profile.ppi == d.ppi)
+      return c.name;
+  return "Custom";
+}
+
+void PrintTo(const DeviceProfile& d, std::ostream* os) {
+  *os << device_class(d);
+}
+
+namespace {
 
 class TrackerDeviceSweep : public ::testing::TestWithParam<DeviceProfile> {};
 

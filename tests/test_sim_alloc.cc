@@ -16,6 +16,7 @@
 // thread and only needs exact counts between an AllocGuard's construction
 // and delta().
 
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -152,6 +153,49 @@ TEST(SimAlloc, ScheduleAndStepAreAllocationFree) {
   EXPECT_EQ(guard.delta(), 0u);
   EXPECT_EQ(fired, 1000);
   EXPECT_EQ(sim.pending_count(), 0u);
+}
+
+// A 1 ms self-rescheduling tick that also schedules one event past the
+// calendar window's end each time (it waits in the heap, then moves into
+// its bucket) and, every third tick, cancels the one it scheduled half a
+// window earlier, which has moved by then. Over many windows the ring
+// wraps and the heap refills, and neither touches the allocator once warm.
+struct CalendarLoad {
+  static constexpr TimeMs kW = Simulator::kWindowMs;
+  static constexpr std::size_t kRemembered = 512;  // > kW + 7 ticks of ids
+
+  void tick() {
+    far[ticks % kRemembered] = sim.schedule_after(kW + 7, [this] { ++far_fired; });
+    const std::size_t half_window_ago = (ticks + kRemembered - kW / 2) % kRemembered;
+    if (ticks % 3 == 0 && sim.cancel(far[half_window_ago])) ++far_cancelled;
+    sim.cancel(sim.schedule_after(2, [this] { ++far_fired; }));
+    ++ticks;
+    sim.schedule_after(1, [this] { tick(); });
+  }
+
+  Simulator sim;
+  std::array<Simulator::EventId, kRemembered> far{};
+  std::size_t ticks = 0;
+  long far_fired = 0;
+  long far_cancelled = 0;
+};
+
+TEST(SimAlloc, CalendarWrapAndHeapSpillAreAllocationFree) {
+  CalendarLoad load;
+  load.sim.schedule_at(0, [&load] { load.tick(); });
+  load.sim.run_until(4 * CalendarLoad::kW);  // warm-up: pools reach capacity
+  const std::size_t ticks_before = load.ticks;
+  const long fired_before = load.far_fired;
+  const long cancelled_before = load.far_cancelled;
+  AllocGuard guard;
+  load.sim.run_until(20 * CalendarLoad::kW);  // the ring wraps 16 times
+  EXPECT_EQ(guard.delta(), 0u);
+  const auto ticks = static_cast<long>(load.ticks - ticks_before);
+  const long cancelled = load.far_cancelled - cancelled_before;
+  EXPECT_EQ(ticks, 16 * CalendarLoad::kW);
+  EXPECT_NEAR(static_cast<double>(cancelled), ticks / 3.0, 2.0);
+  EXPECT_NEAR(static_cast<double>(load.far_fired - fired_before),
+              static_cast<double>(ticks - cancelled), 2.0);
 }
 
 // A front-door shard's serving stack, wired as http/frontdoor.cc wires it:

@@ -433,18 +433,27 @@ TEST(ChaosFrontDoor, CrashPlanAccountsForEveryEventAndFailsOver) {
   crash.at_event = 20;
   plan.frontdoor.push_back(crash);
 
-  FrontDoorParams supervised = chaos_params(true);
-  supervised.fault_plan = plan;
-  FrontDoorParams unsupervised = chaos_params(false);
-  unsupervised.fault_plan = plan;
-
-  const FrontDoorResult with =
-      run_front_door(supervised, FrontDoorMode::kThreaded);
-  const FrontDoorResult without =
-      run_front_door(unsupervised, FrontDoorMode::kThreaded);
-
   const std::size_t total_events =
       chaos_load().sessions * chaos_load().touches_per_session;
+  // A load shard 1 can absorb alone, however slowly it serves: its queue
+  // holds the whole timeline and no event goes stale, so the only events
+  // either arm sheds are the crashed shard's. Under chaos_params' 64-slot
+  // queue and 5 ms freshness budget, a slow (sanitized) shard 1 that takes
+  // every failed-over session sheds its own stale events, and the
+  // supervised arm can complete fewer requests than the unsupervised one.
+  auto crash_params = [&](bool supervised) {
+    FrontDoorParams params = chaos_params(supervised);
+    params.fault_plan = plan;
+    params.queue_capacity = total_events;
+    params.enqueue_deadline_ms = 0;
+    return params;
+  };
+
+  const FrontDoorResult with =
+      run_front_door(crash_params(true), FrontDoorMode::kThreaded);
+  const FrontDoorResult without =
+      run_front_door(crash_params(false), FrontDoorMode::kThreaded);
+
   for (const FrontDoorResult* r : {&with, &without}) {
     // Nothing vanishes under chaos: every produced event is consumed or
     // shed, and every request resolves to exactly one verdict.
