@@ -22,6 +22,19 @@ FlowController::FlowController(Params params) : params_(std::move(params)) {
   MFHTTP_CHECK(params_.weights.p >= 0 && params_.weights.q >= 0);
 }
 
+void FlowController::reserve(const std::vector<MediaObject>& objects) {
+  std::size_t versions = 0;
+  for (const MediaObject& obj : objects) versions += obj.versions.size();
+  buffers_.involved.reserve(objects.size());
+  buffers_.coverage.reserve(objects.size());
+  buffers_.items.reserve(objects.size());
+  buffers_.qoe.reserve(versions);
+  buffers_.cost.reserve(versions);
+  scratch_.items.reserve(objects.size());
+  scratch_.caps.reserve(objects.size());
+  scratch_.row_begin.reserve(objects.size() + 2);
+}
+
 DownloadPolicy FlowController::optimize(const ScrollAnalysis& analysis,
                                         const std::vector<MediaObject>& objects,
                                         const BandwidthTrace& bandwidth) const {
@@ -166,6 +179,7 @@ DownloadPolicy FlowController::plan(const ScrollAnalysis& analysis,
   }
 
   std::size_t cache_pos = 0;
+  policy.decisions.reserve(involved.size());
   for (std::size_t k = 0; k < involved.size(); ++k) {
     const std::size_t idx = involved[k];
     const MediaObject& obj = objects[idx];

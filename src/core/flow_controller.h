@@ -73,6 +73,10 @@ class FlowController {
 
   const Params& params() const { return params_; }
 
+  // Room in the replan build buffers for a plan over all of `objects`, so
+  // replan() on that content grows none of them.
+  void reserve(const std::vector<MediaObject>& objects);
+
   // Graceful degradation (DESIGN.md §9): while degraded, optimize() skips
   // the solver and conservatively picks the lowest version of every
   // involved object — cheap, always-delivered, never optimal.

@@ -3,6 +3,7 @@
 #include <chrono>
 
 #include "obs/metrics.h"
+#include "util/check.h"
 #include "util/logging.h"
 
 namespace mfhttp {
@@ -13,23 +14,25 @@ void TouchEventMonitor::on_touch_event(const TouchEvent& ev) {
   }
 }
 
-Middleware::Middleware(Params params, std::vector<MediaObject> objects,
+Middleware::Middleware(Params params, const std::vector<MediaObject>& objects,
                        BandwidthTrace bandwidth, Simulator* sim)
     : tracker_(params.tracker),
       flow_(params.flow),
-      objects_(std::move(objects)),
+      objects_(objects),
       bandwidth_(std::move(bandwidth)),
       sim_(sim),
       gesture_uplink_ms_(params.gesture_uplink_ms),
       enable_flywheel_(params.enable_flywheel),
       viewport_(params.initial_viewport, params.tracker.content_bounds) {
   object_index_.rebuild(objects_);
+  flow_.reserve(objects_);
 }
 
-void Middleware::append_objects(std::vector<MediaObject> objects) {
-  objects_.reserve(objects_.size() + objects.size());
-  for (MediaObject& o : objects) objects_.push_back(std::move(o));
+void Middleware::append_objects(std::size_t first) {
+  MFHTTP_CHECK_MSG(first == object_index_.size() && first <= objects_.size(),
+                   "append_objects: objects before `first` must be the indexed ones");
   object_index_.rebuild(objects_);
+  flow_.reserve(objects_);
 }
 
 void Middleware::on_gesture(const Gesture& gesture) {

@@ -47,6 +47,10 @@ class TouchEventMonitor {
 // Server-side assembly: viewport state + scroll tracker + flow controller.
 // Each scrolling gesture produces a fresh ScrollAnalysis and DownloadPolicy,
 // delivered to the policy callback (the case-study controllers subscribe).
+//
+// The middleware borrows its content model: the object vector passed in
+// belongs to the caller and must outlive the middleware. The caller may
+// only append to it, and says so through append_objects().
 class Middleware {
  public:
   struct Params {
@@ -66,20 +70,24 @@ class Middleware {
       std::function<void(const ScrollAnalysis&, const DownloadPolicy&)>;
 
   // `sim` may be nullptr: gestures are then processed synchronously.
-  Middleware(Params params, std::vector<MediaObject> objects,
+  // `objects` is borrowed (see above); a temporary cannot bind.
+  Middleware(Params params, const std::vector<MediaObject>& objects,
              BandwidthTrace bandwidth, Simulator* sim);
+  Middleware(Params params, std::vector<MediaObject>&& objects,
+             BandwidthTrace bandwidth, Simulator* sim) = delete;
 
   void set_policy_callback(PolicyCallback cb) { on_policy_ = std::move(cb); }
 
   // Entry point for gestures from the touch event monitor.
   void on_gesture(const Gesture& gesture);
 
-  // Grow the content model in place (an infinite-scroll feed revealing more
-  // posts). Viewport state and the last analysis/policy are preserved:
-  // appended objects simply join the knapsack from the next gesture on —
-  // the incremental optimizer's prefix reuse carries across the append
-  // because existing object indices are unchanged.
-  void append_objects(std::vector<MediaObject> objects);
+  // The owner appended objects to the borrowed vector, from index `first`
+  // on (an infinite-scroll feed revealing more posts): re-index them.
+  // Viewport state and the last analysis/policy are preserved: appended
+  // objects simply join the knapsack from the next gesture on — the
+  // incremental optimizer's prefix reuse carries across the append because
+  // existing object indices are unchanged.
+  void append_objects(std::size_t first);
 
   Rect viewport_at(TimeMs time_ms) const { return viewport_.at(time_ms); }
   const std::vector<MediaObject>& objects() const { return objects_; }
@@ -103,8 +111,8 @@ class Middleware {
 
   ScrollTracker tracker_;
   FlowController flow_;
-  std::vector<MediaObject> objects_;
-  // Rebuilt whenever objects_ changes; lets every touch event analyze only
+  const std::vector<MediaObject>& objects_;  // borrowed
+  // Rebuilt whenever objects_ grows; lets every touch event analyze only
   // the objects inside the swept y-corridor.
   ObjectIntervalIndex object_index_;
   double last_touch_to_policy_ms_ = 0;

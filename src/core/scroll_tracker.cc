@@ -151,6 +151,7 @@ ScrollAnalysis analyze_candidates(const ScrollPrediction& prediction,
   ScrollAnalysis analysis;
   analysis.prediction = prediction;
   std::vector<ObjectCoverage>& listed = analysis.listed;
+  listed.reserve(std::size(candidates));
 
   const SweptRegion sweep = prediction.sweep();
   const Rect final_vp = prediction.final_viewport();
@@ -260,7 +261,7 @@ ScrollAnalysis ScrollTracker::analyze(const ScrollPrediction& prediction,
   const Rect final_vp = prediction.final_viewport();
   const double y_lo = std::min(prediction.viewport0.top(), final_vp.top());
   const double y_hi = std::max(prediction.viewport0.bottom(), final_vp.bottom());
-  std::vector<std::size_t> candidates;
+  thread_local std::vector<std::size_t> candidates;  // reused, like samples
   index.query(y_lo, y_hi, candidates);
   candidates_total.inc(candidates.size());
   pruned_total.inc(objects.size() - candidates.size());
@@ -270,6 +271,7 @@ ScrollAnalysis ScrollTracker::analyze(const ScrollPrediction& prediction,
 
 std::vector<const ObjectCoverage*> ScrollAnalysis::listed_by_object_index() const {
   std::vector<const ObjectCoverage*> out;
+  out.reserve(listed.size());
   for (const ObjectCoverage& c : listed) out.push_back(&c);
   std::ranges::sort(out, {}, [](const ObjectCoverage* c) { return c->object_index; });
   return out;

@@ -11,10 +11,18 @@ DegradationState::DegradationState(std::string name, Params params)
     : name_(std::move(name)), params_(params) {
   MFHTTP_CHECK(params_.enter_after > 0);
   MFHTTP_CHECK(params_.exit_after > 0);
-  const std::string prefix = "fault.degraded." + name_;
-  entries_counter_ = &obs::metrics().counter(prefix + ".entries_total");
-  exits_counter_ = &obs::metrics().counter(prefix + ".exits_total");
-  active_gauge_ = &obs::metrics().gauge(prefix + ".active");
+  // One buffer for the three metric names.
+  constexpr std::string_view kPrefix = "fault.degraded.";
+  constexpr std::string_view kLongestSuffix = ".entries_total";
+  std::string metric;
+  metric.reserve(kPrefix.size() + name_.size() + kLongestSuffix.size());
+  metric.append(kPrefix).append(name_);
+  const std::size_t prefix = metric.size();
+  entries_counter_ = &obs::metrics().counter(metric.append(kLongestSuffix));
+  metric.resize(prefix);
+  exits_counter_ = &obs::metrics().counter(metric.append(".exits_total"));
+  metric.resize(prefix);
+  active_gauge_ = &obs::metrics().gauge(metric.append(".active"));
 }
 
 bool DegradationState::observe_bad() {

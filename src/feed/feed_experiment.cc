@@ -91,6 +91,9 @@ FeedSessionResult run_feed_session(const Feed& feed, const FeedSessionConfig& co
   std::vector<SettleEvent> settles;
   settles.push_back({0, vp0});  // the feed's opening state
 
+  // The middleware's content model: the revealed prefix of the feed, grown
+  // in place as batches are revealed (the middleware borrows it).
+  std::vector<MediaObject> revealed_media;
   std::optional<Middleware> middleware;
   std::optional<FeedController> controller;
   std::optional<TouchEventMonitor> monitor;
@@ -101,11 +104,8 @@ FeedSessionResult run_feed_session(const Feed& feed, const FeedSessionConfig& co
     mp.flow.ignore_bandwidth_constraint = true;  // feeds, like pages (§5.1.2)
     mp.initial_viewport = vp0;
     mp.gesture_uplink_ms = config.client_latency_ms;
-    middleware.emplace(
-        mp,
-        std::vector<MediaObject>(feed.media.begin(),
-                                 feed.media.begin() + revealed),
-        client_trace, &sim);
+    revealed_media.assign(feed.media.begin(), feed.media.begin() + revealed);
+    middleware.emplace(mp, revealed_media, client_trace, &sim);
     controller.emplace(feed, vp0, &proxy, revealed);
     proxy.set_interceptor(&*controller);
     middleware->set_policy_callback(
@@ -147,9 +147,11 @@ FeedSessionResult run_feed_session(const Feed& feed, const FeedSessionConfig& co
         if (add == 0) return;
         std::size_t first = revealed;
         revealed += add;
-        if (middleware)
-          middleware->append_objects(std::vector<MediaObject>(
-              feed.media.begin() + first, feed.media.begin() + revealed));
+        if (middleware) {
+          revealed_media.insert(revealed_media.end(), feed.media.begin() + first,
+                                feed.media.begin() + revealed);
+          middleware->append_objects(first);
+        }
         if (controller) controller->on_media_appended(first);
         for (std::size_t i = first; i < revealed; ++i) request_media(i);
       });

@@ -19,6 +19,8 @@ TouchTrace synthesize_swipe(const SwipeSpec& spec) {
   const TimeMs steady_ms = spec.contact_ms - decel_ms;
 
   TouchTrace trace;
+  // Down, a move every sample interval before contact_ms, up.
+  trace.reserve(static_cast<std::size_t>(spec.contact_ms / spec.sample_interval_ms) + 2);
   trace.push_back({spec.start_time_ms, spec.start, TouchAction::kDown});
 
   auto pos_at = [&](TimeMs dt) -> Vec2 {

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cmath>
+#include <vector>
 
 #include "util/check.h"
 
@@ -39,7 +40,7 @@ bool solve(std::array<std::array<double, N>, N> a, std::array<double, N> b,
 // squares over (t_i, p_i) and return the derivative at t = 0. Times are
 // expressed relative to the newest sample (t <= 0), so the derivative at the
 // newest sample is simply c1.
-double lsq_derivative_at_latest(const std::deque<std::pair<double, double>>& pts,
+double lsq_derivative_at_latest(const std::vector<std::pair<double, double>>& pts,
                                 int degree) {
   MFHTTP_DCHECK(degree == 1 || degree == 2);
   if (degree == 2) {
@@ -98,7 +99,9 @@ Vec2 VelocityTracker::velocity() const {
   }
 
   int degree = (strategy_ == VelocityStrategy::kLsq2 && samples_.size() >= 3) ? 2 : 1;
-  std::deque<std::pair<double, double>> xs, ys;
+  std::vector<std::pair<double, double>> xs, ys;
+  xs.reserve(samples_.size());
+  ys.reserve(samples_.size());
   for (const Sample& s : samples_) {
     double t_s = static_cast<double>(s.time_ms - newest) / 1000.0;  // <= 0
     xs.emplace_back(t_s, s.pos.x);

@@ -69,6 +69,12 @@ class HeaderMap {
   bool contains(std::string_view name) const { return find(name) != nullptr; }
   bool contains(HeaderId id) const { return find(id) != nullptr; }
 
+  // Drop every header; the inline slots keep their string capacity.
+  void clear() {
+    inline_count_ = 0;
+    overflow_.clear();
+  }
+
   // Remove all occurrences; returns number removed.
   std::size_t remove(std::string_view name);
   std::size_t remove(HeaderId id);

@@ -46,6 +46,7 @@ void HttpRequest::canonical_url(CanonicalUrl& out) const {
       // first '?'; an empty query loses its '?' on the way back.
       const std::size_t q = target.find('?');
       const std::size_t keep = q + 1 == target.size() ? q : target.size();
+      out.text.reserve(7 + host->size() + keep);
       out.text.assign("http://");
       out.text += *host;
       out.text.append(target, 0, keep);
@@ -125,6 +126,26 @@ HttpRequest HttpRequest::get(const Url& url) {
   req.headers.set(HeaderId::kHost, url.port == 80 ? url.host
                                          : url.host + ":" + std::to_string(url.port));
   return req;
+}
+
+void HttpRequest::assign_get(const UrlRef& url) {
+  method.assign("GET");
+  target.assign(url.path);
+  if (!url.query.empty()) {
+    target += '?';
+    target += url.query;
+  }
+  version.assign("HTTP/1.1");
+  headers.clear();
+  body.clear();
+  if (url.port == 80 && std::none_of(url.host.begin(), url.host.end(),
+                                     [](char c) { return c >= 'A' && c <= 'Z'; })) {
+    headers.set(HeaderId::kHost, url.host);
+  } else {
+    const std::string host = to_lower(url.host);
+    headers.set(HeaderId::kHost,
+                url.port == 80 ? host : host + ":" + std::to_string(url.port));
+  }
 }
 
 HttpRequest HttpRequest::get(std::string_view absolute_url) {

@@ -60,6 +60,10 @@ struct HttpRequest {
 
   static HttpRequest get(const Url& url);
   static HttpRequest get(std::string_view absolute_url);
+  // Make this request what get() builds for `url`, in place: a reused
+  // request keeps its strings' capacity, so a lower-case host on the
+  // default port costs no allocation once warm.
+  void assign_get(const UrlRef& url);
 };
 
 struct HttpResponse {

@@ -8,23 +8,29 @@ std::string ObjectStore::next_etag() {
   return "\"v" + std::to_string(++version_) + "\"";
 }
 
-StoredObject& ObjectStore::slot(std::string_view path) {
+void ObjectStore::store(std::string_view path, StoredObject object) {
   MFHTTP_CHECK(!path.empty() && path[0] == '/');
   const UrlId id = paths_.intern(path);
-  if (id == objects_.size()) objects_.emplace_back();
-  return objects_[id];
+  if (id == objects_.size())
+    objects_.push_back(std::move(object));
+  else
+    objects_[id] = std::move(object);
 }
 
 void ObjectStore::put(std::string_view path, Bytes size, std::string content_type) {
   MFHTTP_CHECK(size >= 0);
-  slot(path) = StoredObject{size, std::move(content_type), std::nullopt, next_etag()};
+  store(path, StoredObject{size, std::move(content_type), std::nullopt, next_etag()});
 }
 
 void ObjectStore::put_body(std::string_view path, std::string body,
                            std::string content_type) {
-  StoredObject& obj = slot(path);
   auto size = static_cast<Bytes>(body.size());
-  obj = StoredObject{size, std::move(content_type), std::move(body), next_etag()};
+  store(path, StoredObject{size, std::move(content_type), std::move(body), next_etag()});
+}
+
+void ObjectStore::reserve(std::size_t objects) {
+  paths_.reserve(objects);
+  objects_.reserve(objects);
 }
 
 bool ObjectStore::bump(std::string_view path) {

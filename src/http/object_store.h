@@ -5,16 +5,16 @@
 // tests may attach real payload bytes.
 //
 // Paths are interned in the store's own UrlTable (one table per key space,
-// DESIGN.md §21.1) and objects live in a deque indexed by path id, so a
-// lookup hashes the path once and an object's address is stable for the
-// store's life (DESIGN.md §23.3).
+// DESIGN.md §21.1) and objects live in a vector indexed by path id, so a
+// lookup hashes the path once (DESIGN.md §23.3). A put() of a new path may
+// move the objects: find()'s pointer is good until the next one.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "http/url_table.h"
 #include "util/types.h"
@@ -45,6 +45,9 @@ class ObjectStore {
   // conditional fetches stop matching. Returns false if the path is unknown.
   bool bump(std::string_view path);
 
+  // Room for `objects` distinct paths without growing.
+  void reserve(std::size_t objects);
+
   const StoredObject* find(std::string_view path) const;
   bool contains(std::string_view path) const { return find(path) != nullptr; }
   std::size_t size() const { return objects_.size(); }
@@ -52,11 +55,11 @@ class ObjectStore {
 
  private:
   std::string next_etag();
-  // The object stored under `path`, added empty when the path is new.
-  StoredObject& slot(std::string_view path);
+  // Stores `object` under `path`, replacing what was there.
+  void store(std::string_view path, StoredObject object);
 
   UrlTable paths_;
-  std::deque<StoredObject> objects_;  // by path id
+  std::vector<StoredObject> objects_;  // by path id
   std::uint64_t version_ = 0;
 };
 

@@ -57,7 +57,6 @@ void MitmProxy::Pending::reset() {
   callbacks = {};
   url = fetch_url = kNoUrl;
   session.clear();
-  arrival = 0;
   request_ms = 0;
   priority = status = 0;
   deferred = defer_accounted = queued = holds_slot = false;
@@ -90,7 +89,6 @@ HttpFetcher::FetchId MitmProxy::fetch(const HttpRequest& request,
   request.canonical_url(canonical_);
   p.url = urls_->intern(canonical_.text);
   p.session.assign(request.session());
-  p.arrival = next_arrival_++;
   p.request_ms = sim_.now();
 
   static obs::Counter& requests_total =
@@ -696,19 +694,21 @@ bool MitmProxy::cancel(FetchId id) {
   return true;
 }
 
-std::vector<HttpFetcher::FetchId> MitmProxy::deferred_of(const std::string& url) const {
-  std::vector<FetchId> ids;
+std::size_t MitmProxy::snapshot_deferred(const std::string& url) {
+  const std::size_t begin = snapshot_.size();
   const UrlId id = urls_->find(url);
-  if (id >= deferred_by_url_.size()) return ids;
+  if (id >= deferred_by_url_.size()) return begin;
   for (FetchId at = deferred_by_url_[id].head; at != kInvalidFetch;
        at = pending_.find(at)->next_deferred)
-    ids.push_back(at);
-  return ids;
+    snapshot_.push_back(at);
+  return begin;
 }
 
 std::size_t MitmProxy::release(const std::string& url, int priority) {
   std::size_t released_count = 0;
-  for (FetchId id : deferred_of(url)) {
+  const std::size_t begin = snapshot_deferred(url);
+  for (std::size_t i = begin; i < snapshot_.size(); ++i) {
+    const FetchId id = snapshot_[i];
     // An earlier release's callbacks may have torn this one down.
     Pending* p = pending_.find(id);
     if (p == nullptr || !p->deferred) continue;
@@ -720,6 +720,7 @@ std::size_t MitmProxy::release(const std::string& url, int priority) {
     p->priority = priority;
     start_upstream(id);
   }
+  snapshot_.resize(begin);
   return released_count;
 }
 
@@ -732,7 +733,9 @@ std::size_t MitmProxy::release_rewritten(const std::string& url,
   const UrlId substitute_fetch_url =
       urls_->intern(substitute_request.canonical_url().text);
   std::size_t released_count = 0;
-  for (FetchId id : deferred_of(url)) {
+  const std::size_t begin = snapshot_deferred(url);
+  for (std::size_t i = begin; i < snapshot_.size(); ++i) {
+    const FetchId id = snapshot_[i];
     Pending* p = pending_.find(id);
     if (p == nullptr || !p->deferred) continue;
     ++released_count;
@@ -749,19 +752,8 @@ std::size_t MitmProxy::release_rewritten(const std::string& url,
     p->priority = priority;
     start_upstream(id);
   }
+  snapshot_.resize(begin);
   return released_count;
-}
-
-std::vector<std::string> MitmProxy::deferred_urls() const {
-  std::vector<std::pair<std::uint64_t, UrlId>> parked;
-  pending_.for_each([&parked](FetchId, const Pending& p) {
-    if (p.deferred) parked.emplace_back(p.arrival, p.url);
-  });
-  std::sort(parked.begin(), parked.end());
-  std::vector<std::string> out;
-  out.reserve(parked.size());
-  for (const auto& [arrival, url] : parked) out.emplace_back(urls_->url(url));
-  return out;
 }
 
 TimeMs MitmProxy::oldest_waiting_age_ms() const {

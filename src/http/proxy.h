@@ -165,9 +165,6 @@ class MitmProxy : public HttpFetcher {
                                 const std::string& substitute_url,
                                 int priority = 0);
 
-  // URLs currently parked in the deferred queue (in arrival order).
-  std::vector<std::string> deferred_urls() const;
-
   // Admission-control introspection (brownout supervisor sampling).
   std::size_t dispatch_queue_depth() const { return dispatch_queue_.size(); }
   std::size_t deferred_depth() const { return deferred_count_; }
@@ -190,7 +187,6 @@ class MitmProxy : public HttpFetcher {
     UrlId url = kNoUrl;        // canonical URL of the client's request
     UrlId fetch_url = kNoUrl;  // canonical URL fetched upstream; kNoUrl: `url`
     std::string session;  // x-mfhttp-session identity (admission control)
-    std::uint64_t arrival = 0;  // fetch() order, for deferred_urls()
     TimeMs request_ms = 0;
     int priority = 0;
     // Status the client sees: the bounce's while a rejection is scheduled,
@@ -268,8 +264,12 @@ class MitmProxy : public HttpFetcher {
   // fault, not policy — blocked stays false.
   void finish_failed(FetchId id, int status);
   void disarm_watchdog(Pending& p);
-  // The deferred fetches of `url`, in arrival order.
-  std::vector<FetchId> deferred_of(const std::string& url) const;
+  // Pushes the deferred fetches of `url`, in arrival order, onto snapshot_;
+  // returns where they start. A release walks its snapshot, not the live
+  // list: starting one fetch runs callbacks that may tear others down or
+  // release again, stacking their own snapshot above this one and popping
+  // it before they return.
+  std::size_t snapshot_deferred(const std::string& url);
   // Fire-and-forget conditional refresh of a stale cache entry (the
   // stale-while-revalidate back half). Deduped per URL.
   void background_revalidate(UrlId url, const CachedObject& object);
@@ -300,10 +300,10 @@ class MitmProxy : public HttpFetcher {
   UrlTable* urls_ = &own_urls_;
   CanonicalUrl canonical_;  // fetch()'s scratch; keeps its capacity
   Slab<Pending> pending_;
-  std::uint64_t next_arrival_ = 1;
   // By UrlId: the URL's deferred fetches (grown when a fetch defers).
   std::vector<DeferredList> deferred_by_url_;
   std::size_t deferred_count_ = 0;
+  std::vector<FetchId> snapshot_;  // release()'s stack of deferred snapshots
   // Admitted requests waiting for an upstream slot: highest priority first,
   // FIFO within a priority class (multimap keeps insertion order for equal
   // keys).

@@ -12,13 +12,15 @@ std::string Url::to_string() const {
   return out;
 }
 
-std::optional<Url> parse_url(std::string_view s) {
-  Url url;
+std::optional<UrlRef> split_url(std::string_view s) {
+  UrlRef url;
   std::size_t scheme_end = s.find("://");
   if (scheme_end == std::string_view::npos || scheme_end == 0) return std::nullopt;
-  url.scheme = to_lower(s.substr(0, scheme_end));
-  if (url.scheme != "http" && url.scheme != "https") return std::nullopt;
-  url.port = url.scheme == "https" ? 443 : 80;
+  url.scheme = s.substr(0, scheme_end);
+  if (iequals(url.scheme, "https"))
+    url.port = 443;
+  else if (!iequals(url.scheme, "http"))
+    return std::nullopt;
   s.remove_prefix(scheme_end + 3);
 
   std::size_t path_start = s.find('/');
@@ -37,22 +39,33 @@ std::optional<Url> parse_url(std::string_view s) {
       if (port > 65535) return std::nullopt;
     }
     url.port = port;
-    url.host = std::string(authority.substr(0, colon));
+    url.host = authority.substr(0, colon);
   } else {
-    url.host = std::string(authority);
+    url.host = authority;
   }
   if (url.host.empty()) return std::nullopt;
-  url.host = to_lower(url.host);
 
   if (path_start == std::string_view::npos) return url;
   std::string_view rest = s.substr(path_start);
   std::size_t q = rest.find('?');
   if (q == std::string_view::npos) {
-    url.path = std::string(rest);
+    url.path = rest;
   } else {
-    url.path = std::string(rest.substr(0, q));
-    url.query = std::string(rest.substr(q + 1));
+    url.path = rest.substr(0, q);
+    url.query = rest.substr(q + 1);
   }
+  return url;
+}
+
+std::optional<Url> parse_url(std::string_view s) {
+  const std::optional<UrlRef> ref = split_url(s);
+  if (!ref) return std::nullopt;
+  Url url;
+  url.scheme = to_lower(ref->scheme);
+  url.host = to_lower(ref->host);
+  url.port = ref->port;
+  url.path = std::string(ref->path);
+  url.query = std::string(ref->query);
   return url;
 }
 

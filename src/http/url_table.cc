@@ -54,8 +54,18 @@ std::string_view UrlTable::store(std::string_view url) {
   return {at, url.size()};
 }
 
-void UrlTable::grow() {
-  slots_.assign(slots_.empty() ? 16 : 2 * slots_.size(), kNoUrl);
+void UrlTable::reserve(std::size_t urls) {
+  std::size_t slots = 16;
+  while (slots < 2 * urls) slots *= 2;
+  if (slots > slots_.size()) rehash(slots);
+}
+
+void UrlTable::grow() { rehash(slots_.empty() ? 16 : 2 * slots_.size()); }
+
+void UrlTable::rehash(std::size_t slots) {
+  urls_.reserve(slots / 2);
+  hashes_.reserve(slots / 2);
+  slots_.assign(slots, kNoUrl);
   const std::size_t mask = slots_.size() - 1;
   for (UrlId id = 0; id < urls_.size(); ++id) {
     std::size_t at = hashes_[id] & mask;

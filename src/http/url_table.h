@@ -39,6 +39,10 @@ class UrlTable {
   // Id of `url`, adding it when absent (allocates only then).
   UrlId intern(std::string_view url);
 
+  // Room for `urls` URLs in all, so interning up to that many grows nothing
+  // but the text blocks.
+  void reserve(std::size_t urls);
+
   // Id of `url`, or kNoUrl when absent; never allocates or mutates.
   UrlId find(std::string_view url) const;
 
@@ -56,6 +60,9 @@ class UrlTable {
   // Open addressing over id slots; kNoUrl marks an empty slot.
   std::size_t slot_of(std::string_view url, std::size_t hash) const;
   void grow();
+  // Re-seat every id in a table of `slots` slots, a power of two; the id
+  // vectors get room for the most ids that load factor allows.
+  void rehash(std::size_t slots);
   // A stable copy of `url` in the current text block.
   std::string_view store(std::string_view url);
 

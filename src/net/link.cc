@@ -29,6 +29,15 @@ Link::~Link() {
   active_transfers_gauge().sub(static_cast<std::int64_t>(transfers_.size()));
 }
 
+void Link::reserve(std::size_t transfers) {
+  transfers_.reserve(transfers);
+  active_.reserve(transfers);
+  wanting_.reserve(transfers);
+  still_.reserve(transfers);
+  deliveries_.reserve(transfers);
+  finished_.reserve(transfers);
+}
+
 Link::TransferId Link::submit(Bytes size, ProgressFn on_progress, int priority) {
   MFHTTP_CHECK(size >= 0);
   MFHTTP_CHECK(on_progress != nullptr);

@@ -74,6 +74,11 @@ class Link {
   // Abort a transfer; no further callbacks. False if unknown/finished.
   virtual bool cancel(TransferId id);
 
+  // Room for `transfers` transfers over the link's life (one per response
+  // a page load sends, say): submitting and serving up to that many grows
+  // none of the link's tables.
+  void reserve(std::size_t transfers);
+
   std::size_t active_transfers() const { return transfers_.size(); }
   Bytes bytes_delivered_total() const { return delivered_total_; }
 

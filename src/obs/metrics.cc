@@ -115,8 +115,8 @@ const std::vector<double>& stall_ms_bounds() {
 
 Counter& Registry::counter(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
-  MFHTTP_CHECK_MSG(!gauges_.count(std::string(name)) &&
-                       !histograms_.count(std::string(name)),
+  MFHTTP_CHECK_MSG(!gauges_.contains(name) &&
+                       !histograms_.contains(name),
                    "metric name already registered with a different kind");
   auto it = counters_.find(name);
   if (it == counters_.end())
@@ -126,8 +126,8 @@ Counter& Registry::counter(std::string_view name) {
 
 Gauge& Registry::gauge(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
-  MFHTTP_CHECK_MSG(!counters_.count(std::string(name)) &&
-                       !histograms_.count(std::string(name)),
+  MFHTTP_CHECK_MSG(!counters_.contains(name) &&
+                       !histograms_.contains(name),
                    "metric name already registered with a different kind");
   auto it = gauges_.find(name);
   if (it == gauges_.end())
@@ -137,8 +137,8 @@ Gauge& Registry::gauge(std::string_view name) {
 
 Histogram& Registry::histogram(std::string_view name, std::vector<double> bounds) {
   std::lock_guard<std::mutex> lock(mu_);
-  MFHTTP_CHECK_MSG(!counters_.count(std::string(name)) &&
-                       !gauges_.count(std::string(name)),
+  MFHTTP_CHECK_MSG(!counters_.contains(name) &&
+                       !gauges_.contains(name),
                    "metric name already registered with a different kind");
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {

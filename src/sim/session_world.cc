@@ -83,7 +83,7 @@ ScaleSessionResult run_scale_session(const ScaleSessionConfig& config,
   params.tracker.scroll.fling.friction *= config.fling_friction_scale;
   params.tracker.content_bounds = page.bounds();
   params.initial_viewport = {0, 0, device.screen_w_px, device.screen_h_px};
-  Middleware middleware(std::move(params), std::move(objects),
+  Middleware middleware(std::move(params), objects,
                         std::move(bandwidth), /*sim=*/nullptr);
 
   Fnv fp;

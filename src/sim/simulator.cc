@@ -5,6 +5,16 @@
 
 namespace mfhttp {
 
+void Simulator::reserve(std::size_t events) {
+  MFHTTP_CHECK(far_.empty());
+  std::vector<QueueEntry> heap;
+  heap.reserve(events);
+  far_ = decltype(far_)(std::greater<>(), std::move(heap));
+  slots_.reserve(events);
+  free_.reserve(events);
+  nodes_.reserve(events);
+}
+
 Simulator::EventId Simulator::schedule_at(TimeMs time_ms, Callback cb) {
   MFHTTP_CHECK_MSG(time_ms >= now_, "cannot schedule events in the past");
   MFHTTP_CHECK(cb != nullptr);

@@ -50,6 +50,10 @@ class Simulator {
 
   TimeMs now() const { return now_; }
 
+  // Room for `events` pending events at once: scheduling up to that many
+  // grows none of the queue's tables. Call while nothing is pending.
+  void reserve(std::size_t events);
+
   // Schedule at an absolute simulated time (>= now).
   EventId schedule_at(TimeMs time_ms, Callback cb);
 

@@ -18,20 +18,14 @@ BlockListController::BlockListController(const WebPage& page, Rect initial_viewp
       degradation_("web.blocklist", resilience.degradation) {
   MFHTTP_CHECK(proxy_ != nullptr);
   const std::size_t n = page_.images.size();
-  records_.resize(n);
+  urls_.reserve(n);
+  last_image_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) last_image_[urls_.intern(url_of(i))] = i;
+  last_image_.resize(urls_.size());
   canonical_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) canonical_[i] = image_of(url_of(i));
   blocked_.assign(n, 0);
   release_at_ms_.assign(n, kNeverReleased);
-  for (std::size_t i = 0; i < n; ++i) {
-    const MediaObject& img = page_.images[i];
-    ImageRecord& rec = records_[i];
-    rec.top_url = &img.top_version().url;
-    url_to_image_[*rec.top_url] = i;
-  }
-  // Canonical index per unique URL (last writer, matching the old map), so
-  // shared-URL images share one blocked bit like the old url set did.
-  for (std::size_t i = 0; i < n; ++i)
-    canonical_[i] = url_to_image_[*records_[i].top_url];
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t c = canonical_[i];
     if (!initial_viewport.overlaps(page_.images[i].rect) && blocked_[c] == 0) {
@@ -46,13 +40,18 @@ BlockListController::BlockListController(const WebPage& page, Rect initial_viewp
   blocked_initial.inc(blocked_count_);
 }
 
+std::size_t BlockListController::image_of(std::string_view url) const {
+  const UrlId id = urls_.find(url);
+  return id == kNoUrl ? kNoImage : last_image_[id];
+}
+
 InterceptDecision BlockListController::on_request(const HttpRequest& request) {
-  const std::string url_str = request.canonical_url().text;
-  // Degraded: stop gating entirely — everything flows. One hash lookup
-  // answers both "is this an image?" and "is it parked?".
-  auto it = url_to_image_.find(url_str);
-  const bool is_image = it != url_to_image_.end();
-  const bool parked = is_image && blocked_[canonical_[it->second]] != 0;
+  request.canonical_url(request_url_);
+  // Degraded: stop gating entirely — everything flows. One lookup answers
+  // both "is this an image?" and "is it parked?".
+  const std::size_t image = image_of(request_url_.text);
+  const bool is_image = image != kNoImage;
+  const bool parked = is_image && blocked_[image] != 0;
   if (!degradation_.degraded() && parked) {
     return InterceptDecision::defer();  // step (2)
   }
@@ -64,8 +63,8 @@ InterceptDecision BlockListController::on_request(const HttpRequest& request) {
 void BlockListController::on_fetch_complete(const FetchResult& result) {
   // Only the images this controller gates inform its health; blocked results
   // are policy, not faults.
-  auto image_it = url_to_image_.find(result.url);
-  if (image_it == url_to_image_.end() || result.blocked) return;
+  const std::size_t image = image_of(result.url);
+  if (image == kNoImage || result.blocked) return;
   const bool failed =
       result.status == 0 || result.status == 429 || result.status >= 500;
   bool entered = false;
@@ -75,7 +74,7 @@ void BlockListController::on_fetch_complete(const FetchResult& result) {
     // Slip: how long the image took from the moment the policy let it go
     // (or from request, if it was never parked) to the last byte.
     TimeMs start = result.request_ms;
-    const TimeMs released = release_at_ms_[canonical_[image_it->second]];
+    const TimeMs released = release_at_ms_[image];
     if (released != kNeverReleased) start = std::max(start, released);
     const TimeMs slip = result.complete_ms - start;
     if (slip > resilience_.slip_threshold_ms)
@@ -100,7 +99,7 @@ void BlockListController::release_all() {
     blocked_[i] = 0;
     degraded_releases.inc();
     release_at_ms_[i] = proxy_->now();
-    proxy_->release(*records_[i].top_url, kPriorityTransient);
+    proxy_->release(url_of(i), kPriorityTransient);
   }
   blocked_count_ = 0;
 }
@@ -108,8 +107,6 @@ void BlockListController::release_all() {
 void BlockListController::release_image(std::size_t index, int priority) {
   const std::size_t c = canonical_[index];
   if (blocked_[c] != 0) {
-    const ImageRecord& rec = records_[index];
-    const std::string& url = *rec.top_url;
     blocked_[c] = 0;
     --blocked_count_;
     ++releases_;
@@ -117,7 +114,7 @@ void BlockListController::release_image(std::size_t index, int priority) {
     static obs::Counter& releases =
         obs::metrics().counter("web.blocklist.releases_total");
     releases.inc();
-    const std::size_t released = proxy_->release(url, priority);
+    const std::size_t released = proxy_->release(url_of(index), priority);
     // Wasted block: the browser already wanted this object — it sat parked
     // at the proxy until the tracker proved it relevant. Each such release
     // is delay the block list inflicted on a byte that was needed anyway.
@@ -164,7 +161,7 @@ void BlockListController::on_policy(const ScrollAnalysis& analysis,
       if (!cov->involved) continue;
       const std::size_t i = cov->object_index;
       if (blocked_[canonical_[i]] == 0) continue;
-      if (proxy_->prefetch(*records_[i].top_url)) {
+      if (proxy_->prefetch(url_of(i))) {
         ++prefetches_requested_;
         prefetched.inc();
       }

@@ -19,19 +19,19 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "core/flow_controller.h"
 #include "core/scroll_tracker.h"
 #include "fault/degradation.h"
 #include "http/proxy.h"
-#include "util/strings.h"
+#include "http/url_table.h"
 #include "web/page.h"
 
 namespace mfhttp {
 
+// The controller borrows its page: the WebPage passed in must outlive it.
 class BlockListController : public Interceptor {
  public:
   struct Resilience {
@@ -73,39 +73,44 @@ class BlockListController : public Interceptor {
   bool prefetch_enabled() const { return prefetch_enabled_; }
   std::size_t prefetches_requested() const { return prefetches_requested_; }
 
-  bool is_blocked(const std::string& url) const {
-    auto it = url_to_image_.find(url);
-    return it != url_to_image_.end() && blocked_[canonical_[it->second]] != 0;
+  bool is_blocked(std::string_view url) const {
+    const std::size_t i = image_of(url);
+    return i != kNoImage && blocked_[i] != 0;
   }
   std::size_t block_list_size() const { return blocked_count_; }
   std::size_t releases() const { return releases_; }
 
  private:
-  void release_image(std::size_t index, int priority);
-  void release_all();
-
-  // Per-image hot records on arena-style indices, built once at
-  // construction. The per-gesture policy loop (on_policy -> release_image)
-  // walks these parallel vectors; the string hash map is only touched on
-  // the request path, where the URL is all we have.
-  struct ImageRecord {
-    const std::string* top_url = nullptr;  // into page_.images[i]
-  };
+  static constexpr std::size_t kNoImage = static_cast<std::size_t>(-1);
   static constexpr TimeMs kNeverReleased = -1;
 
+  void release_image(std::size_t index, int priority);
+  void release_all();
+  // The canonical image index of `url`, or kNoImage.
+  std::size_t image_of(std::string_view url) const;
+  const std::string& url_of(std::size_t index) const {
+    return page_.images[index].top_version().url;
+  }
+
+  // Per-image hot records on arena-style indices, built once at
+  // construction with a fixed number of allocations. The per-gesture
+  // policy loop (on_policy -> release_image) walks these parallel vectors;
+  // the URL table is only touched on the request path, where the URL is
+  // all we have.
   const WebPage& page_;
   MitmProxy* proxy_;
   Resilience resilience_;
   fault::DegradationState degradation_;
-  std::vector<ImageRecord> records_;
+  // The page's distinct image URLs; by UrlId, the last image holding each.
   // Two images can share a URL; the old url-set semantics are kept by
-  // carrying the blocked bit on one canonical index per unique URL.
-  std::vector<std::size_t> canonical_;
-  std::vector<std::uint8_t> blocked_;  // 1 = parked, by canonical index
+  // carrying the blocked bit on that one canonical index per unique URL.
+  UrlTable urls_;
+  std::vector<std::size_t> last_image_;  // by UrlId
+  std::vector<std::size_t> canonical_;   // by image
+  std::vector<std::uint8_t> blocked_;    // 1 = parked, by canonical index
   std::size_t blocked_count_ = 0;
   std::vector<TimeMs> release_at_ms_;  // kNeverReleased until first release
-  std::unordered_map<std::string, std::size_t, StringHash, std::equal_to<>>
-      url_to_image_;
+  CanonicalUrl request_url_;           // on_request's scratch; keeps its capacity
   std::size_t releases_ = 0;
   bool prefetch_enabled_ = false;
   std::size_t prefetches_requested_ = 0;

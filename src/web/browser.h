@@ -6,10 +6,18 @@
 // order behind the CSS, and images as soon as the document is parsed.
 // MF-HTTP never reorders the structural chain (§5.1.1); whether a given
 // image actually transfers is up to the middleware proxy in the path.
+//
+// The browser borrows its page: the WebPage passed in must outlive it.
+// Each resource URL is split once, at construction, into views of the
+// page's text; its fetch builds the request from that split.
+// Readiness is a countdown (ReadyQueue): each completion decrements its
+// dependents' unmet prerequisites, and nodes start in ascending id, the
+// order a full rescan of the graph would start them (DESIGN.md §24.2).
 #pragma once
 
 #include <functional>
-#include <string>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "http/sim_http.h"
@@ -20,7 +28,7 @@
 namespace mfhttp {
 
 struct ResourceLoadState {
-  std::string url;
+  std::string_view url;    // into the page
   Bytes size = 0;          // expected wire size
   Bytes received = 0;      // bytes delivered so far
   TimeMs request_ms = -1;  // when the fetch was issued (-1: not yet)
@@ -36,16 +44,29 @@ class Browser {
  public:
   using ImageCompleteFn = std::function<void(std::size_t image_index)>;
 
+  // `page` is borrowed and must outlive the browser; a temporary cannot bind.
   Browser(Simulator& sim, HttpFetcher* fetcher, const WebPage& page);
+  Browser(Simulator& sim, HttpFetcher* fetcher, WebPage&& page) = delete;
+  Browser(const Browser&) = delete;  // ready_ refers to graph_
+  Browser& operator=(const Browser&) = delete;
 
   // Issue the HTML fetch; the rest of the page follows automatically.
   void load();
 
   const WebPage& page() const { return page_; }
-  const std::vector<ResourceLoadState>& structure_states() const {
-    return structure_;
+  std::span<const ResourceLoadState> structure_states() const {
+    return std::span(states_).first(page_.structure.size());
   }
-  const std::vector<ResourceLoadState>& image_states() const { return images_; }
+  std::span<const ResourceLoadState> image_states() const {
+    return std::span(states_).subspan(page_.structure.size());
+  }
+
+  // The URL the browser requests for dependency-graph node `node`
+  // (structural resources first, then images): the one split of the
+  // page's URL that every fetch of it, and the origin's path, derive from.
+  const UrlRef& resource_url(DependencyGraph::NodeId node) const {
+    return urls_[node];
+  }
 
   // All structural resources finished.
   bool structure_complete() const;
@@ -66,23 +87,30 @@ class Browser {
   const DependencyGraph& dependency_graph() const { return graph_; }
 
  private:
-  void fetch_resource(ResourceLoadState* state, bool is_image, std::size_t index);
-  void on_node_complete(DependencyGraph::NodeId node);
-  void fetch_ready_nodes();
+  using NodeId = DependencyGraph::NodeId;
+
+  void fetch_resource(NodeId node);
+  void on_node_complete(NodeId node);
+  // Fetch every ready node, lowest id first.
+  void fetch_ready();
 
   Simulator& sim_;
   HttpFetcher* fetcher_;
-  WebPage page_;
-  std::vector<ResourceLoadState> structure_;
-  std::vector<ResourceLoadState> images_;
+  const WebPage& page_;
+  std::vector<ResourceLoadState> states_;  // by node: structure, then images
+  std::vector<UrlRef> urls_;               // by node, into the page
+  // fetch_resource's request, rebuilt in place for every fetch. A fetcher
+  // that completes inside fetch() re-enters fetch_resource while the outer
+  // fetch still holds it, so a nested fetch builds its own.
+  HttpRequest request_;
+  bool in_fetch_ = false;
   ImageCompleteFn on_image_complete_;
   bool started_ = false;
 
   DependencyGraph graph_;
-  std::vector<DependencyGraph::NodeId> structure_nodes_;
-  std::vector<DependencyGraph::NodeId> image_nodes_;
-  std::vector<bool> node_done_;
-  std::vector<bool> node_requested_;
+  // A fetcher that completes inside fetch() adds to it while fetch_ready()
+  // drains it.
+  ReadyQueue ready_;
 };
 
 }  // namespace mfhttp

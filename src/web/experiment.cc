@@ -18,20 +18,18 @@ namespace mfhttp {
 
 namespace {
 
-ObjectStore build_store(const WebPage& page) {
-  ObjectStore store;
-  for (const PageResource& r : page.structure) {
-    auto url = parse_url(r.url);
-    MFHTTP_CHECK(url.has_value());
-    store.put(url->path, r.size, r.kind == ResourceKind::kHtml ? "text/html"
-                                                               : "text/css");
-  }
-  for (const MediaObject& img : page.images) {
-    auto url = parse_url(img.top_version().url);
-    MFHTTP_CHECK(url.has_value());
-    store.put(url->path, img.top_version().size, "image/jpeg");
-  }
-  return store;
+// The origin's objects under the paths the browser requests: one split of
+// each URL (Browser::resource_url) serves the request and the store, so
+// the two agree byte for byte.
+void fill_store(ObjectStore& store, const WebPage& page, const Browser& browser) {
+  store.reserve(page.structure.size() + page.images.size());
+  std::size_t node = 0;
+  for (const PageResource& r : page.structure)
+    store.put(browser.resource_url(node++).path, r.size,
+              r.kind == ResourceKind::kHtml ? "text/html" : "text/css");
+  for (const MediaObject& img : page.images)
+    store.put(browser.resource_url(node++).path, img.top_version().size,
+              "image/jpeg");
 }
 
 }  // namespace
@@ -62,7 +60,11 @@ std::string BrowsingSessionResult::to_json() const {
 
 BrowsingSessionResult run_browsing_session(const WebPage& page,
                                            const BrowsingSessionConfig& config) {
+  // The tables a page load grows are sized for the page up front: each
+  // resource is one request, one upstream and one client transfer.
+  const std::size_t resources = page.structure.size() + page.images.size();
   Simulator sim;
+  sim.reserve(4 * resources + 64);
   Rng rng(config.seed);
 
   const BandwidthTrace client_trace =
@@ -80,8 +82,9 @@ BrowsingSessionResult run_browsing_session(const WebPage& page,
   server_params.latency_ms = config.server_latency_ms;
   server_params.sharing = Link::Sharing::kFairShare;
   Link server_link(sim, server_params);
+  server_link.reserve(resources);
 
-  ObjectStore store = build_store(page);
+  ObjectStore store;  // filled from the browser's URLs below
   SimHttpOrigin origin(sim, &store, &server_link);
 
   // The whole decorator stack — client-hop faults, origin faults,
@@ -101,7 +104,11 @@ BrowsingSessionResult run_browsing_session(const WebPage& page,
   std::unique_ptr<FetchPipeline> pipeline = builder.build();
   MitmProxy& proxy = pipeline->proxy();
   Link& client_link = pipeline->client_link();
+  client_link.reserve(resources);
   ResilientFetcher* resilient = pipeline->resilient();
+
+  Browser browser(sim, &proxy, page);
+  fill_store(store, page, browser);
 
   const Rect vp0{0, 0, config.device.screen_w_px, config.device.screen_h_px};
 
@@ -147,7 +154,6 @@ BrowsingSessionResult run_browsing_session(const WebPage& page,
       });
   }
 
-  Browser browser(sim, &proxy, page);
   sim.schedule_at(0, [&] { browser.load(); });
 
   // The session's one random scrolling touch.
@@ -161,27 +167,29 @@ BrowsingSessionResult run_browsing_session(const WebPage& page,
   spec.direction = {rng.uniform(-0.05, 0.05), config.swipe_up ? 1.0 : -1.0};
   spec.contact_ms = 140;
   const TouchTrace trace = synthesize_swipe(spec);
-  for (const TouchEvent& ev : trace) {
-    sim.schedule_at(ev.time_ms, [&, ev] {
-      if (monitor) monitor->on_touch_event(ev);
-      if (auto g = gt_recognizer.on_touch_event(ev)) {
-        gt_viewport.interrupt(g->down_time_ms);
-        gt_viewport.apply_contact_pan(*g);
-        if (g->scrolls())
-          gt_viewport.begin_animation(
-              gt_tracker.predict(*g, gt_viewport.at(g->up_time_ms)));
-      }
-    });
-  }
+  // Scheduled closures capture one reference and one word, so each fits
+  // std::function's small buffer: the touch events stay in `trace`.
+  auto replay_touch = [&](const TouchEvent& ev) {
+    if (monitor) monitor->on_touch_event(ev);
+    if (auto g = gt_recognizer.on_touch_event(ev)) {
+      gt_viewport.interrupt(g->down_time_ms);
+      gt_viewport.apply_contact_pan(*g);
+      if (g->scrolls())
+        gt_viewport.begin_animation(
+            gt_tracker.predict(*g, gt_viewport.at(g->up_time_ms)));
+    }
+  };
+  for (const TouchEvent& ev : trace)
+    sim.schedule_at(ev.time_ms, [&replay_touch, e = &ev] { replay_touch(*e); });
 
   BrowsingSessionResult result;
+  auto sample_fill = [&](TimeMs t) {
+    result.fill_timeline.emplace_back(
+        t, browser.viewport_fill_fraction(gt_viewport.at(t)));
+  };
   if (config.fill_sample_ms > 0) {
-    for (TimeMs t = 0; t <= config.session_ms; t += config.fill_sample_ms) {
-      sim.schedule_at(t, [&, t] {
-        result.fill_timeline.emplace_back(
-            t, browser.viewport_fill_fraction(gt_viewport.at(t)));
-      });
-    }
+    for (TimeMs t = 0; t <= config.session_ms; t += config.fill_sample_ms)
+      sim.schedule_at(t, [&sample_fill, t] { sample_fill(t); });
   }
 
   sim.run_until(config.session_ms);
@@ -195,7 +203,7 @@ BrowsingSessionResult run_browsing_session(const WebPage& page,
   result.images_total = page.images.size();
   result.images_completed = browser.images_completed();
   result.images_avoided = result.images_total - result.images_completed;
-  result.stranded_deferred = proxy.deferred_urls().size();
+  result.stranded_deferred = proxy.deferred_depth();
   const MitmProxy::Stats& ps = proxy.stats();
   result.requests_total = ps.allowed + ps.blocked + ps.deferred + ps.rejected +
                           ps.shed + ps.header_violations + ps.cache_hits;

@@ -14,11 +14,4 @@ Bytes WebPage::total_structure_bytes() const {
   return total;
 }
 
-std::vector<std::size_t> WebPage::images_in(const Rect& viewport) const {
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < images.size(); ++i)
-    if (viewport.overlaps(images[i].rect)) out.push_back(i);
-  return out;
-}
-
 }  // namespace mfhttp

@@ -40,9 +40,6 @@ struct WebPage {
 
   Bytes total_image_bytes() const;
   Bytes total_structure_bytes() const;
-
-  // Indices of images overlapping `viewport`.
-  std::vector<std::size_t> images_in(const Rect& viewport) const;
 };
 
 }  // namespace mfhttp

@@ -178,7 +178,7 @@ TEST(FailureInjection, DeferredRequestsSurviveToSessionEndWithoutLeaks) {
   }
   sim.run_until(60'000);
   EXPECT_EQ(completions, 0);
-  EXPECT_EQ(proxy.deferred_urls().size(), 50u);
+  EXPECT_EQ(proxy.deferred_depth(), 50u);
   // Releasing them at teardown flushes everything exactly once.
   EXPECT_EQ(proxy.release("http://o.example/img"), 50u);
   sim.run();

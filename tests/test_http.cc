@@ -139,6 +139,32 @@ TEST(HttpRequest, NonDefaultPortInHost) {
   EXPECT_EQ(req.url()->port, 8081);
 }
 
+TEST(HttpRequest, AssignGetRebuildsWhatGetBuilds) {
+  // A reused request, dirty from an earlier use, rebuilt from each split.
+  HttpRequest reused = HttpRequest::get("http://old.example/a/very/long/path?q=1");
+  reused.method = "POST";
+  reused.body = "payload";
+  reused.set_session("s-1");
+  reused.headers.set("X-Extra", "1");
+  for (const char* text :
+       {"http://site.example/img/1.jpg?v=2", "http://Site.Example/x", "http://h:8081/p",
+        "https://secure.example/p", "HTTP://h/p?", "http://h", "http://h?q",
+        "http://wikipedia.example/img/01.jpg"}) {
+    const std::optional<UrlRef> ref = split_url(text);
+    ASSERT_TRUE(ref.has_value()) << text;
+    ASSERT_EQ(parse_url(text).has_value(), true) << text;
+    reused.assign_get(*ref);
+    const HttpRequest fresh = HttpRequest::get(text);
+    EXPECT_EQ(reused.method, fresh.method) << text;
+    EXPECT_EQ(reused.target, fresh.target) << text;
+    EXPECT_EQ(reused.version, fresh.version) << text;
+    EXPECT_EQ(reused.body, fresh.body) << text;
+    EXPECT_TRUE(reused.headers == fresh.headers) << text;
+  }
+  EXPECT_FALSE(split_url("ftp://h/").has_value());
+  EXPECT_FALSE(split_url("http://h:x/").has_value());
+}
+
 // ---------- canonical URL ----------
 
 // The reference canonical_url() must reproduce: parse, then print.

@@ -225,7 +225,7 @@ TEST_F(MetricsTest, MiddlewareGestureIncrementsPipelineCounters) {
   for (int i = 0; i < 20; ++i)
     objects.push_back(make_single_version_object(
         "o" + std::to_string(i), Rect{100, i * 600.0, 800, 400}, 50'000, "u"));
-  Middleware mw(params, std::move(objects), BandwidthTrace::constant(1e6),
+  Middleware mw(params, objects, BandwidthTrace::constant(1e6),
                 nullptr);
 
   Gesture g;

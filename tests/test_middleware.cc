@@ -124,7 +124,8 @@ Middleware::Params middleware_params() {
 }
 
 TEST(Middleware, ScrollGestureProducesPolicy) {
-  Middleware mw(middleware_params(), column_objects(30),
+  const std::vector<MediaObject> objects = column_objects(30);
+  Middleware mw(middleware_params(), objects,
                 BandwidthTrace::constant(1e6), nullptr);
   int calls = 0;
   mw.set_policy_callback([&](const ScrollAnalysis& a, const DownloadPolicy& p) {
@@ -139,7 +140,8 @@ TEST(Middleware, ScrollGestureProducesPolicy) {
 }
 
 TEST(Middleware, LastAnalysisInsideCallbackIsTheDeliveredGesture) {
-  Middleware mw(middleware_params(), column_objects(60),
+  const std::vector<MediaObject> objects = column_objects(60);
+  Middleware mw(middleware_params(), objects,
                 BandwidthTrace::constant(1e6), nullptr);
   std::vector<TimeMs> seen;
   mw.set_policy_callback([&](const ScrollAnalysis& a, const DownloadPolicy& p) {
@@ -158,7 +160,8 @@ TEST(Middleware, LastAnalysisInsideCallbackIsTheDeliveredGesture) {
 }
 
 TEST(Middleware, ClickDoesNotProducePolicy) {
-  Middleware mw(middleware_params(), column_objects(10),
+  const std::vector<MediaObject> objects = column_objects(10);
+  Middleware mw(middleware_params(), objects,
                 BandwidthTrace::constant(1e6), nullptr);
   int calls = 0;
   mw.set_policy_callback([&](const ScrollAnalysis&, const DownloadPolicy&) { ++calls; });
@@ -172,7 +175,8 @@ TEST(Middleware, ClickDoesNotProducePolicy) {
 }
 
 TEST(Middleware, ViewportTracksAcrossGestures) {
-  Middleware mw(middleware_params(), column_objects(60),
+  const std::vector<MediaObject> objects = column_objects(60);
+  Middleware mw(middleware_params(), objects,
                 BandwidthTrace::constant(1e6), nullptr);
   mw.on_gesture(fling_gesture({0, -4000}, 1000, {0, -300}));
   const ScrollPrediction pred1 = mw.last_analysis()->prediction;  // copy
@@ -187,7 +191,8 @@ TEST(Middleware, ViewportTracksAcrossGestures) {
 }
 
 TEST(Middleware, NewGestureInterruptsAnimation) {
-  Middleware mw(middleware_params(), column_objects(60),
+  const std::vector<MediaObject> objects = column_objects(60);
+  Middleware mw(middleware_params(), objects,
                 BandwidthTrace::constant(1e6), nullptr);
   mw.on_gesture(fling_gesture({0, -8000}, 1000));
   const ScrollPrediction pred1 = mw.last_analysis()->prediction;
@@ -207,7 +212,8 @@ TEST(Middleware, GestureUplinkDelayDefersProcessing) {
   Simulator sim;
   Middleware::Params params = middleware_params();
   params.gesture_uplink_ms = 25;
-  Middleware mw(params, column_objects(20), BandwidthTrace::constant(1e6), &sim);
+  const std::vector<MediaObject> objects = column_objects(20);
+  Middleware mw(params, objects, BandwidthTrace::constant(1e6), &sim);
   int calls = 0;
   mw.set_policy_callback([&](const ScrollAnalysis&, const DownloadPolicy&) { ++calls; });
   sim.schedule_at(100, [&] { mw.on_gesture(fling_gesture({0, -4000}, 100)); });
@@ -225,7 +231,8 @@ TEST(Middleware, FlywheelCompoundsSuccessiveFlings) {
   without.enable_flywheel = false;
 
   auto run = [](Middleware::Params params) {
-    Middleware mw(params, column_objects(60), BandwidthTrace::constant(1e6),
+    const std::vector<MediaObject> objects = column_objects(60);
+    Middleware mw(params, objects, BandwidthTrace::constant(1e6),
                   nullptr);
     mw.on_gesture(fling_gesture({0, -8000}, 1000));
     TimeMs mid = 1000 + static_cast<TimeMs>(
@@ -241,7 +248,8 @@ TEST(Middleware, FlywheelCompoundsSuccessiveFlings) {
 }
 
 TEST(Middleware, FlywheelIgnoresOppositeDirection) {
-  Middleware mw(middleware_params(), column_objects(60),
+  const std::vector<MediaObject> objects = column_objects(60);
+  Middleware mw(middleware_params(), objects,
                 BandwidthTrace::constant(1e6), nullptr);
   mw.on_gesture(fling_gesture({0, -8000}, 1000));
   TimeMs mid =
@@ -261,7 +269,8 @@ TEST(Middleware, FlywheelIgnoresOppositeDirection) {
 }
 
 TEST(Middleware, FlywheelNotAppliedAfterSettle) {
-  Middleware mw(middleware_params(), column_objects(60),
+  const std::vector<MediaObject> objects = column_objects(60);
+  Middleware mw(middleware_params(), objects,
                 BandwidthTrace::constant(1e6), nullptr);
   mw.on_gesture(fling_gesture({0, -8000}, 1000));
   TimeMs later = 1000 +
@@ -277,7 +286,8 @@ TEST(Middleware, FlywheelNotAppliedAfterSettle) {
 
 TEST(Middleware, EndToEndFromRawTouches) {
   // Full client-side path: raw events -> monitor -> middleware policy.
-  Middleware mw(middleware_params(), column_objects(40),
+  const std::vector<MediaObject> objects = column_objects(40);
+  Middleware mw(middleware_params(), objects,
                 BandwidthTrace::constant(1e6), nullptr);
   int policies = 0;
   mw.set_policy_callback([&](const ScrollAnalysis&, const DownloadPolicy& p) {

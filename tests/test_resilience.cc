@@ -433,7 +433,7 @@ TEST_F(WatchdogFixture, ReleaseActionForceReleasesParkedRequest) {
   EXPECT_EQ(out->status, 200);
   EXPECT_EQ(out->body_size, 30'000);
   EXPECT_GE(out->complete_ms, 2000);
-  EXPECT_TRUE(proxy->deferred_urls().empty());
+  EXPECT_EQ(proxy->deferred_depth(), 0u);
 }
 
 TEST_F(WatchdogFixture, FailActionCompletesWithConfiguredStatus) {
@@ -452,7 +452,7 @@ TEST_F(WatchdogFixture, FailActionCompletesWithConfiguredStatus) {
   EXPECT_EQ(out->status, 504);
   EXPECT_FALSE(out->blocked);  // a fault, not middleware policy
   EXPECT_EQ(out->body_size, 0);
-  EXPECT_TRUE(proxy->deferred_urls().empty());
+  EXPECT_EQ(proxy->deferred_depth(), 0u);
 }
 
 TEST_F(WatchdogFixture, FailActionCountsDeferTimeouts) {

@@ -393,12 +393,12 @@ TEST(MiddlewareAppend, AppendedObjectsJoinTheNextAnalysis) {
 
   // Grow the feed mid-scroll: existing indices must be untouched and the
   // appended tail must be analyzed from the very next gesture.
-  std::vector<MediaObject> more;
+  // The middleware borrows `objects`: grow it, then say from where.
   for (int i = 4; i < 9; ++i)
-    more.push_back(make_single_version_object(
+    objects.push_back(make_single_version_object(
         "img-" + std::to_string(i), Rect{100, i * 900.0, 800, 600}, 50'000,
         "http://feed.example/" + std::to_string(i) + ".jpg"));
-  middleware.append_objects(more);
+  middleware.append_objects(4);
   ASSERT_EQ(middleware.objects().size(), 9u);
   EXPECT_EQ(middleware.objects()[3].id, "img-3");
   EXPECT_EQ(middleware.objects()[8].id, "img-8");

@@ -10,12 +10,15 @@
 // per-request budget (DESIGN.md §19, §21). The UrlTable cases pin the
 // interner those paths key by. The TouchAlloc case holds one gesture's
 // touch-to-policy path to the same allocations on a small and a large page
-// (DESIGN.md §20).
+// (DESIGN.md §20). The BrowsingSession case holds a whole paper_default
+// page load, set-up included, to a per-session budget on every corpus page
+// (DESIGN.md §24).
 //
 // The counter is a plain relaxed atomic: every measured section runs on one
 // thread and only needs exact counts between an AllocGuard's construction
 // and delta().
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdlib>
@@ -36,8 +39,12 @@
 #include "http/url_table.h"
 #include "net/link.h"
 #include "overload/admission.h"
+#include "scenario/scenario_spec.h"
+#include "scenario/wiring.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
+#include "web/corpus.h"
+#include "web/experiment.h"
 
 namespace {
 
@@ -490,6 +497,39 @@ TEST(TouchAlloc, GestureAllocationDoesNotScaleWithPage) {
   ASSERT_EQ(small.listed, large.listed) << "the gesture must involve the same objects";
   EXPECT_EQ(large.allocs, small.allocs);
   EXPECT_EQ(large.bytes, small.bytes) << "bytes allocated per gesture grew with the page";
+}
+
+// Every corpus page at paper_default, repeats 0-2 (the mfbench browse_paper
+// sessions), builds and runs its whole session within the budget. Counts
+// are exact: a session run again allocates exactly as often. Across repeats
+// the count may differ by what the one gesture's knapsack allocates per
+// object it involves, since the swipe speed sets that (DESIGN.md §24.1).
+TEST(SimAlloc, BrowsingSessionAllocationBudget) {
+  constexpr std::size_t kSessionBudget = 200;
+  Rng rng(42);
+  const std::vector<WebPage> corpus = generate_corpus(DeviceProfile::nexus6(), rng);
+  const scenario::ScenarioSpec spec = scenario::ScenarioSpec::paper_default();
+  // Warm-up: every metric site registers and per-thread scratch grows.
+  for (const WebPage& page : corpus)
+    for (int repeat = 0; repeat < 3; ++repeat)
+      run_browsing_session(page, scenario::browsing_config(spec, page, repeat));
+
+  std::size_t most = 0;
+  for (const WebPage& page : corpus) {
+    for (int repeat = 0; repeat < 3; ++repeat) {
+      const BrowsingSessionConfig config = scenario::browsing_config(spec, page, repeat);
+      std::size_t allocs[2];
+      for (std::size_t& count : allocs) {
+        AllocGuard guard;
+        run_browsing_session(page, config);
+        count = guard.delta();
+      }
+      EXPECT_LE(allocs[0], kSessionBudget) << page.site << " repeat " << repeat;
+      EXPECT_EQ(allocs[1], allocs[0]) << page.site << " repeat " << repeat;
+      most = std::max(most, allocs[0]);
+    }
+  }
+  RecordProperty("most_allocations_per_session", static_cast<int>(most));
 }
 
 }  // namespace

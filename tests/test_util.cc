@@ -1,10 +1,13 @@
-// Unit tests for util: rng, stats, strings.
+// Unit tests for util: rng, stats, strings, slab.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "util/rng.h"
+#include "util/slab.h"
 #include "util/stats.h"
 #include "util/strings.h"
 
@@ -236,6 +239,92 @@ TEST(Strings, Strformat) {
   EXPECT_EQ(strformat("%02d-%s", 7, "x"), "07-x");
   EXPECT_EQ(strformat("%.2f", 1.5), "1.50");
   EXPECT_EQ(strformat("plain"), "plain");
+}
+
+// ---------- Slab ----------
+
+struct Record {
+  int value = 0;
+  std::string text;
+  void reset() { value = 0; }  // keeps the string's capacity
+};
+
+TEST(Slab, AddressesStayStableAcrossChunks) {
+  Slab<Record> slab;
+  constexpr std::size_t kRecords = 3 * Slab<Record>::kChunkSlots + 5;
+  std::vector<Slab<Record>::Id> ids;
+  std::vector<const Record*> addresses;
+  for (std::size_t i = 0; i < kRecords; ++i) {
+    ids.push_back(slab.insert());
+    Record* r = slab.find(ids.back());
+    ASSERT_NE(r, nullptr);
+    r->value = static_cast<int>(i);
+    addresses.push_back(r);
+  }
+  EXPECT_EQ(slab.size(), kRecords);
+  for (std::size_t i = 0; i < kRecords; ++i) {
+    EXPECT_EQ(slab.find(ids[i]), addresses[i]) << i;
+    EXPECT_EQ(slab.find(ids[i])->value, static_cast<int>(i));
+  }
+}
+
+TEST(Slab, ReserveAllocatesChunksUpFront) {
+  Slab<Record> slab;
+  slab.reserve(Slab<Record>::kChunkSlots + 1);  // two chunks
+  std::vector<const Record*> addresses;
+  for (std::size_t i = 0; i < Slab<Record>::kChunkSlots + 1; ++i)
+    addresses.push_back(slab.find(slab.insert()));
+  EXPECT_EQ(slab.size(), Slab<Record>::kChunkSlots + 1);
+  EXPECT_EQ(std::set<const Record*>(addresses.begin(), addresses.end()).size(),
+            addresses.size());
+}
+
+TEST(Slab, StaleIdsStayDeadAfterSlotReuse) {
+  Slab<Record> slab;
+  std::vector<Slab<Record>::Id> ids;
+  for (std::size_t i = 0; i < Slab<Record>::kChunkSlots + 2; ++i) ids.push_back(slab.insert());
+  const Slab<Record>::Id old = ids.back();
+  slab.find(old)->text = "kept capacity";
+  ASSERT_TRUE(slab.erase(old));
+  EXPECT_FALSE(slab.contains(old));
+  EXPECT_FALSE(slab.erase(old));
+  const Slab<Record>::Id reused = slab.insert();  // LIFO: the same slot
+  EXPECT_EQ(reused & 0xffffffffu, old & 0xffffffffu);
+  EXPECT_NE(reused, old);
+  EXPECT_FALSE(slab.contains(old));
+  EXPECT_EQ(slab.find(old), nullptr);
+  EXPECT_NE(slab.find(reused), nullptr);
+  EXPECT_EQ(slab.find(reused)->text, "kept capacity");  // reset() kept it
+  EXPECT_EQ(slab.find(Slab<Record>::kInvalid), nullptr);
+}
+
+TEST(Slab, ForEachVisitsLiveRecordsInSlotOrder) {
+  Slab<Record> slab;
+  std::vector<Slab<Record>::Id> ids;
+  for (int i = 0; i < 150; ++i) {
+    ids.push_back(slab.insert());
+    slab.find(ids.back())->value = i;
+  }
+  for (int i = 0; i < 150; i += 3) slab.erase(ids[static_cast<std::size_t>(i)]);
+  // Reused slots keep their place in slot order, not insertion order.
+  const Slab<Record>::Id again = slab.insert();  // takes slot 147
+  slab.find(again)->value = 1000;
+  std::vector<int> seen;
+  std::vector<Slab<Record>::Id> seen_ids;
+  slab.for_each([&](Slab<Record>::Id id, const Record& r) {
+    seen.push_back(r.value);
+    seen_ids.push_back(id);
+  });
+  std::vector<int> expected;
+  for (int i = 0; i < 150; ++i) {
+    if (i == 147)
+      expected.push_back(1000);
+    else if (i % 3 != 0)
+      expected.push_back(i);
+  }
+  EXPECT_EQ(seen, expected);
+  for (std::size_t k = 1; k < seen_ids.size(); ++k)
+    EXPECT_LT(seen_ids[k - 1] & 0xffffffffu, seen_ids[k] & 0xffffffffu);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Tests for the web case study: corpus statistics (the Fig. 6 invariants),
 // the browser loading model, the §5.1.2 block-list controller, and the
 // end-to-end browsing session (MF-HTTP must beat the baseline on viewport
-// load time).
+// load time), and its exact outcomes over the paper corpus (golden hashes).
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -9,6 +9,9 @@
 #include "core/middleware.h"
 #include "http/proxy.h"
 #include "http/sim_http.h"
+#include "scenario/scenario_spec.h"
+#include "scenario/wiring.h"
+#include "util/fnv.h"
 #include "web/blocklist_controller.h"
 #include "web/browser.h"
 #include "web/corpus.h"
@@ -18,6 +21,14 @@ namespace mfhttp {
 namespace {
 
 const DeviceProfile kDevice = DeviceProfile::nexus6();
+
+// Indices of the page's images overlapping `viewport`.
+std::vector<std::size_t> images_in(const WebPage& page, const Rect& viewport) {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < page.images.size(); ++i)
+    if (viewport.overlaps(page.images[i].rect)) out.push_back(i);
+  return out;
+}
 
 // ---------- corpus / Fig. 6 invariants ----------
 
@@ -92,7 +103,7 @@ TEST(Corpus, FullViewportSitesHaveNoBelowFoldImages) {
     Rng site_rng = rng.fork();
     WebPage page = generate_page(spec, kDevice, site_rng);
     Rect viewport{0, 0, kDevice.screen_w_px, kDevice.screen_h_px};
-    EXPECT_EQ(page.images_in(viewport).size(), page.images.size()) << spec.name;
+    EXPECT_EQ(images_in(page, viewport).size(), page.images.size()) << spec.name;
   }
 }
 
@@ -102,7 +113,7 @@ TEST(WebPage, ImagesInViewportQuery) {
   page.height = 10'000;
   page.images.push_back(make_single_version_object("a", {0, 100, 500, 300}, 1, "u"));
   page.images.push_back(make_single_version_object("b", {0, 5000, 500, 300}, 1, "u"));
-  auto in = page.images_in({0, 0, 1000, 2000});
+  auto in = images_in(page, {0, 0, 1000, 2000});
   ASSERT_EQ(in.size(), 1u);
   EXPECT_EQ(in[0], 0u);
 }
@@ -199,9 +210,9 @@ TEST_F(WebFixture, EmptyViewportFillIsOne) {
 TEST_F(WebFixture, BlockListStartsWithOutOfViewportImages) {
   Rect vp{0, 0, kDevice.screen_w_px, kDevice.screen_h_px};
   BlockListController controller(page, vp, &*proxy);
-  std::size_t out_of_vp = page.images.size() - page.images_in(vp).size();
+  std::size_t out_of_vp = page.images.size() - images_in(page, vp).size();
   EXPECT_EQ(controller.block_list_size(), out_of_vp);
-  for (std::size_t i : page.images_in(vp))
+  for (std::size_t i : images_in(page, vp))
     EXPECT_FALSE(controller.is_blocked(page.images[i].top_version().url));
 }
 
@@ -212,7 +223,7 @@ TEST_F(WebFixture, InterceptorDefersBlockedAllowsRest) {
   auto d = controller.on_request(HttpRequest::get(page.structure[0].url));
   EXPECT_EQ(d.action, InterceptDecision::Action::kAllow);
   // In-viewport image: allowed.
-  std::size_t in_idx = page.images_in(vp).front();
+  std::size_t in_idx = images_in(page, vp).front();
   d = controller.on_request(HttpRequest::get(page.images[in_idx].top_version().url));
   EXPECT_EQ(d.action, InterceptDecision::Action::kAllow);
   // Below-the-fold image: deferred.
@@ -250,7 +261,7 @@ TEST_F(WebFixture, PolicyReleasesScrollRelevantImages) {
   controller.on_policy(analysis, policy);
   EXPECT_LT(controller.block_list_size(), blocked_before);
   // Everything in the final viewport is now unblocked.
-  for (std::size_t i : page.images_in(pred.final_viewport()))
+  for (std::size_t i : images_in(page, pred.final_viewport()))
     EXPECT_FALSE(controller.is_blocked(page.images[i].top_version().url)) << i;
   // Images far beyond the sweep stay blocked.
   for (std::size_t i = 0; i < page.images.size(); ++i) {
@@ -342,6 +353,44 @@ TEST(BrowsingSession, DeterministicForSeed) {
   EXPECT_EQ(a.initial_viewport_load_ms, b.initial_viewport_load_ms);
   EXPECT_EQ(a.final_viewport_load_ms, b.final_viewport_load_ms);
   EXPECT_EQ(a.bytes_downloaded, b.bytes_downloaded);
+}
+
+// ---------- golden outcomes ----------
+
+// The first `pages` corpus pages x repeats 0-2 at paper_default, seed 1,
+// each session's outcome columns folded exactly as mfbench's browse_paper
+// workload folds them (bench/e2e/browse_paper.cc). Simulated time only, so
+// the hash is exact on every machine.
+std::uint64_t browse_outcome_hash(std::size_t pages) {
+  Rng rng(42);
+  const std::vector<WebPage> corpus = generate_corpus(DeviceProfile::nexus6(), rng);
+  scenario::ScenarioSpec spec = scenario::ScenarioSpec::paper_default();
+  spec.seed = 1;
+  Fnv fp;
+  for (std::size_t p = 0; p < pages; ++p) {
+    for (int repeat = 0; repeat < 3; ++repeat) {
+      const BrowsingSessionResult r = run_browsing_session(
+          corpus[p], scenario::browsing_config(spec, corpus[p], repeat));
+      fp.u64(static_cast<std::uint64_t>(r.initial_viewport_load_ms));
+      fp.u64(static_cast<std::uint64_t>(r.final_viewport_load_ms));
+      fp.u64(static_cast<std::uint64_t>(r.bytes_downloaded));
+      fp.u64(r.images_completed);
+      fp.u64(r.stranded_deferred);
+    }
+  }
+  return fp.h;
+}
+
+TEST(BrowsingGolden, QuickCorpusMatchesMfbenchFingerprint) {
+  // mfbench --workload browse_paper --quick --seed 1 prints this fingerprint.
+  EXPECT_EQ(browse_outcome_hash(5), 0xf443e6ed800627ffull);
+}
+
+TEST(BrowsingGolden, FullCorpusOutcomesUnchanged) {
+  // Recorded before the allocation-light session (DESIGN.md §24): any change
+  // to a load time, a byte count, a completed image or a parked request in
+  // any of the 75 sessions moves it.
+  EXPECT_EQ(browse_outcome_hash(25), 0x241a7115f34283d4ull);
 }
 
 }  // namespace
