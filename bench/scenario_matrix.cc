@@ -1,10 +1,10 @@
 // Scenario matrix — the ScenarioSpec acceptance artifact (DESIGN.md §16):
 // device class × network profile × workload, every cell wired through
-// ScenarioSpec + from_scenario and scored on the same five columns (QoE,
+// ScenarioSpec + scenario/wiring.h and scored on the same five columns (QoE,
 // viewport-load P99, goodput, shed rate, cache hit ratio) plus an FNV
 // fingerprint over every per-session deterministic quantity.
 //
-// Two properties are asserted in-binary, mirroring scale_matrix:
+// Two properties are asserted in-binary:
 //
 //   * paper_default_identical — the paper-default cells (phone_flagship ×
 //     wlan × {paper_corpus, client_only}) are re-run through a hand-wired

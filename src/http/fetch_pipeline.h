@@ -38,10 +38,6 @@
 #include "overload/admission.h"
 #include "sim/simulator.h"
 
-namespace mfhttp::scenario {
-struct ScenarioSpec;
-}
-
 namespace mfhttp {
 
 // The built stack. Accessors expose the layers policy code hooks into:
@@ -100,14 +96,6 @@ class FetchPipelineBuilder {
  public:
   // origin: the innermost HttpFetcher (usually a SimHttpOrigin). Not owned.
   FetchPipelineBuilder(Simulator& sim, HttpFetcher* origin);
-
-  // A builder pre-wired from a scenario (scenario/scenario_spec.h): client
-  // link from the network profile (constant or random-walk trace), fault
-  // plan from the compiled scenario plan (fault section + handover gaps),
-  // cache and admission from their sections when present. Defined in the
-  // mfhttp_scenario library — callers of this factory must link it.
-  static FetchPipelineBuilder from_scenario(Simulator& sim, HttpFetcher* origin,
-                                            const scenario::ScenarioSpec& spec);
 
   // Origin-less form: the builder creates the origin itself from an
   // ObjectStore + origin access link, honoring with_transport() — a

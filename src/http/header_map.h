@@ -14,7 +14,7 @@
 // The read side — get_view() / contains() / content_length() / iteration —
 // never allocates, whatever the contents. The zero-steady-state-allocation
 // contract for proxied requests is asserted by tests/test_header_alloc.cc
-// with a counting global allocator and tracked per PR by bench/micro_matrix.
+// with a counting global allocator, also over the golden lookup fold.
 #pragma once
 
 #include <array>

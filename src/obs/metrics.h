@@ -5,7 +5,7 @@
 // guards only name->metric registration (cold). Counters are additionally
 // *sharded*: each counter owns kShards cache-line-padded cells and a thread
 // increments only the cell its thread-local shard slot maps to, so the
-// parallel session runner (sim/parallel_runner.h) never bounces one hot
+// parallel runner's workers (sim/parallel_runner.h) never bounce one hot
 // cache line between workers. value() merges the cells by summation —
 // commutative over unsigned integers, so the merged value is deterministic
 // no matter which worker incremented which cell. Instrumentation sites look

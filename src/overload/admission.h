@@ -27,8 +27,8 @@
 // Threading contract (DESIGN.md §12): an AdmissionController is
 // *externally synchronized* — deliberately unlocked, because it belongs to
 // exactly one discrete-event world and every call arrives from that world's
-// single event loop. The parallel scale engine (sim/session_world.h) keeps
-// this sound by sharing nothing: each worker thread owns whole worlds, so
+// single event loop. Parallel scenario-matrix cells (sim/parallel_runner.h)
+// keep this sound by sharing nothing: each cell builds its own worlds, so
 // no controller is ever visible to two threads. Do NOT share one instance
 // across concurrently-running simulations; give each world its own.
 #pragma once

@@ -25,19 +25,15 @@ std::optional<DeviceClassSpec> DeviceClassSpec::named(std::string_view name) {
   if (name == "phone_midrange") {
     d.name = "phone_midrange";
     d.profile = DeviceProfile::nexus5();
-    d.mean_speed_px_s = 3600;
-    d.speed_stddev = 1800;
     d.max_speed_px_s = 11000;
     return d;
   }
   if (name == "phone_lowend") {
     d.name = "phone_lowend";
     d.profile = DeviceProfile::lowend();
-    // ScrollTest-style calibration: slower, tighter fling distribution and
-    // heavier effective friction on low-end hardware.
+    // ScrollTest-style calibration: slower flings and heavier effective
+    // friction on low-end hardware.
     d.fling_friction_scale = 1.15;
-    d.mean_speed_px_s = 3000;
-    d.speed_stddev = 1500;
     d.max_speed_px_s = 9000;
     d.swipe_speed_base_px_s = 2600;
     d.swipe_speed_step_px_s = 2000;
@@ -46,25 +42,12 @@ std::optional<DeviceClassSpec> DeviceClassSpec::named(std::string_view name) {
   if (name == "tablet10") {
     d.name = "tablet10";
     d.profile = DeviceProfile::tablet10();
-    // Larger screens fling faster and scroll back up more (re-reading).
+    // Larger screens fling faster.
     d.fling_friction_scale = 0.9;
-    d.mean_speed_px_s = 4500;
-    d.speed_stddev = 2200;
-    d.p_scroll_up = 0.2;
     d.swipe_speed_base_px_s = 3400;
     return d;
   }
   return std::nullopt;
-}
-
-BrowsingGestureSource::Params DeviceClassSpec::gesture_params() const {
-  BrowsingGestureSource::Params p;
-  p.mean_speed_px_s = mean_speed_px_s;
-  p.speed_stddev = speed_stddev;
-  p.min_speed_px_s = min_speed_px_s;
-  p.max_speed_px_s = max_speed_px_s;
-  p.p_scroll_up = p_scroll_up;
-  return p;
 }
 
 std::optional<NetworkProfileSpec> NetworkProfileSpec::named(
@@ -169,15 +152,9 @@ bool parse_device(const JsonValue& node, DeviceClassSpec* d,
   f.number("screen_h_px", 1, &d->profile.screen_h_px);
   f.number("ppi", 1, &d->profile.ppi);
   f.number("fling_friction_scale", 1e-6, &d->fling_friction_scale);
-  f.number("mean_speed_px_s", 1, &d->mean_speed_px_s);
-  f.number("speed_stddev", 0, &d->speed_stddev);
-  f.number("min_speed_px_s", 0, &d->min_speed_px_s);
   f.number("max_speed_px_s", 1, &d->max_speed_px_s);
-  f.rate("p_scroll_up", &d->p_scroll_up);
   f.number("swipe_speed_base_px_s", 1, &d->swipe_speed_base_px_s);
   f.number("swipe_speed_step_px_s", 0, &d->swipe_speed_step_px_s);
-  if (f.ok() && d->min_speed_px_s > d->max_speed_px_s)
-    f.fail("'min_speed_px_s' must not exceed 'max_speed_px_s'");
   return f.finish();
 }
 
@@ -216,8 +193,6 @@ bool parse_workload(const JsonValue& node, WorkloadSpec* w,
   }
   f.integer("repeats", 1, &w->repeats);
   f.integer("corpus_sites", 0, &w->corpus_sites);
-  f.size("sessions", &w->sessions);
-  f.size("gestures_per_session", &w->gestures_per_session);
   f.integer("feed_posts", 1, &w->feed_posts);
   f.integer("feed_flings", 0, &w->feed_flings);
   f.integer("append_posts_per_fling", 0, &w->append_posts_per_fling);
@@ -309,11 +284,7 @@ std::string ScenarioSpec::to_json() const {
   w.key("screen_h_px").value(device.profile.screen_h_px);
   w.key("ppi").value(device.profile.ppi);
   w.key("fling_friction_scale").value(device.fling_friction_scale);
-  w.key("mean_speed_px_s").value(device.mean_speed_px_s);
-  w.key("speed_stddev").value(device.speed_stddev);
-  w.key("min_speed_px_s").value(device.min_speed_px_s);
   w.key("max_speed_px_s").value(device.max_speed_px_s);
-  w.key("p_scroll_up").value(device.p_scroll_up);
   w.key("swipe_speed_base_px_s").value(device.swipe_speed_base_px_s);
   w.key("swipe_speed_step_px_s").value(device.swipe_speed_step_px_s);
   w.end_object();
@@ -340,8 +311,6 @@ std::string ScenarioSpec::to_json() const {
   w.key("kind").value(workload_kind_name(workload.kind));
   w.key("repeats").value(workload.repeats);
   w.key("corpus_sites").value(workload.corpus_sites);
-  w.key("sessions").value(workload.sessions);
-  w.key("gestures_per_session").value(workload.gestures_per_session);
   w.key("feed_posts").value(workload.feed_posts);
   w.key("feed_flings").value(workload.feed_flings);
   w.key("append_posts_per_fling").value(workload.append_posts_per_fling);

@@ -2,9 +2,9 @@
 // composes everything a run needs —
 //
 //   * a device class: screen geometry + fling-physics calibration feeding
-//     scroll/fling, and a per-class scrolling-velocity distribution feeding
-//     gesture/synthetic (ScrollTest's finding that scrolling speed and
-//     accuracy differ systematically across device classes),
+//     scroll/fling, and per-class swipe speeds with a fling cap
+//     (ScrollTest's finding that scrolling speed and accuracy differ
+//     systematically across device classes),
 //   * a network profile: client/server link rates and latencies, optional
 //     bandwidth variability (net::BandwidthTrace random walk), and cellular
 //     handover gaps that compile into fault::FaultPlan link outages,
@@ -36,7 +36,7 @@
 //
 // `paper_default()` — phone_flagship × wlan × paper_corpus, no fault/cache/
 // overload sections — reproduces the fig6/fig7 harness byte for byte when
-// run through the from_scenario wiring (asserted by bench/scenario_matrix).
+// run through scenario/wiring.h (asserted by bench/scenario_matrix).
 #pragma once
 
 #include <cstdint>
@@ -45,7 +45,6 @@
 #include <string_view>
 
 #include "fault/fault_plan.h"
-#include "gesture/synthetic.h"
 #include "net/bandwidth_trace.h"
 #include "overload/config.h"
 #include "prefetch/cache_config.h"
@@ -53,7 +52,7 @@
 
 namespace mfhttp::scenario {
 
-// Device class: screen + fling calibration + velocity distribution.
+// Device class: screen + fling calibration + swipe speeds.
 struct DeviceClassSpec {
   std::string name = "phone_flagship";
   DeviceProfile profile = DeviceProfile::nexus6();
@@ -61,13 +60,8 @@ struct DeviceClassSpec {
   // calibration: heavier friction = flings die sooner on that device class.
   double fling_friction_scale = 1.0;
 
-  // Scrolling-velocity distribution for sampled gesture streams
-  // (BrowsingGestureSource) — per-class means per ScrollTest.
-  double mean_speed_px_s = 4000;
-  double speed_stddev = 2000;
-  double min_speed_px_s = 800;
+  // Fastest fling the class produces: caps the feed workload's fling ramp.
   double max_speed_px_s = 12000;
-  double p_scroll_up = 0.15;
 
   // Deterministic per-repeat swipe ramp for the browsing workloads: repeat r
   // swipes at base + step * r (the fig7 harness's 3000 + 2500 * session).
@@ -76,8 +70,6 @@ struct DeviceClassSpec {
 
   // Registry lookup; nullopt for an unknown class name.
   static std::optional<DeviceClassSpec> named(std::string_view name);
-
-  BrowsingGestureSource::Params gesture_params() const;
 };
 
 // Network profile: link shape + optional variability + handover gaps.
@@ -126,10 +118,6 @@ struct WorkloadSpec {
   // Browsing workloads: restrict to the first N corpus sites (0 = all 25).
   // The CI smoke grid uses this to keep the sweep short.
   int corpus_sites = 0;
-  // Scale/front-door wiring: simulated session count (0 = the target
-  // engine's default).
-  std::size_t sessions = 0;
-  std::size_t gestures_per_session = 40;  // scale-engine sessions
 
   // social_feed knobs.
   int feed_posts = 60;

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 
-#include "http/fetch_pipeline.h"
 #include "util/rng.h"
-#include "sim/frontdoor_load.h"
-#include "sim/session_world.h"
 
 namespace mfhttp::scenario {
 
@@ -107,56 +104,3 @@ FeedSessionConfig feed_config(const ScenarioSpec& spec, int repeat,
 }
 
 }  // namespace mfhttp::scenario
-
-namespace mfhttp {
-
-FetchPipelineBuilder FetchPipelineBuilder::from_scenario(
-    Simulator& sim, HttpFetcher* origin, const scenario::ScenarioSpec& spec) {
-  FetchPipelineBuilder builder(sim, origin);
-
-  Link::Params client;
-  client.bandwidth =
-      spec.network.client_trace(spec.seed, /*horizon_ms=*/120'000);
-  client.latency_ms = spec.network.client_latency_ms;
-  builder.client_link(client);
-
-  // with_faults copies the plan, so the temporary's address is fine; no
-  // plan at all (not even an empty one) keeps the stack pristine.
-  if (std::optional<fault::FaultPlan> plan = spec.compiled_fault_plan())
-    builder.with_faults(&*plan);
-  if (spec.cache.has_value()) builder.with_cache(spec.cache->cache);
-  if (spec.overload.has_value())
-    builder.with_admission(spec.overload->admission);
-  return builder;
-}
-
-}  // namespace mfhttp
-
-namespace mfhttp::sim {
-
-ScaleSessionConfig ScaleSessionConfig::from_scenario(
-    const scenario::ScenarioSpec& spec) {
-  ScaleSessionConfig cfg;
-  cfg.seed = spec.seed;
-  if (spec.workload.sessions > 0) cfg.sessions = spec.workload.sessions;
-  cfg.gestures_per_session = spec.workload.gestures_per_session;
-  cfg.mean_bandwidth_mbps = spec.network.client_bandwidth * 8.0 / 1e6;
-  cfg.device = spec.device.profile;
-  cfg.fling_friction_scale = spec.device.fling_friction_scale;
-  cfg.gestures = spec.device.gesture_params();
-  return cfg;
-}
-
-FrontDoorLoadConfig FrontDoorLoadConfig::from_scenario(
-    const scenario::ScenarioSpec& spec) {
-  FrontDoorLoadConfig cfg;
-  cfg.seed = spec.seed;
-  if (spec.workload.sessions > 0) cfg.sessions = spec.workload.sessions;
-  cfg.touches_per_session = spec.workload.gestures_per_session > 0
-                                ? std::min<std::size_t>(
-                                      spec.workload.gestures_per_session, 16)
-                                : cfg.touches_per_session;
-  return cfg;
-}
-
-}  // namespace mfhttp::sim

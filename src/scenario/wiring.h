@@ -1,4 +1,4 @@
-// from_scenario wiring: the one place a ScenarioSpec is translated into the
+// Scenario wiring: the one place a ScenarioSpec is translated into the
 // concrete configs the session runners consume. Everything an example or
 // bench used to hand-assemble — link parameters, fault plans, cache and
 // admission sections, per-device fling calibration, per-repeat swipe ramps —

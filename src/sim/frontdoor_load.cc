@@ -67,8 +67,7 @@ std::vector<TouchEvent> generate_frontdoor_load(
   events.reserve(config.sessions * config.touches_per_session);
   const double mean_gap_ms = 1000.0 / config.touch_rate_per_s;
   for (std::size_t s = 0; s < config.sessions; ++s) {
-    // Same derivation as sim::session_seed: the session's whole stream is a
-    // pure function of (seed, id).
+    // The session's whole stream is a pure function of (seed, id).
     Rng rng(splitmix64(config.seed ^
                        splitmix64(static_cast<std::uint64_t>(s) + 1)));
     // Deterministic staggered arrival: session s comes online at s / rate.

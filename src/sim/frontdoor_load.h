@@ -7,11 +7,11 @@
 // set of objects the scroll position made relevant. This generator
 // pre-draws that entire timeline from a seeded Rng — per session, from a
 // seed that is a pure function of (master seed, session id) via splitmix64
-// (the same derivation sim/session_world.h uses) — and returns it globally
-// sorted by timestamp. The draws map raw mt19937_64 output (standardized
-// bit-for-bit) through explicit inverse CDFs rather than std::
-// distributions (whose algorithms are implementation-defined and differ
-// between libstdc++ and libc++), so two runs of the same config produce
+// — and returns it globally sorted by timestamp. The draws map raw
+// mt19937_64 output (standardized bit-for-bit) through explicit inverse
+// CDFs rather than std:: distributions (whose algorithms are
+// implementation-defined and differ between libstdc++ and libc++), so two
+// runs of the same config produce
 // the same byte sequence of events across standard libraries, shard
 // counts, and thread schedules; all nondeterminism in a front-door run
 // lives strictly downstream of this vector.
@@ -24,10 +24,6 @@
 #include <vector>
 
 #include "util/types.h"
-
-namespace mfhttp::scenario {
-struct ScenarioSpec;
-}
 
 namespace mfhttp::sim {
 
@@ -51,10 +47,6 @@ struct FrontDoorLoadConfig {
   // t=0", which melts any box at a million sessions — keep it positive.
   double session_arrival_per_s = 2000.0;
   std::size_t max_urls_per_touch = 3;  // 1..3 objects per touch
-
-  // Load config from a scenario: seed, session count, touch cadence scaled
-  // by the device class. Defined in the mfhttp_scenario library.
-  static FrontDoorLoadConfig from_scenario(const scenario::ScenarioSpec& spec);
 };
 
 struct TouchEvent {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <deque>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -13,99 +12,39 @@
 
 namespace mfhttp::sim {
 
-namespace {
-
-// One worker's task queue. The owner pops from the front (cache-friendly
-// index order within its block); thieves steal from the back (the largest
-// indices, minimizing contention on the owner's working end). A plain
-// mutex-per-deque keeps the protocol obviously correct — the tasks here are
-// whole simulated sessions, so queue operations are nowhere near the
-// bottleneck.
-struct WorkerDeque {
-  std::mutex mu;
-  std::deque<std::size_t> tasks;
-
-  bool pop_front(std::size_t* out) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (tasks.empty()) return false;
-    *out = tasks.front();
-    tasks.pop_front();
-    return true;
-  }
-
-  bool steal_back(std::size_t* out) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (tasks.empty()) return false;
-    *out = tasks.back();
-    tasks.pop_back();
-    return true;
-  }
-};
-
-}  // namespace
-
 ParallelRunner::ParallelRunner(std::size_t workers) : workers_(workers) {
-  if (workers_ == 0) {
-    unsigned hw = std::thread::hardware_concurrency();
-    workers_ = hw > 0 ? static_cast<std::size_t>(hw) : 1;
-  }
+  MFHTTP_CHECK(workers_ >= 1);
 }
 
-ParallelRunStats ParallelRunner::run(
-    std::size_t count, const std::function<void(std::size_t)>& fn) const {
+void ParallelRunner::run(std::size_t count,
+                         const std::function<void(std::size_t)>& fn) const {
   MFHTTP_CHECK(fn != nullptr);
-  ParallelRunStats stats;
-  stats.tasks = count;
-  stats.workers = std::max<std::size_t>(1, std::min(workers_, std::max<std::size_t>(count, 1)));
-  if (count == 0) return stats;
+  if (count == 0) return;
 
   static obs::Counter& runs_total =
       obs::metrics().counter("sim.parallel.runs_total");
   static obs::Counter& tasks_total =
       obs::metrics().counter("sim.parallel.tasks_total");
-  static obs::Counter& steals_total =
-      obs::metrics().counter("sim.parallel.steals_total");
   runs_total.inc();
   tasks_total.inc(count);
 
-  if (stats.workers == 1) {
+  const std::size_t workers = std::min(workers_, count);
+  if (workers == 1) {
     // Serial baseline: inline, index order. This is the path every parallel
     // run must reproduce bit for bit.
     for (std::size_t i = 0; i < count; ++i) fn(i);
-    return stats;
+    return;
   }
 
-  const std::size_t W = stats.workers;
-  std::vector<WorkerDeque> deques(W);
-  // Block partition: worker w starts with the contiguous index range
-  // [w * count / W, (w+1) * count / W). Contiguity keeps each worker's
-  // initial sweep in index order; imbalance (sessions are not equal-cost)
-  // is absorbed by stealing.
-  for (std::size_t w = 0; w < W; ++w) {
-    const std::size_t begin = w * count / W;
-    const std::size_t end = (w + 1) * count / W;
-    for (std::size_t i = begin; i < end; ++i) deques[w].tasks.push_back(i);
-  }
-
-  std::atomic<std::uint64_t> steals{0};
+  std::atomic<std::size_t> next{0};
   std::atomic<bool> failed{false};
   std::exception_ptr first_error;
   std::mutex error_mu;
 
-  auto worker_loop = [&](std::size_t w) {
-    std::size_t task = 0;
+  auto worker_loop = [&] {
     while (!failed.load(std::memory_order_relaxed)) {
-      if (deques[w].pop_front(&task)) {
-        // fall through to execute
-      } else {
-        // Own deque dry: scan the others round-robin from our right-hand
-        // neighbor and steal their highest-index task.
-        bool stole = false;
-        for (std::size_t k = 1; k < W && !stole; ++k)
-          stole = deques[(w + k) % W].steal_back(&task);
-        if (!stole) return;  // every deque empty: batch is drained
-        steals.fetch_add(1, std::memory_order_relaxed);
-      }
+      const std::size_t task = next.fetch_add(1, std::memory_order_relaxed);
+      if (task >= count) return;
       try {
         fn(task);
       } catch (...) {
@@ -118,14 +57,10 @@ ParallelRunStats ParallelRunner::run(
   };
 
   std::vector<std::thread> threads;
-  threads.reserve(W);
-  for (std::size_t w = 0; w < W; ++w) threads.emplace_back(worker_loop, w);
+  threads.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) threads.emplace_back(worker_loop);
   for (std::thread& t : threads) t.join();
-
-  stats.steals = steals.load(std::memory_order_relaxed);
-  steals_total.inc(stats.steals);
   if (first_error) std::rethrow_exception(first_error);
-  return stats;
 }
 
 }  // namespace mfhttp::sim

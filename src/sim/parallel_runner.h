@@ -1,8 +1,7 @@
-// Work-stealing executor for embarrassingly-parallel simulation batches
-// (DESIGN.md §12): N independent tasks (one per simulated session) spread
-// over W worker threads, with results slotted by task index so the outcome
-// of a run is a pure function of (tasks, task bodies) — never of thread
-// scheduling.
+// Executor for embarrassingly-parallel simulation batches (DESIGN.md §12):
+// N independent tasks (one per scenario-matrix cell) spread over W worker
+// threads, with results slotted by task index so the outcome of a run is a
+// pure function of (tasks, task bodies) — never of thread scheduling.
 //
 // Determinism contract:
 //   * Task bodies must be shared-nothing: each task owns its world (its RNG
@@ -10,7 +9,7 @@
 //     its own result slot. The runner supplies the index; the caller
 //     pre-sizes the result vector.
 //   * The runner decides only WHERE and WHEN a task runs, never WHAT it
-//     computes. run(count, fn) with workers() == 1 executes inline on the
+//     computes. run(count, fn) with one worker executes inline on the
 //     calling thread in index order — the serial baseline any worker count
 //     must reproduce bit for bit.
 //   * Merging (by the caller) must iterate result slots in index order, not
@@ -18,33 +17,22 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 
 namespace mfhttp::sim {
 
-struct ParallelRunStats {
-  std::size_t tasks = 0;
-  std::size_t workers = 1;
-  // Tasks a worker executed from another worker's deque. 0 when the initial
-  // block partition was perfectly balanced (or workers == 1).
-  std::uint64_t steals = 0;
-};
-
 class ParallelRunner {
  public:
-  // workers == 0 picks std::thread::hardware_concurrency() (min 1).
-  explicit ParallelRunner(std::size_t workers = 0);
-
-  std::size_t workers() const { return workers_; }
+  // workers >= 1; 1 is the serial baseline.
+  explicit ParallelRunner(std::size_t workers);
 
   // Invoke fn(i) exactly once for every i in [0, count), blocking until all
-  // are done. Threads are spawned per run (sessions are coarse; pool reuse
-  // would buy microseconds) and joined before returning. A task that throws
-  // aborts the batch: the first exception is rethrown on the caller after
-  // every worker has drained.
-  ParallelRunStats run(std::size_t count,
-                       const std::function<void(std::size_t)>& fn) const;
+  // are done. Threads are spawned per run (tasks are coarse; pool reuse
+  // would buy microseconds) and take the next unclaimed index from one
+  // shared counter, so a slow task never holds back the rest. A task that
+  // throws aborts the batch: the first exception is rethrown on the caller
+  // after every worker has joined.
+  void run(std::size_t count, const std::function<void(std::size_t)>& fn) const;
 
  private:
   std::size_t workers_;

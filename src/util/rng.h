@@ -15,7 +15,7 @@ namespace mfhttp {
 
 // Fibonacci-hash finalizer (splitmix64). One deterministic 64-bit mix used
 // everywhere a stable, well-distributed hash of a small integer is needed:
-// per-session world seeds (sim/session_world.h) and session->shard routing
+// per-session load seeds (sim/frontdoor_load.h) and session->shard routing
 // in the front door (http/frontdoor.h) both derive from this, so a session
 // keeps its seed and its shard across runs, binaries, and platforms.
 inline std::uint64_t splitmix64(std::uint64_t x) {

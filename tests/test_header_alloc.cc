@@ -7,6 +7,10 @@
 //
 // The counter is a plain relaxed atomic: the tests run single-threaded and
 // only need exact counts between mark()/delta() pairs on one thread.
+//
+// The HeaderGolden cases fold the parse, lookup and cache-key paths over one
+// fixed request into the fingerprints the retired micro-benchmark matrix
+// recorded (DESIGN.md §17.4).
 
 #include <atomic>
 #include <cstdlib>
@@ -18,6 +22,7 @@
 #include "http/header_map.h"
 #include "http/header_names.h"
 #include "http/parser.h"
+#include "util/fnv.h"
 
 namespace {
 
@@ -261,6 +266,85 @@ TEST(HeaderNames, InternerLookupIsAllocFree) {
     (void)intern_header_name("no-such-header-name");
   }
   EXPECT_EQ(guard.delta(), 0u);
+}
+
+
+// ---------- Header golden folds ----------
+
+// The recorded folds start from this basis, not util/fnv.h's standard one.
+Fnv golden_fnv() {
+  Fnv f;
+  f.h = 1469598103934665603ull;
+  return f;
+}
+
+const char kGoldenRequest[] =
+    "GET /article/42?ref=home HTTP/1.1\r\n"
+    "Host: news.example\r\n"
+    "User-Agent: mfhttp-bench/1.0\r\n"
+    "Accept: text/html,application/xhtml+xml\r\n"
+    "Accept-Encoding: gzip, br\r\n"
+    "Accept-Language: en-US,en;q=0.9\r\n"
+    "Connection: keep-alive\r\n"
+    "Cache-Control: max-age=0\r\n"
+    "If-None-Match: \"a1b2c3d4\"\r\n"
+    "Range: bytes=0-65535\r\n"
+    "X-Mfhttp-Session: s-17\r\n"
+    "\r\n";
+
+HttpRequest parse_golden_request() {
+  HttpParser parser(HttpParser::Mode::kRequest);
+  parser.feed(kGoldenRequest);
+  return parser.take_request();
+}
+
+TEST(HeaderGolden, ParseFoldMatchesRecordedFingerprint) {
+  const HttpRequest req = parse_golden_request();
+  Fnv f = golden_fnv();
+  f.u64(req.headers.size());
+  for (const auto& entry : req.headers) {
+    f.bytes(entry.name().data(), entry.name().size());
+    f.bytes(entry.value().data(), entry.value().size());
+  }
+  EXPECT_EQ(f.h, 0x0cc2c53a9f1d0e95ull);
+}
+
+TEST(HeaderGolden, LookupFoldMatchesRecordedFingerprintWithoutAllocating) {
+  const HttpRequest req = parse_golden_request();
+  static const char* const kNames[] = {"Host", "Connection", "If-None-Match",
+                                       "Range", "Accept-Encoding",
+                                       "X-Mfhttp-Session", "content-length"};
+  constexpr std::uint64_t kOps = 1000;
+  std::uint64_t sink = 0;
+  AllocGuard guard;
+  for (std::uint64_t op = 0; op < kOps; ++op) {
+    for (const char* name : kNames)
+      if (auto v = req.headers.get_view(name)) sink += v->size();
+    sink += req.headers.contains("Transfer-Encoding") ? 1 : 0;
+    sink += static_cast<std::uint64_t>(req.headers.content_length().value_or(0));
+  }
+  EXPECT_EQ(guard.delta(), 0u);
+  ASSERT_EQ(sink % kOps, 0u);
+  Fnv f = golden_fnv();
+  // The recorded fold hashed the sum over five timing passes divided by the
+  // ops of one pass: five times one lookup round's sum.
+  f.u64(5 * (sink / kOps));
+  for (const char* name : kNames)
+    if (auto v = req.headers.get_view(name)) f.bytes(v->data(), v->size());
+  EXPECT_EQ(f.h, 0xdb7b0213a012bf62ull);
+}
+
+// The cache's key path: URL reconstruction plus the If-None-Match match.
+TEST(HeaderGolden, CacheKeyFoldMatchesRecordedFingerprint) {
+  const HttpRequest req = parse_golden_request();
+  const auto url = req.url();
+  const std::string key = url ? url->to_string() : req.target;
+  const auto inm = req.headers.get_view("If-None-Match");
+  const bool matches = inm && *inm == "\"a1b2c3d4\"";
+  Fnv f = golden_fnv();
+  f.bytes(key.data(), key.size());
+  f.u64(matches ? 1 : 0);
+  EXPECT_EQ(f.h, 0x9e0576033a2a10bdull);
 }
 
 }  // namespace

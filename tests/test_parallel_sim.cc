@@ -1,14 +1,14 @@
-// Tests for the parallel scale engine and the touch-to-policy hot-path
+// Tests for the parallel runner and the touch-to-policy hot-path
 // optimizations (DESIGN.md §12):
 //
 //   * ParallelRunner — every task runs exactly once at any worker count,
 //     workers=1 executes inline in index order, exceptions propagate;
-//   * session worlds — identical per-session metrics (byte-identical
-//     deterministic JSON) at workers 1, 2, and 8;
 //   * incremental knapsack — bit-identical to the base DP under random
 //     instance mutations, with prefix/full reuse actually occurring;
 //   * interval-indexed scroll analysis — field-identical to the linear scan;
 //   * FlowController::replan — bit-identical to optimize();
+//   * touch-to-policy golden folds — coverage, analysis and replan on the
+//     densest corpus page reproduce their recorded fingerprints (§17.4);
 //   * sharded obs counters — exact totals under concurrent increment;
 //   * multi-session shards — per-session metrics sum to the batch totals
 //     and repeat runs are byte-identical.
@@ -17,18 +17,21 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "core/flow_controller.h"
 #include "core/knapsack.h"
 #include "core/middleware.h"
 #include "core/scroll_tracker.h"
+#include "geom/swept_region.h"
 #include "obs/metrics.h"
 #include "scenario/scenario_spec.h"
 #include "sim/multi_session.h"
 #include "sim/parallel_runner.h"
-#include "sim/session_world.h"
+#include "util/fnv.h"
 #include "util/rng.h"
 #include "web/corpus.h"
 
@@ -42,9 +45,7 @@ TEST(ParallelRunner, RunsEveryTaskExactlyOnce) {
     sim::ParallelRunner runner(workers);
     std::vector<std::atomic<int>> hits(100);
     for (auto& h : hits) h.store(0);
-    sim::ParallelRunStats stats =
-        runner.run(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
-    EXPECT_EQ(stats.tasks, hits.size());
+    runner.run(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
     for (std::size_t i = 0; i < hits.size(); ++i)
       EXPECT_EQ(hits[i].load(), 1) << "task " << i << " workers " << workers;
   }
@@ -64,22 +65,27 @@ TEST(ParallelRunner, SerialBaselineRunsInlineInIndexOrder) {
 
 TEST(ParallelRunner, MoreWorkersThanTasksClampsCleanly) {
   sim::ParallelRunner runner(8);
+  std::mutex mu;
+  std::set<std::thread::id> threads;
   std::atomic<int> ran{0};
-  sim::ParallelRunStats stats = runner.run(3, [&](std::size_t) { ran.fetch_add(1); });
+  runner.run(3, [&](std::size_t) {
+    ran.fetch_add(1);
+    std::lock_guard<std::mutex> lock(mu);
+    threads.insert(std::this_thread::get_id());
+  });
   EXPECT_EQ(ran.load(), 3);
-  EXPECT_LE(stats.workers, 3u);
+  EXPECT_LE(threads.size(), 3u);
 }
 
 TEST(ParallelRunner, ZeroTasksIsANoop) {
   sim::ParallelRunner runner(4);
-  sim::ParallelRunStats stats =
-      runner.run(0, [&](std::size_t) { FAIL() << "no task should run"; });
-  EXPECT_EQ(stats.tasks, 0u);
+  runner.run(0, [&](std::size_t) { FAIL() << "no task should run"; });
 }
 
 TEST(ParallelRunner, StealingDrainsAnImbalancedBatch) {
   // One task (index 0) is much slower than the rest; with 2 workers the
-  // second worker must steal across the block boundary to finish.
+  // other worker takes every remaining index from the shared counter while
+  // the first is still busy.
   sim::ParallelRunner runner(2);
   std::vector<std::atomic<int>> hits(64);
   for (auto& h : hits) h.store(0);
@@ -100,59 +106,6 @@ TEST(ParallelRunner, FirstExceptionPropagatesToCaller) {
                             }),
                  std::runtime_error)
         << "workers " << workers;
-  }
-}
-
-// ---------- Scale session worlds: determinism across worker counts ----------
-
-TEST(ScaleSessions, SessionSeedIsPureAndDecorrelated) {
-  EXPECT_EQ(sim::session_seed(1, 0), sim::session_seed(1, 0));
-  EXPECT_NE(sim::session_seed(1, 0), sim::session_seed(1, 1));
-  EXPECT_NE(sim::session_seed(1, 0), sim::session_seed(2, 0));
-}
-
-TEST(ScaleSessions, IdenticalPerSessionMetricsAtWorkers128) {
-  sim::ScaleSessionConfig config;
-  config.seed = 7;
-  config.sessions = 6;
-  config.gestures_per_session = 8;
-
-  config.workers = 1;
-  sim::ScaleRunResult serial = run_scale_sessions(config);
-  ASSERT_EQ(serial.sessions.size(), config.sessions);
-  EXPECT_GT(serial.total_scrolls, 0u);
-
-  for (std::size_t workers : {std::size_t{2}, std::size_t{8}}) {
-    config.workers = workers;
-    sim::ScaleRunResult parallel = run_scale_sessions(config);
-    // Byte-identical deterministic document...
-    EXPECT_EQ(parallel.deterministic_json(), serial.deterministic_json())
-        << "workers " << workers;
-    // ...and field-identical shards, including the bit-exact fingerprints.
-    ASSERT_EQ(parallel.sessions.size(), serial.sessions.size());
-    for (std::size_t i = 0; i < serial.sessions.size(); ++i) {
-      const sim::ScaleSessionResult& a = serial.sessions[i];
-      const sim::ScaleSessionResult& b = parallel.sessions[i];
-      EXPECT_EQ(b.session_id, a.session_id);
-      EXPECT_EQ(b.seed, a.seed);
-      EXPECT_EQ(b.scrolls, a.scrolls);
-      EXPECT_EQ(b.planned_bytes, a.planned_bytes);
-      EXPECT_EQ(b.fingerprint, a.fingerprint) << "session " << i;
-    }
-  }
-}
-
-TEST(ScaleSessions, SingleSessionMatchesBatchSlot) {
-  sim::ScaleSessionConfig config;
-  config.seed = 21;
-  config.sessions = 3;
-  config.gestures_per_session = 5;
-  sim::ScaleRunResult batch = run_scale_sessions(config);
-  for (std::size_t id = 0; id < config.sessions; ++id) {
-    sim::ScaleSessionResult solo = run_scale_session(config, id);
-    EXPECT_EQ(solo.fingerprint, batch.sessions[id].fingerprint);
-    EXPECT_EQ(solo.planned_bytes, batch.sessions[id].planned_bytes);
-    EXPECT_EQ(solo.scrolls, batch.sessions[id].scrolls);
   }
 }
 
@@ -445,6 +398,120 @@ TEST(Replan, RepeatedIdenticalScrollHitsTheFullReusePath) {
   EXPECT_EQ(controller.replan_scratch().full_reuses, 1u);
   EXPECT_EQ(second.objective, first.objective);
   EXPECT_EQ(second.total_bytes, first.total_bytes);
+}
+
+// ---------- Touch-to-policy golden folds ----------
+//
+// The per-touch stages on the densest page of the seed-1 fig7 corpus (sohu,
+// 70 objects) under three flings at 3,000, 5,500 and 8,000 px/s, each folded
+// into one FNV-1a fingerprint. The constants were recorded by the retired
+// micro-benchmark matrix (DESIGN.md §17.4); any change to a coverage,
+// analysis or policy bit moves them.
+
+// The recorded folds start from this basis, not util/fnv.h's standard one.
+Fnv golden_fnv() {
+  Fnv f;
+  f.h = 1469598103934665603ull;
+  return f;
+}
+
+Gesture release_fling(Vec2 v) {
+  Gesture g;
+  g.kind = GestureKind::kFling;
+  g.down_time_ms = -150;
+  g.up_time_ms = 0;
+  g.down_pos = {700, 1800};
+  g.up_pos = g.down_pos + v * 0.15;
+  g.release_velocity = v;
+  return g;
+}
+
+ScrollTracker::Params golden_tracker_params(const DeviceProfile& device) {
+  ScrollTracker::Params params;
+  params.scroll = ScrollConfig(device);
+  params.coverage_step_ms = 4.0;
+  return params;
+}
+
+class TouchGolden : public ::testing::Test {
+ protected:
+  TouchGolden() : tracker_(golden_tracker_params(device_)) {
+    Rng rng(1);
+    corpus_ = generate_corpus(device_, rng);
+    page_ = &corpus_.front();
+    for (const WebPage& p : corpus_)
+      if (p.images.size() > page_->images.size()) page_ = &p;
+    const Rect viewport{0, 0, device_.screen_w_px, device_.screen_h_px};
+    for (int r = 0; r < 3; ++r)
+      preds_.push_back(tracker_.predict(
+          release_fling({0, -(3000.0 + 2500.0 * r)}), viewport));
+  }
+
+  const std::vector<MediaObject>& objects() const { return page_->images; }
+
+  const DeviceProfile device_ = DeviceProfile::nexus6();
+  const ScrollTracker tracker_;
+  std::vector<WebPage> corpus_;
+  const WebPage* page_ = nullptr;
+  std::vector<ScrollPrediction> preds_;
+};
+
+TEST_F(TouchGolden, CoverageFoldMatchesRecordedFingerprint) {
+  ASSERT_EQ(page_->site, "sohu");
+  ASSERT_EQ(objects().size(), 70u);
+  Fnv f = golden_fnv();
+  for (const ScrollPrediction& pred : preds_) {
+    const SweptRegion sweep = pred.sweep();
+    for (const MediaObject& obj : objects())
+      f.f64(first_overlap_fraction(sweep, obj.rect));
+  }
+  EXPECT_EQ(f.h, 0x3268c71313292452ull);
+}
+
+// Folds one coverage per object, in object order: the listed fields, or the
+// defaults for an unlisted object.
+TEST_F(TouchGolden, AnalysisFoldMatchesRecordedFingerprint) {
+  Fnv f = golden_fnv();
+  for (const ScrollPrediction& pred : preds_) {
+    const ScrollAnalysis analysis = tracker_.analyze(pred, objects());
+    std::vector<ObjectCoverage> dense(objects().size());
+    for (std::size_t i = 0; i < dense.size(); ++i) dense[i].object_index = i;
+    for (const ObjectCoverage& c : analysis.listed) dense[c.object_index] = c;
+    for (const ObjectCoverage& c : dense) {
+      f.u64(c.object_index);
+      f.u64((c.involved ? 1u : 0u) | (c.in_initial_viewport ? 2u : 0u) |
+            (c.in_final_viewport ? 4u : 0u));
+      f.f64(c.entry_time_ms);
+      f.f64(c.coverage_integral);
+      f.f64(c.final_coverage);
+    }
+  }
+  EXPECT_EQ(f.h, 0x905bd15d67e6ab42ull);
+}
+
+// The per-touch production path, analyze then replan, on a controller that
+// has already planned each fling once.
+TEST_F(TouchGolden, ReplanFoldMatchesRecordedFingerprint) {
+  const BandwidthTrace bandwidth = BandwidthTrace::constant(500'000);
+  FlowController controller{FlowController::Params{}};
+  for (const ScrollPrediction& pred : preds_)
+    controller.replan(tracker_.analyze(pred, objects()), objects(), bandwidth);
+  Fnv f = golden_fnv();
+  for (const ScrollPrediction& pred : preds_) {
+    const DownloadPolicy policy = controller.replan(
+        tracker_.analyze(pred, objects()), objects(), bandwidth);
+    for (const DownloadDecision& d : policy.decisions) {
+      f.u64(d.object_index);
+      f.u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(d.version)));
+      f.f64(d.entry_time_ms);
+      f.f64(d.qoe);
+      f.f64(d.cost);
+      f.f64(d.value);
+    }
+    f.f64(policy.objective);
+    f.u64(static_cast<std::uint64_t>(policy.total_bytes));
+  }
+  EXPECT_EQ(f.h, 0xd4ed36cd7e99f3caull);
 }
 
 // ---------- Sharded counters ----------

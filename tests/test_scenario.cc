@@ -1,7 +1,7 @@
 // Tests for the unified scenario subsystem (DESIGN.md §16): ScenarioSpec
 // JSON round-trip and diagnostics, the device/network/workload registries,
 // handover compilation into fault plans, paper-default equivalence of the
-// from_scenario wiring with the hand-built fig7 harness, matrix-cell
+// scenario wiring with the hand-built fig7 harness, matrix-cell
 // determinism across worker counts, the dynamic-feed append path, and the
 // --scenario flag on cli::StandardOptions.
 #include <gtest/gtest.h>
@@ -21,9 +21,7 @@
 #include "scenario/matrix.h"
 #include "scenario/scenario_spec.h"
 #include "scenario/wiring.h"
-#include "sim/frontdoor_load.h"
 #include "sim/parallel_runner.h"
-#include "sim/session_world.h"
 #include "web/corpus.h"
 #include "web/experiment.h"
 
@@ -51,7 +49,7 @@ TEST(ScenarioRegistry, AllDeviceClassesResolve) {
     ASSERT_TRUE(d.has_value()) << name;
     EXPECT_EQ(d->name, name);
     EXPECT_GT(d->profile.screen_w_px, 0);
-    EXPECT_GT(d->mean_speed_px_s, 0);
+    EXPECT_GT(d->max_speed_px_s, d->swipe_speed_base_px_s);
   }
   EXPECT_FALSE(DeviceClassSpec::named("phone_imaginary").has_value());
 }
@@ -117,7 +115,7 @@ TEST(ScenarioSpecJson, FullyLoadedSpecRoundTrips) {
   const char* doc = R"({
     "name": "kitchen_sink", "seed": 99,
     "device": {"class": "phone_lowend", "fling_friction_scale": 1.5,
-               "mean_speed_px_s": 2500},
+               "max_speed_px_s": 8500},
     "network": {"profile": "lte", "client_bandwidth": 900000,
                 "handover_period_ms": 9000, "handover_gap_ms": 700,
                 "handover_count": 2},
@@ -133,7 +131,7 @@ TEST(ScenarioSpecJson, FullyLoadedSpecRoundTrips) {
   ASSERT_TRUE(spec.has_value()) << error;
   EXPECT_EQ(spec->device.name, "phone_lowend");
   EXPECT_DOUBLE_EQ(spec->device.fling_friction_scale, 1.5);
-  EXPECT_DOUBLE_EQ(spec->device.mean_speed_px_s, 2500);
+  EXPECT_DOUBLE_EQ(spec->device.max_speed_px_s, 8500);
   EXPECT_DOUBLE_EQ(spec->network.client_bandwidth, 900000);
   EXPECT_EQ(spec->workload.kind, WorkloadKind::kSocialFeed);
   EXPECT_EQ(spec->workload.feed_posts, 80);
@@ -159,6 +157,19 @@ TEST(ScenarioSpecJson, UnknownKeysAreNamedWithTheirSection) {
   EXPECT_FALSE(
       ScenarioSpec::from_json(R"({"wokload": {}})", &error).has_value());
   EXPECT_NE(error.find("unknown key 'wokload'"), std::string::npos) << error;
+
+  // Fields the schema no longer has are unknown keys like any other.
+  EXPECT_FALSE(ScenarioSpec::from_json(
+                   R"({"device": {"mean_speed_px_s": 2500}})", &error)
+                   .has_value());
+  EXPECT_NE(error.find("unknown key 'mean_speed_px_s'"), std::string::npos)
+      << error;
+  EXPECT_FALSE(ScenarioSpec::from_json(
+                   R"({"workload": {"gestures_per_session": 10}})", &error)
+                   .has_value());
+  EXPECT_NE(error.find("unknown key 'gestures_per_session'"),
+            std::string::npos)
+      << error;
 }
 
 TEST(ScenarioSpecJson, EmbeddedSectionErrorsKeepTheirDiagnostics) {
@@ -232,7 +243,7 @@ TEST(ScenarioFaultPlan, HandoverMergesIntoExplicitFaultSection) {
   EXPECT_EQ(plan->link[1].kind, fault::LinkFaultWindow::Kind::kOutage);
 }
 
-// ---------- from_scenario wiring ----------
+// ---------- scenario wiring ----------
 
 TEST(ScenarioWiring, PaperDefaultBrowsingConfigMatchesFig7Harness) {
   const ScenarioSpec spec = ScenarioSpec::paper_default();
@@ -284,31 +295,10 @@ TEST(ScenarioWiring, ClientOnlyWorkloadDisablesMfhttp) {
   EXPECT_FALSE(scenario::browsing_config(spec, corpus[0], 0).enable_mfhttp);
 }
 
-TEST(ScenarioWiring, ScaleAndFrontDoorConfigsMapTheSpec) {
-  ScenarioSpec spec = ScenarioSpec::paper_default();
-  spec.seed = 77;
-  spec.device = *DeviceClassSpec::named("phone_lowend");
-  spec.workload.sessions = 64;
-  spec.workload.gestures_per_session = 10;
-
-  sim::ScaleSessionConfig scale = sim::ScaleSessionConfig::from_scenario(spec);
-  EXPECT_EQ(scale.seed, 77u);
-  EXPECT_EQ(scale.sessions, 64u);
-  EXPECT_EQ(scale.gestures_per_session, 10u);
-  EXPECT_EQ(scale.device.screen_w_px, spec.device.profile.screen_w_px);
-  EXPECT_DOUBLE_EQ(scale.fling_friction_scale,
-                   spec.device.fling_friction_scale);
-  EXPECT_DOUBLE_EQ(scale.gestures.mean_speed_px_s, spec.device.mean_speed_px_s);
-
-  sim::FrontDoorLoadConfig fd = sim::FrontDoorLoadConfig::from_scenario(spec);
-  EXPECT_EQ(fd.seed, 77u);
-  EXPECT_EQ(fd.sessions, 64u);
-  EXPECT_EQ(fd.touches_per_session, 10u);
-}
-
 // ---------- matrix cells ----------
 
-ScenarioSpec tiny_cell(const std::string& workload) {
+ScenarioSpec tiny_cell(const std::string& workload,
+                       const std::string& device = "phone_flagship") {
   ScenarioSpec base = ScenarioSpec::paper_default();
   base.workload.repeats = 1;
   base.workload.corpus_sites = 2;
@@ -316,7 +306,7 @@ ScenarioSpec tiny_cell(const std::string& workload) {
   base.workload.feed_flings = 2;
   base.workload.append_posts_per_fling = 6;
   base.workload.video_segments = 8;
-  return scenario::cell_spec(base, "phone_flagship", "wlan", workload);
+  return scenario::cell_spec(base, device, "wlan", workload);
 }
 
 TEST(ScenarioMatrix, CellSpecStampsIdentityAndKeepsKnobs) {
@@ -329,19 +319,25 @@ TEST(ScenarioMatrix, CellSpecStampsIdentityAndKeepsKnobs) {
 }
 
 TEST(ScenarioMatrix, CellsAreDeterministicAcrossWorkerCounts) {
-  const std::vector<ScenarioSpec> cells = {tiny_cell("paper_corpus"),
-                                           tiny_cell("social_feed")};
-  std::string docs[2];
-  for (std::size_t workers = 1; workers <= 2; ++workers) {
+  // Eight cells, so that at 8 workers every worker runs one at once.
+  std::vector<ScenarioSpec> cells;
+  for (const char* device :
+       {"phone_flagship", "phone_midrange", "phone_lowend", "tablet10"})
+    for (const char* workload : {"paper_corpus", "social_feed"})
+      cells.push_back(tiny_cell(workload, device));
+  std::string serial;
+  for (std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     std::vector<scenario::MatrixCellResult> results(cells.size());
     sim::ParallelRunner runner(workers);
     runner.run(cells.size(), [&](std::size_t i) {
       results[i] = scenario::run_matrix_cell(cells[i]);
     });
-    for (const auto& r : results) docs[workers - 1] += r.deterministic_json();
+    std::string doc;
+    for (const auto& r : results) doc += r.deterministic_json();
+    if (workers == 1) serial = doc;
+    EXPECT_EQ(doc, serial) << "workers " << workers;
   }
-  EXPECT_EQ(docs[0], docs[1]);
-  EXPECT_FALSE(docs[0].empty());
+  EXPECT_FALSE(serial.empty());
 }
 
 TEST(ScenarioMatrix, VideoCellProducesLoadTimes) {

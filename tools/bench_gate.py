@@ -21,7 +21,7 @@ produced on different machines:
                  baseline was recorded on whatever machine regenerated it.
 
 Rows are matched by identity keys (e.g. sessions+shards for the front-door
-matrix, workers for the scale matrix); a baseline row with no candidate
+matrix, plan+shards+arm for the chaos matrix); a baseline row with no candidate
 partner -- or vice versa -- fails the gate: silently dropping a sweep point
 is how regressions hide.
 
@@ -95,29 +95,6 @@ SCHEMAS = {
             "shed_rate": ("ratio", "ceiling"),
             "requests_per_sec": ("wall", "floor"),
             "p99_fetch_us": ("wall", "ceiling"),
-        },
-    },
-    "scale_matrix": {
-        "keys": ["workers"],
-        "top_exact": ["deterministic_across_workers"],
-        "metrics": {
-            "deterministic": ("exact", "both"),
-            "speedup": ("wall", "floor"),
-            "p99_touch_to_policy_ms": ("wall", "ceiling"),
-        },
-    },
-    "micro_matrix": {
-        # One row per hot-path stage (bench/micro_matrix.cc). Fingerprints
-        # are pure functions of the seed, and the zero-alloc header gate is
-        # asserted in-binary too. ns_per_op is a wall metric:
-        # machine-dependent, loose-toleranced, skippable on noisy runners.
-        "keys": ["stage"],
-        "top_exact": ["zero_alloc_lookups"],
-        "metrics": {
-            "ops": ("exact", "both"),
-            "fingerprint": ("exact", "both"),
-            "allocs_per_op": ("exact", "both"),
-            "ns_per_op": ("wall", "ceiling"),
         },
     },
     "scenario_matrix": {
