@@ -478,6 +478,8 @@ FrontDoorResult run_front_door(const FrontDoorParams& params,
   // shared ghost list (DESIGN.md §21).
   ObjectStore store;
   auto ghosts = std::make_shared<CacheGhosts>();
+  store.reserve(params.load.url_universe);
+  ghosts->urls().reserve(params.load.url_universe);
   std::string url(kOrigin);
   for (std::size_t i = 0; i < params.load.url_universe; ++i) {
     url.resize(kOrigin.size());

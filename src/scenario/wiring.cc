@@ -78,7 +78,10 @@ FeedSessionConfig feed_config(const ScenarioSpec& spec, int repeat,
 
   cfg.seed = spec.seed + static_cast<std::uint64_t>(repeat) * 7919;
   cfg.fling_count = spec.workload.feed_flings;
-  // Flings ramp like the browsing swipes: each repeat a bit hotter.
+  // 2.5x the browsing swipe speed, capped at the device's max_speed_px_s.
+  // Every registered device class reaches the cap from repeat 1 on, so
+  // repeats after the first fling at the same speed and differ only in
+  // their seed.
   cfg.fling_speed_px_s = 2.5 * (spec.device.swipe_speed_base_px_s +
                                 spec.device.swipe_speed_step_px_s * repeat);
   cfg.fling_speed_px_s =

@@ -10,8 +10,9 @@ namespace mfhttp::sim {
 
 namespace {
 
-// All draws below map raw std::mt19937_64 output (whose bit sequence the
-// standard fully specifies) through explicit inverse CDFs instead of going
+// All draws below map raw engine output (the std::mt19937_64 sequence,
+// whose bits the standard fully specifies; util/rng.h reproduces it
+// exactly) through explicit inverse CDFs instead of going
 // via std:: distributions, whose algorithms are implementation-defined and
 // genuinely differ between libstdc++ and libc++/MSVC. This keeps the
 // timeline — which bench_gate compares at tolerance zero against checked-in

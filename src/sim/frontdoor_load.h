@@ -7,14 +7,16 @@
 // set of objects the scroll position made relevant. This generator
 // pre-draws that entire timeline from a seeded Rng — per session, from a
 // seed that is a pure function of (master seed, session id) via splitmix64
-// — and returns it globally sorted by timestamp. The draws map raw
-// mt19937_64 output (standardized bit-for-bit) through explicit inverse
-// CDFs rather than std:: distributions (whose algorithms are
-// implementation-defined and differ between libstdc++ and libc++), so two
-// runs of the same config produce
-// the same byte sequence of events across standard libraries, shard
-// counts, and thread schedules; all nondeterminism in a front-door run
-// lives strictly downstream of this vector.
+// — and returns it globally sorted by timestamp. The draws map raw engine
+// output (Rng's engine emits the std::mt19937_64 sequence, which the
+// standard fixes bit for bit) through explicit inverse CDFs rather than
+// std:: distributions (whose algorithms are implementation-defined and
+// differ between libstdc++ and libc++), so two runs of the same config
+// produce the same byte sequence of events across standard libraries,
+// shard counts, and thread schedules; all nondeterminism in a front-door
+// run lives strictly downstream of this vector. A session draws 4 to 6
+// words per touch, so a short session never leaves the engine's lazily
+// computed first block (util/rng.h).
 //
 // Events are 20 bytes on purpose: a million-session sweep holds the whole
 // timeline in memory while the producer streams it into the shard queues.

@@ -2,9 +2,12 @@
 //
 // Every stochastic component (gesture synthesis, page corpus, bandwidth
 // traces, viewer head-motion) takes an Rng by reference so that a single
-// seed reproduces an entire experiment end to end.
+// seed reproduces an entire experiment end to end. Its engine emits the
+// std::mt19937_64 sequence bit for bit, seeded and twisted on demand
+// (DESIGN.md §25).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -24,6 +27,49 @@ inline std::uint64_t splitmix64(std::uint64_t x) {
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
 }
+
+// The std::mt19937_64 output sequence (the standard fixes it bit for bit),
+// with the first block computed on demand. Seeding fills x[i] from x[i-1]
+// and the twist rewrites x[k] in place from x[k], x[k+1] and x[k+156 mod
+// 312], in index order; so in the first block output k < 156 needs only
+// the seeded words up to k+156, and output k >= 156 only words the earlier
+// outputs already seeded or twisted. Each first-block draw therefore seeds
+// as far as it reads and twists the one word it returns: D draws cost about
+// D+156 seeding steps and D twists instead of 312 + 312. From the second
+// block on, the whole state twists at once as in the standard engine.
+// A UniformRandomBitGenerator, so std:: distributions consume it exactly as
+// they consume std::mt19937_64.
+class LazyMt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  explicit LazyMt19937_64(result_type seed) { x_[0] = seed; }
+
+  result_type operator()() {
+    if (next_ == ready_) twist_next();
+    result_type z = x_[next_++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+ private:
+  static constexpr std::size_t kN = 312;
+  static constexpr std::size_t kM = 156;
+
+  // Makes x_[next_] ready: one word in the first block, a whole block after.
+  void twist_next();
+
+  // Zero-filled beyond what has been seeded, so a copy reads no
+  // indeterminate word.
+  result_type x_[kN] = {};
+  std::size_t next_ = 0;   // index of the next output word
+  std::size_t ready_ = 0;  // x_[0, ready_) hold this block's twisted words
+};
+static_assert(std::uniform_random_bit_generator<LazyMt19937_64>);
 
 class Rng {
  public:
@@ -68,10 +114,10 @@ class Rng {
   // Derive an independent child generator (e.g. one per simulated user).
   Rng fork();
 
-  std::mt19937_64& engine() { return engine_; }
+  LazyMt19937_64& engine() { return engine_; }
 
  private:
-  std::mt19937_64 engine_;
+  LazyMt19937_64 engine_;
 };
 
 }  // namespace mfhttp

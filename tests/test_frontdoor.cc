@@ -10,7 +10,9 @@
 //   * the front door itself — shards=1 threaded byte-identical to the
 //     unsharded inline path, invariant totals across shard counts,
 //     per-shard cache segments isolated but sharing one ghost list,
-//     cross-shard counter aggregation summing to the run's totals.
+//     cross-shard counter aggregation summing to the run's totals;
+//   * the touch timeline — a golden hash of generate_frontdoor_load for a
+//     hot-shaped and a churn-shaped config.
 //
 // Suite names match the ThreadSanitizer job's -R 'Shard|Mpsc' selection.
 #include <gtest/gtest.h>
@@ -27,6 +29,7 @@
 #include "obs/metrics.h"
 #include "overload/admission.h"
 #include "sim/frontdoor_load.h"
+#include "util/fnv.h"
 #include "util/mpsc_queue.h"
 
 namespace mfhttp {
@@ -490,6 +493,37 @@ TEST(ShardedFrontDoor, CrossShardCounterAggregationSumsToRunTotals) {
   EXPECT_EQ(requests.value() - requests_before, r.requests);
   EXPECT_EQ(r.events,
             params.load.sessions * params.load.touches_per_session);
+}
+
+// ---------- The touch timeline ----------
+
+// FNV-1a over every field of every event, in timeline order.
+std::uint64_t timeline_hash(std::size_t url_universe, double skew_exponent) {
+  sim::FrontDoorLoadConfig load;
+  load.sessions = 2000;
+  load.touches_per_session = 4;
+  load.url_universe = url_universe;
+  load.skew_exponent = skew_exponent;
+  Fnv fnv;
+  for (const sim::TouchEvent& e : sim::generate_frontdoor_load(load)) {
+    fnv.u64(e.session);
+    fnv.u64(e.seq);
+    fnv.u64(e.ts_ms);
+    fnv.u64(e.priority);
+    fnv.u64(e.n_urls);
+    for (std::uint16_t url : e.urls) fnv.u64(url);
+  }
+  return fnv.h;
+}
+
+// Both hashes were recorded with std::mt19937_64 behind Rng; any change to
+// a draw, a timestamp, a priority or a URL index in the timeline moves them.
+TEST(FrontDoorLoadGolden, HotShapedTimelineUnchanged) {
+  EXPECT_EQ(timeline_hash(4096, 3.0), 0x374977d882f83b28ull);
+}
+
+TEST(FrontDoorLoadGolden, ChurnShapedTimelineUnchanged) {
+  EXPECT_EQ(timeline_hash(65536, 1.0), 0x3b22107201544d78ull);
 }
 
 }  // namespace

@@ -295,6 +295,24 @@ TEST(ScenarioWiring, ClientOnlyWorkloadDisablesMfhttp) {
   EXPECT_FALSE(scenario::browsing_config(spec, corpus[0], 0).enable_mfhttp);
 }
 
+TEST(ScenarioWiring, FeedFlingSpeedCapsAtDeviceMax) {
+  for (const char* name :
+       {"phone_flagship", "phone_midrange", "phone_lowend", "tablet10"}) {
+    ScenarioSpec spec = ScenarioSpec::paper_default();
+    spec.device = *DeviceClassSpec::named(name);
+    const double base = 2.5 * spec.device.swipe_speed_base_px_s;
+    ASSERT_LT(base, spec.device.max_speed_px_s) << name;
+    EXPECT_DOUBLE_EQ(scenario::feed_config(spec, 0, nullptr).fling_speed_px_s,
+                     base)
+        << name;
+    for (int repeat : {1, 2, 5})
+      EXPECT_DOUBLE_EQ(
+          scenario::feed_config(spec, repeat, nullptr).fling_speed_px_s,
+          spec.device.max_speed_px_s)
+          << name << " repeat " << repeat;
+  }
+}
+
 // ---------- matrix cells ----------
 
 ScenarioSpec tiny_cell(const std::string& workload,

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
@@ -114,14 +116,60 @@ TEST(Rng, NormalWithZeroStddevIsTheMean) {
 
 TEST(Rng, NormalMatchesStdNormalDistributionBitForBit) {
   Rng rng(17);
+  std::mt19937_64 reference(17);
   Rng params(19);
   for (int i = 0; i < 2000; ++i) {
     const double mean = params.uniform(-1e3, 1e3);
     const double stddev = params.uniform(1e-3, 1e3);
-    std::mt19937_64 reference = rng.engine();
     const double want = std::normal_distribution<double>(mean, stddev)(reference);
     EXPECT_EQ(rng.normal(mean, stddev), want) << "draw " << i;
-    EXPECT_TRUE(rng.engine() == reference) << "draw " << i;
+    // Same engine bits consumed: the next word agrees.
+    LazyMt19937_64 next = rng.engine();
+    std::mt19937_64 next_reference = reference;
+    EXPECT_EQ(next(), next_reference()) << "draw " << i;
+  }
+}
+
+// ---------- LazyMt19937_64 ----------
+
+// 700 draws cross draw 156 (the last seeding step), 312 (the end of the lazy
+// first block) and 624 (the end of the first full-block twist).
+constexpr int kCrossesThreeBlocks = 700;
+
+TEST(LazyMt19937_64, MatchesStdEngineAcrossSeeds) {
+  std::vector<std::uint64_t> seeds = {0, 1, 42, ~std::uint64_t{0}};
+  for (std::uint64_t i = 0; i < 1000; ++i) seeds.push_back(splitmix64(i));
+  for (std::uint64_t seed : seeds) {
+    LazyMt19937_64 lazy(seed);
+    std::mt19937_64 reference(seed);
+    for (int i = 0; i < kCrossesThreeBlocks; ++i)
+      ASSERT_EQ(lazy(), reference()) << "seed " << seed << " draw " << i;
+  }
+}
+
+TEST(LazyMt19937_64, EveryPrefixLengthContinuesTheStdSequence) {
+  for (int prefix = 0; prefix <= kCrossesThreeBlocks; ++prefix) {
+    LazyMt19937_64 lazy(2024);
+    std::mt19937_64 reference(2024);
+    for (int i = 0; i < prefix; ++i) lazy();
+    reference.discard(prefix);
+    for (int i = 0; i < 16; ++i)
+      ASSERT_EQ(lazy(), reference()) << "prefix " << prefix << " draw " << i;
+  }
+}
+
+TEST(LazyMt19937_64, CopyPartwayThroughTheFirstBlockContinuesIdentically) {
+  for (int prefix : {0, 1, 100, 155, 156, 157, 311}) {
+    LazyMt19937_64 original(7);
+    for (int i = 0; i < prefix; ++i) original();
+    LazyMt19937_64 copy = original;
+    std::mt19937_64 reference(7);
+    reference.discard(prefix);
+    for (int i = prefix; i < kCrossesThreeBlocks; ++i) {
+      const std::uint64_t want = reference();
+      ASSERT_EQ(copy(), want) << "prefix " << prefix << " draw " << i;
+      ASSERT_EQ(original(), want) << "prefix " << prefix << " draw " << i;
+    }
   }
 }
 
