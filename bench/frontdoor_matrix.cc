@@ -10,8 +10,9 @@
 //     recomputed after every row and its fingerprint must match the run's;
 //     the TSan smoke leans on this to prove routing never races.
 //
-// Every (sessions, shards) row replays the identical seeded touch timeline;
-// speedup is sessions/sec relative to that session count's shards=1 row.
+// Every (sessions, shards) row serves the one load built for its session
+// count (universe and seeded touch timeline, build_front_door_load); speedup
+// is sessions/sec relative to that session count's shards=1 row.
 //
 //   frontdoor_matrix [--sessions 10000,100000] [--shards 1,2,4]
 //                    [--touches N] [--universe N] [--seed S]
@@ -126,18 +127,20 @@ int main(int argc, char** argv) {
   for (std::size_t sessions : session_counts) {
     params.load.sessions = sessions;
     params.apply_scaled_admission();
+    const FrontDoorLoad load = build_front_door_load(params.load);
 
     // The historical unsharded path: one box, caller thread, no queues.
     // Its deterministic document is the byte-identity reference.
     params.shards = 1;
     const FrontDoorResult inline_ref =
-        run_front_door(params, FrontDoorMode::kInline);
+        run_front_door(load, params, FrontDoorMode::kInline);
     const std::string reference_doc = inline_ref.deterministic_json();
 
     const std::size_t first_row = rows.size();
     for (std::size_t shards : shard_counts) {
       params.shards = shards;
-      const FrontDoorResult r = run_front_door(params, FrontDoorMode::kThreaded);
+      const FrontDoorResult r =
+          run_front_door(load, params, FrontDoorMode::kThreaded);
 
       Row row;
       row.sessions = sessions;

@@ -48,9 +48,13 @@ obs::Counter& prefetch_wasted_counter() {
 
 }  // namespace
 
+CacheGhosts::CacheGhosts(UrlTable& urls) : urls_(&urls) {
+  MFHTTP_CHECK_MSG(urls.frozen(), "a borrowed UrlTable must be frozen");
+}
+
 std::uint32_t& CacheGhosts::slot_locked(UrlId url) {
   if (url >= counts_.size())
-    counts_.resize(std::max<std::size_t>(url + 1, urls_.size()), 0);
+    counts_.resize(std::max<std::size_t>(url + 1, urls_->size()), 0);
   return counts_[url];
 }
 

@@ -69,11 +69,18 @@ namespace mfhttp {
 // its ids come from: every cache sharing a ghost list shares its UrlTable,
 // and so does every proxy in front of those caches (DESIGN.md §21). A
 // ghost list shared across threads needs a frozen table, filled with the
-// URL universe before the threads start (the front door does this).
+// URL universe before the threads start. The front door builds that table
+// once per load and lends it to a fresh ghost list on every run, so no
+// count carries over from one run to the next.
 class CacheGhosts {
  public:
+  // A ghost list over its own table, which grows as URLs arrive.
+  CacheGhosts() = default;
+  // A ghost list over `urls`, a frozen table that outlives it.
+  explicit CacheGhosts(UrlTable& urls);
+
   // The key space of every cache (and proxy) using this ghost list.
-  UrlTable& urls() { return urls_; }
+  UrlTable& urls() { return *urls_; }
 
   // One lookup missed (or bypassed) a cache: remember the URL was wanted.
   // Every 1024 touches all counts halve (repeatedly, until fewer than 4097
@@ -94,7 +101,8 @@ class CacheGhosts {
   // The count slot of `url`, grown to cover the table on demand.
   std::uint32_t& slot_locked(UrlId url);
 
-  UrlTable urls_;
+  UrlTable own_urls_;  // unused when the table is borrowed
+  UrlTable* urls_ = &own_urls_;
   mutable std::mutex mu_;
   // By UrlId: count + 1 for a URL holding a count, 0 for one that does not.
   std::vector<std::uint32_t> counts_;

@@ -260,6 +260,7 @@ class Shard {
   }
 
   const std::vector<double>& latencies_us() const { return latencies_us_; }
+  std::vector<double> take_latencies_us() { return std::move(latencies_us_); }
   std::size_t worker_sheds() const { return worker_sheds_; }
   std::size_t deadline_sheds() const { return deadline_sheds_; }
 
@@ -466,40 +467,50 @@ std::string FrontDoorResult::deterministic_json() const {
   return w.str();
 }
 
-FrontDoorResult run_front_door(const FrontDoorParams& params,
-                               FrontDoorMode mode) {
-  MFHTTP_CHECK(params.shards >= 1);
-  MFHTTP_CHECK(params.load.sessions <= 0xffffffffULL);
-
-  // Shared, read-only URL universe: one ObjectStore every shard's origin
-  // serves from, and the URL table every shard keys its requests by. URL i
-  // is interned as UrlId i, and the table is frozen before any shard runs,
-  // so shard workers read it without a lock and agree on every id in the
-  // shared ghost list (DESIGN.md §21).
-  ObjectStore store;
-  auto ghosts = std::make_shared<CacheGhosts>();
-  store.reserve(params.load.url_universe);
-  ghosts->urls().reserve(params.load.url_universe);
+FrontDoorLoad build_front_door_load(const sim::FrontDoorLoadConfig& config) {
+  MFHTTP_CHECK(config.sessions <= 0xffffffffULL);
+  FrontDoorLoad load;
+  load.config = config;
+  load.urls = std::make_unique<UrlTable>();
+  load.store.reserve(config.url_universe);
+  load.urls->reserve(config.url_universe);
   std::string url(kOrigin);
-  for (std::size_t i = 0; i < params.load.url_universe; ++i) {
+  for (std::size_t i = 0; i < config.url_universe; ++i) {
     url.resize(kOrigin.size());
     url += "/obj/";
     url += std::to_string(i);
-    store.put(url.substr(kOrigin.size()), sim::frontdoor_object_bytes(params.load, i),
-              "image/jpeg");
-    MFHTTP_CHECK(ghosts->urls().intern(url) == i);
+    load.store.put(std::string_view(url).substr(kOrigin.size()),
+                   sim::frontdoor_object_bytes(config, i), "image/jpeg");
+    MFHTTP_CHECK(load.urls->intern(url) == i);
   }
-  ghosts->urls().freeze();
+  load.urls->freeze();
+  load.timeline = sim::generate_frontdoor_load(config);
+  return load;
+}
 
-  const std::vector<sim::TouchEvent> timeline =
-      generate_frontdoor_load(params.load);
+FrontDoorResult run_front_door(const FrontDoorParams& params,
+                               FrontDoorMode mode) {
+  return run_front_door(build_front_door_load(params.load), params, mode);
+}
+
+FrontDoorResult run_front_door(const FrontDoorLoad& load,
+                               const FrontDoorParams& params,
+                               FrontDoorMode mode) {
+  MFHTTP_CHECK(params.shards >= 1);
+  MFHTTP_CHECK_MSG(load.config == params.load,
+                   "the load was built from another config");
+
+  // Every shard's origin serves from the load's store, and every shard's
+  // cache segment keys by the load's frozen URL table through this run's
+  // own ghost list (DESIGN.md §21, §26).
+  auto ghosts = std::make_shared<CacheGhosts>(*load.urls);
 
   std::vector<FrontDoorSessionStats> slots(params.load.sessions);
   std::vector<std::unique_ptr<Shard>> shards;
   shards.reserve(params.shards);
   for (std::size_t i = 0; i < params.shards; ++i)
     shards.push_back(
-        std::make_unique<Shard>(i, params, &store, ghosts, slots.data()));
+        std::make_unique<Shard>(i, params, &load.store, ghosts, slots.data()));
 
   std::vector<std::size_t> max_depth(params.shards, 0);
   // Producer-owned shed accounting: a shed decided before an event reaches
@@ -527,7 +538,7 @@ FrontDoorResult run_front_door(const FrontDoorParams& params,
     // global order. With shards == 1 this is the byte-identity reference.
     // Supervision and deadlines are no-ops here: there is no worker to
     // watch and no queue for an event to grow stale in.
-    for (const sim::TouchEvent& e : timeline) {
+    for (const sim::TouchEvent& e : load.timeline) {
       QueuedEvent qe{e, wall_ns()};
       shards[shard_of(e.session, params.shards)]->process(qe);
     }
@@ -611,7 +622,7 @@ FrontDoorResult run_front_door(const FrontDoorParams& params,
       producer_latencies_us.push_back(
           static_cast<double>(wall_ns() - enqueue_ns) / 1000.0);
     };
-    for (const sim::TouchEvent& e : timeline) {
+    for (const sim::TouchEvent& e : load.timeline) {
       std::uint64_t mask =
           supervised ? supervisor->healthy_mask() : all_healthy;
       std::int32_t s = assigned[e.session];
@@ -737,14 +748,15 @@ FrontDoorResult run_front_door(const FrontDoorParams& params,
   // Touch-to-policy spans every event verdict, sheds included: a shed IS
   // the policy answer the touch got, and excluding it would make a
   // collapsing run look fast.
-  Samples latencies;
-  for (const auto& shard : shards)
-    for (double us : shard->latencies_us()) latencies.add(us);
-  for (double us : producer_latencies_us) latencies.add(us);
-  result.p50_touch_to_policy_us =
-      latencies.count() ? latencies.percentile(50) : 0;
-  result.p99_touch_to_policy_us =
-      latencies.count() ? latencies.percentile(99) : 0;
+  std::vector<double> latencies = shards[0]->take_latencies_us();
+  for (std::size_t i = 1; i < shards.size(); ++i) {
+    const std::vector<double>& more = shards[i]->latencies_us();
+    latencies.insert(latencies.end(), more.begin(), more.end());
+  }
+  latencies.insert(latencies.end(), producer_latencies_us.begin(),
+                   producer_latencies_us.end());
+  result.p50_touch_to_policy_us = select_percentile(latencies, 50);
+  result.p99_touch_to_policy_us = select_percentile(latencies, 99);
   if (wall_ms > 0) {
     result.sessions_per_sec =
         static_cast<double>(params.load.sessions) * 1000.0 / wall_ms;

@@ -63,6 +63,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -70,8 +71,10 @@
 #include "fault/fault_plan.h"
 #include "http/cache.h"
 #include "http/frontdoor_supervisor.h"
+#include "http/object_store.h"
 #include "http/proxy.h"
 #include "http/resilient_fetcher.h"
+#include "http/url_table.h"
 #include "overload/admission.h"
 #include "sim/frontdoor_load.h"
 #include "util/rng.h"
@@ -230,10 +233,36 @@ struct FrontDoorResult {
   std::string deterministic_json() const;
 };
 
-// Run the configured load through an N-shard front door. kThreaded spawns
-// params.shards worker threads plus uses the calling thread as the single
-// in-order producer; kInline serves every event on the calling thread in
-// the same global order (the unsharded reference path when shards == 1).
+// Everything a run serves that is a pure function of the load config,
+// built once and served by any number of runs (DESIGN.md §26). Runs only
+// read it, so threaded runs may share it; each run keeps its own caches,
+// ghost counts, admission and links, so serving a load twice gives the same
+// document as building it twice.
+struct FrontDoorLoad {
+  sim::FrontDoorLoadConfig config;
+  // Object i at path /obj/i, sized by sim::frontdoor_object_bytes.
+  ObjectStore store;
+  // http://origin.example/obj/i interned as UrlId i, then frozen, so shard
+  // workers read it without a lock and agree on every id in the ghost list.
+  // Held by pointer so that a run, which sees the load as const, can lend
+  // it to its CacheGhosts: a frozen table is read-only, intern() included.
+  std::unique_ptr<UrlTable> urls;
+  // sim::generate_frontdoor_load(config).
+  std::vector<sim::TouchEvent> timeline;
+};
+
+FrontDoorLoad build_front_door_load(const sim::FrontDoorLoadConfig& config);
+
+// Serve `load` through an N-shard front door; params.load must equal
+// load.config. kThreaded spawns params.shards worker threads plus uses the
+// calling thread as the single in-order producer; kInline serves every
+// event on the calling thread in the same global order (the unsharded
+// reference path when shards == 1).
+FrontDoorResult run_front_door(const FrontDoorLoad& load,
+                               const FrontDoorParams& params,
+                               FrontDoorMode mode);
+
+// Build params.load, then serve it once.
 FrontDoorResult run_front_door(const FrontDoorParams& params,
                                FrontDoorMode mode);
 

@@ -53,6 +53,7 @@ class UrlTable {
 
   // Make the table read-only (see the thread-safety note above).
   void freeze() { frozen_ = true; }
+  bool frozen() const { return frozen_; }
 
  private:
   static constexpr std::size_t kBlockBytes = 4096;

@@ -1,6 +1,5 @@
 #include "sim/frontdoor_load.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/check.h"
@@ -54,6 +53,38 @@ std::uint8_t draw_priority(Rng& rng) {
   return 3;
 }
 
+// Stable LSD radix sort on ts_ms, two 16-bit digits, low digit first. The
+// generator emits events in (session, seq) order, so a stable sort by
+// timestamp alone yields the (ts_ms, session, seq) order. A digit every
+// event shares (the high one of any timeline under 65,536 ms) moves nothing
+// and is skipped. Scratch is one copy of the events plus two 2^16-entry
+// histograms, whatever the time span.
+void sort_by_timestamp(std::vector<TouchEvent>& events) {
+  constexpr std::size_t kDigits = std::size_t{1} << 16;
+  if (events.size() < 2) return;
+  MFHTTP_CHECK(events.size() <= 0xffffffffu);
+  std::vector<std::uint32_t> low(kDigits, 0), high(kDigits, 0);
+  for (const TouchEvent& e : events) {
+    ++low[e.ts_ms & 0xffffu];
+    ++high[e.ts_ms >> 16];
+  }
+  std::vector<TouchEvent> scratch(events.size());
+  auto pass = [&](std::vector<std::uint32_t>& counts, unsigned shift) {
+    if (counts[(events[0].ts_ms >> shift) & 0xffffu] == events.size()) return;
+    std::uint32_t offset = 0;
+    for (std::uint32_t& c : counts) {
+      const std::uint32_t n = c;
+      c = offset;
+      offset += n;
+    }
+    for (const TouchEvent& e : events)
+      scratch[counts[(e.ts_ms >> shift) & 0xffffu]++] = e;
+    events.swap(scratch);
+  };
+  pass(low, 0);
+  pass(high, 16);
+}
+
 }  // namespace
 
 std::vector<TouchEvent> generate_frontdoor_load(
@@ -76,6 +107,10 @@ std::vector<TouchEvent> generate_frontdoor_load(
         static_cast<double>(s) * 1000.0 / config.session_arrival_per_s;
     for (std::size_t k = 0; k < config.touches_per_session; ++k) {
       t_ms += draw_exponential(rng, mean_gap_ms);
+      // The timeline's order keys on the 32-bit millisecond stamp.
+      MFHTTP_CHECK_MSG(t_ms < 4294967296.0,
+                       "touch timestamp past 2^32 ms; raise the arrival rate "
+                       "or shorten the load");
       TouchEvent e;
       e.session = static_cast<std::uint32_t>(s);
       e.seq = static_cast<std::uint32_t>(k);
@@ -95,12 +130,7 @@ std::vector<TouchEvent> generate_frontdoor_load(
     }
   }
 
-  std::sort(events.begin(), events.end(),
-            [](const TouchEvent& a, const TouchEvent& b) {
-              if (a.ts_ms != b.ts_ms) return a.ts_ms < b.ts_ms;
-              if (a.session != b.session) return a.session < b.session;
-              return a.seq < b.seq;
-            });
+  sort_by_timestamp(events);
   return events;
 }
 

@@ -7,16 +7,20 @@
 // set of objects the scroll position made relevant. This generator
 // pre-draws that entire timeline from a seeded Rng — per session, from a
 // seed that is a pure function of (master seed, session id) via splitmix64
-// — and returns it globally sorted by timestamp. The draws map raw engine
-// output (Rng's engine emits the std::mt19937_64 sequence, which the
-// standard fixes bit for bit) through explicit inverse CDFs rather than
-// std:: distributions (whose algorithms are implementation-defined and
-// differ between libstdc++ and libc++), so two runs of the same config
-// produce the same byte sequence of events across standard libraries,
-// shard counts, and thread schedules; all nondeterminism in a front-door
-// run lives strictly downstream of this vector. A session draws 4 to 6
-// words per touch, so a short session never leaves the engine's lazily
-// computed first block (util/rng.h).
+// — and returns it globally sorted by timestamp. Sessions are drawn in id
+// order, so one stable radix pass over the timestamps gives that order in
+// linear time. The front door builds the timeline once per load
+// (build_front_door_load, http/frontdoor.h) and any number of runs serve it.
+//
+// The draws map raw engine output (Rng's engine emits the std::mt19937_64
+// sequence, which the standard fixes bit for bit) through explicit inverse
+// CDFs rather than std:: distributions (whose algorithms are
+// implementation-defined and differ between libstdc++ and libc++), so two
+// runs of the same config produce the same byte sequence of events across
+// standard libraries, shard counts, and thread schedules; all
+// nondeterminism in a front-door run lives strictly downstream of this
+// vector. A session draws 4 to 6 words per touch, so a short session never
+// leaves the engine's lazily computed first block (util/rng.h).
 //
 // Events are 20 bytes on purpose: a million-session sweep holds the whole
 // timeline in memory while the producer streams it into the shard queues.
@@ -49,6 +53,8 @@ struct FrontDoorLoadConfig {
   // t=0", which melts any box at a million sessions — keep it positive.
   double session_arrival_per_s = 2000.0;
   std::size_t max_urls_per_touch = 3;  // 1..3 objects per touch
+
+  bool operator==(const FrontDoorLoadConfig&) const = default;
 };
 
 struct TouchEvent {
@@ -63,7 +69,9 @@ struct TouchEvent {
 // The full timeline, sorted by (ts_ms, session, seq). Pure function of the
 // config. Ties between sessions break by session id, so the global order —
 // and with it the byte-identity gate between the unsharded and the
-// single-shard front door — is total and stable.
+// single-shard front door — is total and stable. A touch stamped at or past
+// 2^32 ms (a sparse arrival rate times many sessions) fails a check rather
+// than wrapping: the order keys on the 32-bit stamp.
 std::vector<TouchEvent> generate_frontdoor_load(
     const FrontDoorLoadConfig& config);
 

@@ -33,17 +33,27 @@ double Samples::mean() const {
   return std::accumulate(xs_.begin(), xs_.end(), 0.0) / static_cast<double>(xs_.size());
 }
 
-double Samples::percentile(double p) const {
+double select_percentile(std::vector<double>& xs, double p) {
   MFHTTP_CHECK(p >= 0 && p <= 100);
-  if (xs_.empty()) return 0.0;
-  std::vector<double> sorted = xs_;
-  std::sort(sorted.begin(), sorted.end());
-  if (sorted.size() == 1) return sorted[0];
-  double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
+  if (xs.empty()) return 0.0;
+  if (xs.size() == 1) return xs[0];
+  double rank = p / 100.0 * static_cast<double>(xs.size() - 1);
   auto lo = static_cast<std::size_t>(rank);
-  std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  std::size_t hi = std::min(lo + 1, xs.size() - 1);
   double frac = rank - static_cast<double>(lo);
-  return sorted[lo] * (1 - frac) + sorted[hi] * frac;
+  const auto at_lo = xs.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(xs.begin(), at_lo, xs.end());
+  // Nothing after the lo-th order statistic is smaller than it, so the
+  // smallest value there is the next one.
+  const double lo_value = *at_lo;
+  const double hi_value =
+      hi == lo ? lo_value : *std::min_element(at_lo + 1, xs.end());
+  return lo_value * (1 - frac) + hi_value * frac;
+}
+
+double Samples::percentile(double p) const {
+  std::vector<double> copy = xs_;
+  return select_percentile(copy, p);
 }
 
 }  // namespace mfhttp

@@ -23,13 +23,20 @@ class RunningStats {
   double mean_ = 0, m2_ = 0, min_ = 0, max_ = 0, sum_ = 0;
 };
 
+// The p-th percentile of `xs` (p in [0,100]), interpolated linearly between
+// the closest ranks; 0 when empty. Selects instead of sorting, so it runs in
+// linear time and reorders `xs`; the result is bit-identical to sorting
+// first, since the two interpolation operands are the same order statistics.
+double select_percentile(std::vector<double>& xs, double p);
+
 // Stores all samples; supports exact percentiles.
 class Samples {
  public:
   void add(double x) { xs_.push_back(x); }
   std::size_t count() const { return xs_.size(); }
   double mean() const;
-  double percentile(double p) const;  // p in [0,100], linear interpolation
+  // select_percentile over a copy: values() keeps insertion order.
+  double percentile(double p) const;
   double median() const { return percentile(50); }
   double min() const { return percentile(0); }
   double max() const { return percentile(100); }

@@ -12,9 +12,13 @@
 //     per-shard cache segments isolated but sharing one ghost list,
 //     cross-shard counter aggregation summing to the run's totals;
 //   * the touch timeline — a golden hash of generate_frontdoor_load for a
-//     hot-shaped and a churn-shaped config.
+//     hot-shaped, a churn-shaped and a long-span config, the empty
+//     timeline, and the loud failure past 2^32 ms;
+//   * one built load served by many runs, each matching a fresh build;
+//   * frontdoor_matrix's exact columns for its 10,000-session rows.
 //
-// Suite names match the ThreadSanitizer job's -R 'Shard|Mpsc' selection.
+// Suite names match the ThreadSanitizer job's -R 'Shard|Mpsc|FrontDoorLoad|
+// FrontDoorMatrix' selection.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -498,14 +502,9 @@ TEST(ShardedFrontDoor, CrossShardCounterAggregationSumsToRunTotals) {
 // ---------- The touch timeline ----------
 
 // FNV-1a over every field of every event, in timeline order.
-std::uint64_t timeline_hash(std::size_t url_universe, double skew_exponent) {
-  sim::FrontDoorLoadConfig load;
-  load.sessions = 2000;
-  load.touches_per_session = 4;
-  load.url_universe = url_universe;
-  load.skew_exponent = skew_exponent;
+std::uint64_t timeline_hash(const std::vector<sim::TouchEvent>& timeline) {
   Fnv fnv;
-  for (const sim::TouchEvent& e : sim::generate_frontdoor_load(load)) {
+  for (const sim::TouchEvent& e : timeline) {
     fnv.u64(e.session);
     fnv.u64(e.seq);
     fnv.u64(e.ts_ms);
@@ -516,6 +515,15 @@ std::uint64_t timeline_hash(std::size_t url_universe, double skew_exponent) {
   return fnv.h;
 }
 
+std::uint64_t timeline_hash(std::size_t url_universe, double skew_exponent) {
+  sim::FrontDoorLoadConfig load;
+  load.sessions = 2000;
+  load.touches_per_session = 4;
+  load.url_universe = url_universe;
+  load.skew_exponent = skew_exponent;
+  return timeline_hash(sim::generate_frontdoor_load(load));
+}
+
 // Both hashes were recorded with std::mt19937_64 behind Rng; any change to
 // a draw, a timestamp, a priority or a URL index in the timeline moves them.
 TEST(FrontDoorLoadGolden, HotShapedTimelineUnchanged) {
@@ -524,6 +532,152 @@ TEST(FrontDoorLoadGolden, HotShapedTimelineUnchanged) {
 
 TEST(FrontDoorLoadGolden, ChurnShapedTimelineUnchanged) {
   EXPECT_EQ(timeline_hash(65536, 1.0), 0x3b22107201544d78ull);
+}
+
+// The two timelines above span under 16 s, so every timestamp shares its
+// high 16 bits. 2,000 sessions at 20 arrivals/s span about 100 s: the
+// timestamps cross 65,536 ms and still tie within a millisecond, so the
+// order's high digit and its (session, seq) tie-break both show. The hash
+// was recorded with the comparison sort the timeline used before.
+TEST(FrontDoorLoadGolden, LongSpanTimelineUnchanged) {
+  sim::FrontDoorLoadConfig load;
+  load.sessions = 2000;
+  load.session_arrival_per_s = 20;
+  const std::vector<sim::TouchEvent> timeline =
+      sim::generate_frontdoor_load(load);
+  ASSERT_EQ(timeline.size(), 8000u);
+  EXPECT_GT(timeline.back().ts_ms, 65536u);
+  std::size_t ties = 0, crossings = 0;
+  for (std::size_t i = 1; i < timeline.size(); ++i) {
+    ties += timeline[i].ts_ms == timeline[i - 1].ts_ms;
+    crossings += (timeline[i].ts_ms >> 16) != (timeline[i - 1].ts_ms >> 16);
+  }
+  EXPECT_GT(ties, 100u);
+  EXPECT_EQ(crossings, 1u);
+  EXPECT_EQ(timeline_hash(timeline), 0x31c3bf45fd32265aull);
+}
+
+TEST(FrontDoorLoadGolden, NoTouchesMeansAnEmptyTimelineAndAnEmptyRun) {
+  FrontDoorParams params;
+  params.load = small_load();
+  params.load.touches_per_session = 0;
+  params.apply_scaled_admission();
+  params.shards = 2;
+  const FrontDoorLoad load = build_front_door_load(params.load);
+  EXPECT_TRUE(load.timeline.empty());
+  for (FrontDoorMode mode : {FrontDoorMode::kInline, FrontDoorMode::kThreaded}) {
+    const FrontDoorResult r = run_front_door(load, params, mode);
+    EXPECT_EQ(r.events, 0u);
+    EXPECT_EQ(r.requests, 0u);
+    EXPECT_EQ(r.completed + r.rejected + r.failed, r.requests);
+    EXPECT_EQ(r.p99_touch_to_policy_us, 0.0);
+    std::size_t routed = 0;
+    for (const FrontDoorShardReport& shard : r.per_shard)
+      routed += shard.sessions;
+    EXPECT_EQ(routed, params.load.sessions);
+  }
+}
+
+// The timeline keys its order on a 32-bit millisecond stamp: a load whose
+// stamps pass 2^32 ms must stop, not wrap. Session 1 of this one arrives
+// after 10^10 ms.
+TEST(FrontDoorLoadDeathTest, TimestampPast32BitsFailsLoudly) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  sim::FrontDoorLoadConfig load;
+  load.sessions = 2;
+  load.session_arrival_per_s = 1e-7;
+  EXPECT_DEATH(sim::generate_frontdoor_load(load), "2\\^32 ms");
+}
+
+// ---------- One load, many runs ----------
+
+// A run reads its load and keeps its caches, ghost counts, admission and
+// links to itself, so serving one built load again and again gives each
+// run the document a fresh build would.
+TEST(FrontDoorLoadReuse, EveryRunMatchesTheOneArgumentCall) {
+  FrontDoorParams params;
+  params.load = small_load();
+  params.apply_scaled_admission();
+  const FrontDoorLoad load = build_front_door_load(params.load);
+
+  for (std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    params.shards = shards;
+    EXPECT_EQ(run_front_door(load, params, FrontDoorMode::kInline)
+                  .deterministic_json(),
+              run_front_door(params, FrontDoorMode::kInline).deterministic_json())
+        << shards << " shards";
+  }
+  // Threaded at two shards: a cache that holds the whole universe never
+  // evicts, so no admission decision reads the ghost counts both workers
+  // bump, and the document is exact (determinism contract, frontdoor.h).
+  params.shards = 2;
+  params.cache_capacity_total = 64 * 1024 * 1024;
+  const FrontDoorResult threaded =
+      run_front_door(load, params, FrontDoorMode::kThreaded);
+  EXPECT_EQ(threaded.deterministic_json(),
+            run_front_door(params, FrontDoorMode::kThreaded).deterministic_json());
+  EXPECT_GT(threaded.cache_hits, 0u);
+  EXPECT_EQ(threaded.per_shard[0].cache.evictions +
+                threaded.per_shard[1].cache.evictions,
+            0u);
+}
+
+TEST(FrontDoorLoadReuse, ARunRejectsALoadBuiltFromAnotherConfig) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  FrontDoorParams params;
+  params.load = small_load();
+  const FrontDoorLoad load = build_front_door_load(params.load);
+  params.load.seed += 1;
+  EXPECT_DEATH(run_front_door(load, params, FrontDoorMode::kInline),
+               "another config");
+}
+
+// ---------- frontdoor_matrix's exact columns ----------
+
+// The 10,000-session rows of frontdoor_matrix's defaults (4 touches, 4,096
+// objects, seed 1). Routing and the one-shard fingerprint are the values
+// bench/baselines/BENCH_frontdoor.json holds. At two and four shards the
+// threaded fingerprint depends on how the workers' ghost bumps interleave
+// (frontdoor.h), so the baseline's is one draw of it; the inline run is
+// exact, and its fingerprint was recorded before the load could be reused.
+FrontDoorResult matrix_row(std::size_t shards, FrontDoorMode mode) {
+  static const FrontDoorLoad load = [] {
+    sim::FrontDoorLoadConfig config;
+    config.sessions = 10000;
+    return build_front_door_load(config);
+  }();
+  FrontDoorParams params;
+  params.load = load.config;
+  params.apply_scaled_admission();
+  params.shards = shards;
+  return run_front_door(load, params, mode);
+}
+
+TEST(FrontDoorMatrixGolden, RoutingFingerprintsUnchanged) {
+  EXPECT_EQ(routing_fingerprint(10000, 1), 4528205893761378691ull);
+  EXPECT_EQ(routing_fingerprint(10000, 2), 123459182304424130ull);
+  EXPECT_EQ(routing_fingerprint(10000, 4), 1695220815491088258ull);
+}
+
+TEST(FrontDoorMatrixGolden, OneShardRowUnchanged) {
+  for (FrontDoorMode mode : {FrontDoorMode::kInline, FrontDoorMode::kThreaded}) {
+    const FrontDoorResult r = matrix_row(1, mode);
+    EXPECT_EQ(r.fingerprint, 12980046198329304754ull);
+    EXPECT_EQ(r.routing_fp, 4528205893761378691ull);
+    EXPECT_EQ(r.requests, 79954u);
+    EXPECT_EQ(r.rejected, 0u);
+  }
+}
+
+TEST(FrontDoorMatrixGolden, InlineShardedRowsUnchanged) {
+  const FrontDoorResult two = matrix_row(2, FrontDoorMode::kInline);
+  EXPECT_EQ(two.fingerprint, 2508185938861693559ull);
+  EXPECT_EQ(two.routing_fp, 123459182304424130ull);
+  EXPECT_EQ(two.requests, 79954u);
+  const FrontDoorResult four = matrix_row(4, FrontDoorMode::kInline);
+  EXPECT_EQ(four.fingerprint, 4661103404356710786ull);
+  EXPECT_EQ(four.routing_fp, 1695220815491088258ull);
+  EXPECT_EQ(four.requests, 79954u);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Unit tests for util: rng, stats, strings, slab.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <random>
@@ -235,6 +236,54 @@ TEST(Samples, UnsortedInputHandled) {
   for (double v : {9.0, 1.0, 5.0}) s.add(v);
   EXPECT_DOUBLE_EQ(s.median(), 5.0);
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
+}
+
+// The definition percentile() selects its way to: sort, then interpolate
+// between the closest ranks.
+double sorted_percentile(std::vector<double> xs, double p) {
+  if (xs.empty()) return 0.0;
+  std::sort(xs.begin(), xs.end());
+  if (xs.size() == 1) return xs[0];
+  double rank = p / 100.0 * static_cast<double>(xs.size() - 1);
+  auto lo = static_cast<std::size_t>(rank);
+  std::size_t hi = std::min(lo + 1, xs.size() - 1);
+  double frac = rank - static_cast<double>(lo);
+  return xs[lo] * (1 - frac) + xs[hi] * frac;
+}
+
+TEST(Samples, SelectionEqualsTheSortedDefinitionBitForBit) {
+  const double ps[] = {0, 0.5, 37.5, 50, 99, 99.9, 100};
+  Rng rng(2026);
+  for (std::size_t n = 1; n <= 1000; ++n) {
+    // Odd sizes draw from a handful of values, so most samples tie.
+    const bool heavy_ties = n % 2 == 1;
+    Samples s;
+    std::vector<double> inserted;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double v = heavy_ties ? static_cast<double>(rng.uniform_int(0, 4))
+                                  : rng.uniform(-1e3, 1e3);
+      s.add(v);
+      inserted.push_back(v);
+    }
+    for (double p : ps)
+      EXPECT_EQ(s.percentile(p), sorted_percentile(inserted, p))
+          << "n=" << n << " p=" << p;
+    EXPECT_EQ(s.values(), inserted) << "n=" << n;
+  }
+}
+
+TEST(Samples, SelectPercentileReordersOnlyItsArgument) {
+  std::vector<double> xs = {5, 3, 9, 1, 7, 3, 3};
+  const std::vector<double> before = xs;
+  EXPECT_EQ(select_percentile(xs, 50), 3.0);
+  EXPECT_EQ(select_percentile(xs, 100), 9.0);
+  EXPECT_EQ(select_percentile(xs, 0), 1.0);
+  std::sort(xs.begin(), xs.end());
+  std::vector<double> sorted = before;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(xs, sorted);  // a permutation of the input
+  std::vector<double> empty;
+  EXPECT_EQ(select_percentile(empty, 99), 0.0);
 }
 
 // ---------- strings ----------
