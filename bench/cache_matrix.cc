@@ -9,17 +9,15 @@
 // The acceptance gate this binary demonstrates: at >=16 sessions on at
 // least one trace, the cache+prefetch arm must *strictly* beat no-cache on
 // both P99 viewport load time and total bytes-on-link. The final VERDICT
-// lines print that comparison per trace; CI runs `--smoke --json-out` and
-// asserts on the emitted JSON.
+// lines print that comparison per trace, and the binary exits 1 unless some
+// trace passes. Tier-1 ctest runs `--smoke` (cache_matrix_smoke).
 //
 // Flags (cli/standard_options.h plus locals):
 //   --smoke            one 16-session sweep only (CI-sized)
-//   --json-out <path>  write every cell's CacheExperimentResult as a JSON array
 //   --scenario <p>     a spec whose "cache" section overrides cache sizing /
 //                      prefetch budget
 //   --metrics-json <p> obs registry snapshot at exit
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -54,12 +52,9 @@ std::vector<TraceSpec> make_traces() {
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  std::string json_out;
   mfhttp::cli::StandardOptions standard_options(
       argc, argv, [&](CliOptions& options) {
         options.add_flag("--smoke", "single 16-session sweep (CI-sized)", &smoke);
-        options.add_string("--json-out", "path",
-                           "write all results as a JSON array", &json_out);
       });
 
   const std::vector<int> session_counts =
@@ -75,7 +70,6 @@ int main(int argc, char** argv) {
               "arm", "sessions", "p50(ms)", "p99(ms)", "goodput/s", "MB-link",
               "hit-rate", "reval", "pf-iss", "pf-deny", "pf-wasteKB");
 
-  std::vector<std::string> json_rows;
   bool any_trace_passes = false;
   for (const TraceSpec& trace : traces) {
     // The >=16-session no-cache / cache+prefetch pair the verdict compares.
@@ -105,7 +99,6 @@ int main(int argc, char** argv) {
                         : 0.0,
             r.revalidations, r.prefetch_issued, r.prefetch_denied,
             static_cast<double>(r.prefetch_wasted_bytes) / 1e3);
-        json_rows.push_back(r.to_json());
 
         if (sessions >= 16 && !have_pair) {
           if (arm == CacheArm::kNoCache) {
@@ -133,20 +126,6 @@ int main(int argc, char** argv) {
           static_cast<double>(prefetch_bytes) / 1e6,
           passes ? "PASS" : "FAIL");
     }
-  }
-
-  if (!json_out.empty()) {
-    std::ofstream out(json_out, std::ios::binary);
-    out << "[";
-    for (std::size_t i = 0; i < json_rows.size(); ++i)
-      out << (i > 0 ? ",\n " : "\n ") << json_rows[i];
-    out << "\n]\n";
-    if (!out) {
-      std::fprintf(stderr, "error: --json-out %s: write failed\n",
-                   json_out.c_str());
-      return 2;
-    }
-    std::printf("results written to %s\n", json_out.c_str());
   }
 
   if (!any_trace_passes) {

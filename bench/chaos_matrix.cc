@@ -2,8 +2,11 @@
 // (DESIGN.md §14): seeded shard-fault plans x shard counts, each run three
 // ways —
 //
-//   baseline     — no fault injected, supervision off: the fault-free
-//                  goodput reference every retained ratio divides by;
+//   baseline     — no fault injected, supervision off, no freshness
+//                  deadline (the producer blocks instead of shedding, and
+//                  no worker sheds a stale event, DESIGN.md §14.3): the
+//                  exact fault-free reference every retained ratio divides
+//                  by;
 //   unsupervised — the fault fires, nobody watches: the producer's only
 //                  defence is the deadline-bounded push, so the wedged
 //                  shard's sessions shed at the deadline and its backlog
@@ -14,28 +17,45 @@
 //                  slice's admission budget is re-distributed, and goodput
 //                  holds.
 //
-// Every arm replays the identical seeded timeline, so events and request
-// totals are exact across arms — every touch resolves to served or shed,
-// never lost — and `goodput_retained` (completed / fault-free completed)
-// is the figure of merit. Two hard gates ride along:
+// Every arm replays the identical seeded timeline, and `goodput_retained`
+// (completed / fault-free completed) is the figure of merit. The binary
+// exits 1 unless all of these hold:
 //
 //   * byte identity — shards=1 threaded with the supervisor WATCHING (no
 //     faults) must stay byte-identical to the unsharded inline path: the
 //     §13 gate survives §14;
-//   * --assert-retained X / --assert-supervised — CI's resilience gate:
-//     the supervised arm must retain at least X of fault-free goodput and
-//     never complete less than the unsupervised arm.
+//   * conservation — on every arm, events == sessions x touches, requests
+//     equal the baseline arm's, and completed + rejected == requests: every
+//     touch resolves to served or shed, never lost;
+//   * an exact baseline — the fault-free arm rejects nothing;
+//   * --assert-retained X / --assert-supervised — the supervised arm must
+//     retain at least X of fault-free goodput and never lose both goodput
+//     and P99 to the unsupervised arm;
+//   * recorded bands (with --assert-supervised, built-in sweep at the
+//     default load) — each unsupervised arm's goodput retained lies within
+//     0.08 of the value recorded for it (kRecorded), so an arm that sheds
+//     everything, or whose fault never fires, fails; each supervised arm's
+//     is at most 0.08 below its recorded value. Every arm conserves
+//     requests, so shed_rate == 1 - retained and the bands hold both
+//     columns.
+//
+// Tier-1 ctest runs the bench/plans/shard_stall plan at 600 sessions
+// (chaos_matrix_plan_smoke), and ChaosMatrixGolden pins the default load's
+// event and request counts. The default sweep with --assert-retained 0.75
+// --assert-supervised runs alone in CI's release job: the goodput a fault
+// costs is spent on the wall clock, and under a loaded sanitizer build the
+// supervised arms retained as little as 35%.
 //
 //   chaos_matrix [--sessions N] [--shards LIST] [--plan PATH]
 //                [--touches N] [--universe N] [--arrival R] [--seed S]
 //                [--queue N] [--deadline-ms N]
-//                [--json BENCH_chaos.json]
 //                [--assert-retained X] [--assert-supervised]
 //
 // Without --plan the matrix sweeps the two built-in plans: "shard-stall"
 // (fault::FaultPlan::shard_stall — shard 0 freezes 1000 ms mid-run) and
 // "shard-crash" (shard 0 stops serving for good at its 30th event).
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -46,7 +66,6 @@
 #include "cli/standard_options.h"
 #include "fault/fault_plan.h"
 #include "http/frontdoor.h"
-#include "util/json.h"
 
 namespace {
 
@@ -56,22 +75,42 @@ struct Row {
   std::string plan;
   std::size_t shards = 1;
   std::string arm;  // baseline | unsupervised | supervised
-  double wall_ms = 0;
   std::size_t events = 0;
   std::size_t requests = 0;
   std::size_t completed = 0;
   std::size_t rejected = 0;
   double goodput_retained = 1.0;  // completed / this cell's baseline arm
   double shed_rate = 0;
-  std::size_t shed_events = 0;
-  std::size_t deadline_shed_events = 0;
   std::size_t failover_sessions = 0;
-  std::uint64_t wedged_declared = 0;
   double time_to_detect_ms = 0;   // 0 = never detected (or no fault)
   double time_to_recover_ms = 0;  // 0 = not recovered within the run
-  double p50_t2p_us = 0;
   double p99_t2p_us = 0;
 };
+
+// Goodput retained by the built-in sweep's fault arms at the default load,
+// as the matrix recorded it (a one-thread machine, Release). On four vCPUs
+// the unsupervised arms read within 0.002 of these and the supervised ones
+// 0 to 0.055 above. The unsupervised crash arms sit near 1 - 1/shards: the
+// crashed shard sheds every later event of its sessions.
+struct RecordedCell {
+  const char* plan;
+  std::size_t shards;
+  double unsupervised;
+  double supervised;
+};
+constexpr RecordedCell kRecorded[] = {
+    {"shard-stall", 2, 0.950016688919, 0.898447930574},
+    {"shard-stall", 4, 0.949599465955, 0.915720961282},
+    {"shard-crash", 2, 0.503838451268, 0.871328437917},
+    {"shard-crash", 4, 0.746829105474, 0.871829105474},
+};
+constexpr double kRecordedBand = 0.08;
+
+const RecordedCell* recorded_cell(const std::string& plan, std::size_t shards) {
+  for (const RecordedCell& cell : kRecorded)
+    if (plan == cell.plan && shards == cell.shards) return &cell;
+  return nullptr;
+}
 
 // Supervisor tuning for the chaos arms: thresholds small enough that
 // detection lands well inside a 1-second stall, large enough that a noisy
@@ -91,6 +130,9 @@ Row run_arm(FrontDoorParams params, const std::string& plan_name,
             const std::string& arm, const fault::FaultPlan* plan,
             bool supervised) {
   if (plan != nullptr) params.fault_plan = *plan;
+  // The fault-free arm blocks rather than sheds, so no wall-clock hiccup
+  // can shed an event: its row is exact.
+  if (plan == nullptr) params.enqueue_deadline_ms = 0;
   params.supervisor = supervised ? chaos_supervisor() : SupervisorParams{};
 
   const FrontDoorResult r = run_front_door(params, FrontDoorMode::kThreaded);
@@ -99,19 +141,14 @@ Row run_arm(FrontDoorParams params, const std::string& plan_name,
   row.plan = plan_name;
   row.shards = params.shards;
   row.arm = arm;
-  row.wall_ms = r.wall_ms;
   row.events = r.events;
   row.requests = r.requests;
   row.completed = r.completed;
   row.rejected = r.rejected;
   row.shed_rate = r.shed_rate;
-  row.shed_events = r.shed_events;
-  row.deadline_shed_events = r.deadline_shed_events;
   row.failover_sessions = r.failover_sessions;
-  row.wedged_declared = r.wedged_declared;
   row.time_to_detect_ms = r.first_detect_ms;
   row.time_to_recover_ms = r.first_recover_ms;
-  row.p50_t2p_us = r.p50_touch_to_policy_us;
   row.p99_t2p_us = r.p99_touch_to_policy_us;
   return row;
 }
@@ -120,7 +157,7 @@ Row run_arm(FrontDoorParams params, const std::string& plan_name,
 
 int main(int argc, char** argv) {
   std::string sessions_s, shards_s, plan_path, touches_s, universe_s,
-      arrival_s, seed_s, queue_s, deadline_s, json_path, assert_retained_s;
+      arrival_s, seed_s, queue_s, deadline_s, assert_retained_s;
   bool assert_supervised = false;
   cli::StandardOptions standard_options(argc, argv, [&](CliOptions& options) {
     options
@@ -142,15 +179,15 @@ int main(int argc, char** argv) {
                     &queue_s)
         .add_string("--deadline-ms", "N",
                     "per-event freshness budget (default 20)", &deadline_s)
-        .add_string("--json", "PATH",
-                    "result document (default BENCH_chaos.json)", &json_path)
         .add_string("--assert-retained", "X",
                     "exit 1 unless every supervised arm retains >= X of "
                     "fault-free goodput",
                     &assert_retained_s)
         .add_flag("--assert-supervised",
                   "exit 1 if any supervised arm is worse than its "
-                  "unsupervised twin on BOTH goodput and P99",
+                  "unsupervised twin on BOTH goodput and P99, or (built-in "
+                  "sweep, default load) any fault arm's goodput retained "
+                  "leaves the 0.08 band around its recorded value",
                   &assert_supervised);
   });
 
@@ -173,7 +210,6 @@ int main(int argc, char** argv) {
           ? 20
           : static_cast<TimeMs>(CliOptions::positive_size("--deadline-ms", deadline_s));
   params.apply_scaled_admission();
-  if (json_path.empty()) json_path = "BENCH_chaos.json";
   const std::vector<std::size_t> shard_counts =
       shards_s.empty() ? std::vector<std::size_t>{2, 4}
                        : CliOptions::positive_size_list("--shards", shards_s);
@@ -233,9 +269,18 @@ int main(int argc, char** argv) {
               "arm", "completed", "retained", "shed", "failov",
               "detect", "recover", "p99 t2p us");
 
-  std::vector<Row> rows;
+  // The recorded bands hold only for the load they were recorded at.
+  const bool check_recorded = assert_supervised && plan_path.empty() &&
+                              sessions_s.empty() && touches_s.empty() &&
+                              universe_s.empty() && arrival_s.empty() &&
+                              seed_s.empty() && queue_s.empty() &&
+                              deadline_s.empty();
   double worst_retained = 1.0;
   bool supervised_never_worse = true;
+  bool in_recorded_band = true;
+  bool conserved = true;
+  const std::size_t events_per_arm =
+      params.load.sessions * params.load.touches_per_session;
 
   for (const fault::FaultPlan& plan : plans) {
     for (std::size_t shards : shard_counts) {
@@ -248,6 +293,19 @@ int main(int argc, char** argv) {
       Row supervised = run_arm(params, plan.name, "supervised", &plan, true);
 
       for (Row* row : {&baseline, &unsupervised, &supervised}) {
+        // Every arm conserves the timeline's events and requests, and the
+        // fault-free arm sheds nothing.
+        if (row->events != events_per_arm || row->requests != baseline.requests ||
+            row->completed + row->rejected != row->requests ||
+            (row == &baseline && row->rejected != 0)) {
+          conserved = false;
+          std::fprintf(stderr,
+                       "FAIL: %s/%zu/%s: events %zu (want %zu), requests %zu "
+                       "(baseline %zu), completed %zu, rejected %zu\n",
+                       row->plan.c_str(), row->shards, row->arm.c_str(),
+                       row->events, events_per_arm, row->requests,
+                       baseline.requests, row->completed, row->rejected);
+        }
         row->goodput_retained =
             baseline.completed > 0
                 ? static_cast<double>(row->completed) /
@@ -259,7 +317,6 @@ int main(int argc, char** argv) {
             row->goodput_retained * 100.0, row->shed_rate * 100.0,
             row->failover_sessions, row->time_to_detect_ms,
             row->time_to_recover_ms, row->p99_t2p_us);
-        rows.push_back(*row);
       }
       worst_retained =
           std::min(worst_retained, supervised.goodput_retained);
@@ -272,58 +329,26 @@ int main(int argc, char** argv) {
           supervised_never_worse &&
           (supervised.completed >= unsupervised.completed ||
            supervised.p99_t2p_us <= unsupervised.p99_t2p_us);
+
+      const RecordedCell* cell =
+          check_recorded ? recorded_cell(plan.name, shards) : nullptr;
+      if (cell == nullptr) continue;
+      // A fault costs what it cost when recorded; supervision may win back
+      // more than it did then, never lose more.
+      if (std::abs(unsupervised.goodput_retained - cell->unsupervised) >
+              kRecordedBand ||
+          supervised.goodput_retained < cell->supervised - kRecordedBand) {
+        in_recorded_band = false;
+        std::fprintf(stderr,
+                     "FAIL: %s/%zu: goodput retained unsupervised %.3f "
+                     "(recorded %.3f, band +-%.2f), supervised %.3f (recorded "
+                     "%.3f, floor -%.2f)\n",
+                     plan.name.c_str(), shards, unsupervised.goodput_retained,
+                     cell->unsupervised, kRecordedBand,
+                     supervised.goodput_retained, cell->supervised, kRecordedBand);
+      }
     }
   }
-
-  JsonWriter w;
-  w.begin_object();
-  w.key("bench").value("chaos_matrix");
-  w.key("sessions").value(params.load.sessions);
-  w.key("touches_per_session").value(params.load.touches_per_session);
-  w.key("url_universe").value(params.load.url_universe);
-  w.key("seed").value(static_cast<unsigned long long>(params.load.seed));
-  w.key("queue_capacity").value(params.queue_capacity);
-  w.key("deadline_ms")
-      .value(static_cast<long long>(params.enqueue_deadline_ms));
-  w.key("hardware_threads")
-      .value(static_cast<unsigned long long>(
-          std::thread::hardware_concurrency()));
-  w.key("byte_identical_with_supervision").value(byte_identical);
-  w.key("supervised_never_worse").value(supervised_never_worse);
-  w.key("rows").begin_array();
-  for (const Row& row : rows) {
-    w.begin_object();
-    w.key("plan").value(row.plan);
-    w.key("shards").value(row.shards);
-    w.key("arm").value(row.arm);
-    w.key("wall_ms").value(row.wall_ms);
-    w.key("events").value(row.events);
-    w.key("requests").value(row.requests);
-    w.key("completed").value(row.completed);
-    w.key("rejected").value(row.rejected);
-    w.key("goodput_retained").value(row.goodput_retained);
-    w.key("shed_rate").value(row.shed_rate);
-    w.key("shed_events").value(row.shed_events);
-    w.key("deadline_shed_events").value(row.deadline_shed_events);
-    w.key("failover_sessions").value(row.failover_sessions);
-    w.key("wedged_declared")
-        .value(static_cast<unsigned long long>(row.wedged_declared));
-    w.key("time_to_detect_ms").value(row.time_to_detect_ms);
-    w.key("time_to_recover_ms").value(row.time_to_recover_ms);
-    w.key("p50_touch_to_policy_us").value(row.p50_t2p_us);
-    w.key("p99_touch_to_policy_us").value(row.p99_t2p_us);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-
-  std::FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f == nullptr)
-    CliOptions::fail("--json", json_path, "cannot open for writing");
-  std::fputs(w.str().c_str(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
-  std::printf("\nwrote %s\n", json_path.c_str());
 
   if (!byte_identical) {
     std::fprintf(stderr,
@@ -331,6 +356,7 @@ int main(int argc, char** argv) {
                  "unsharded inline path\n");
     return 1;
   }
+  if (!conserved) return 1;
   if (!assert_retained_s.empty()) {
     char* end = nullptr;
     const double want = std::strtod(assert_retained_s.c_str(), &end);
@@ -353,5 +379,6 @@ int main(int argc, char** argv) {
                  "unsupervised twin\n");
     return 1;
   }
+  if (!in_recorded_band) return 1;
   return 0;
 }

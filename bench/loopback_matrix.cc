@@ -3,7 +3,7 @@
 // arm replaying the identical seeded fetch script through the one
 // canonical FetchPipelineBuilder stack.
 //
-// Two hard gates ride in-binary, before the JSON is even written:
+// Three gates ride in-binary; the binary exits 1 unless all hold:
 //
 //   * parity — the clean socket arm must reproduce the clean sim arm's
 //     per-fetch (status, body_size, request_ms, complete_ms) EXACTLY.
@@ -11,20 +11,20 @@
 //     event shape, so any drift is a transport bug, not noise.
 //   * taxonomy — on every arm, requests == completed + errored + shed.
 //     A faulty wire may fail fetches, but it may never lose one.
+//   * band — on every arm, completed_rate >= 0.8, error_rate <= 0.2 and
+//     shed_rate <= 0.2. The faulty arms' split depends on how the kernel
+//     chunks the byte stream, so it is held to a band around 1/0/0, not to
+//     exact counts.
 //
 // The faulty arms use each backend's native chaos: lossy_cellular for the
 // sim stack (link/fetcher decorators) and flaky_socket for the real wire
 // (seeded short reads, torn writes, RST, stalls in the aio layer). Both
 // faulty arms run behind ResilientFetcher, so retries and breakers are
-// part of what is being measured.
+// part of what is being measured. Tier-1 ctest runs `loopback_matrix
+// --quick` (loopback_matrix_smoke); requests/sec and the P99 fetch wall
+// latency are printed, not gated.
 //
-// CI runs `loopback_matrix --quick` and gates the document against
-// bench/baselines/BENCH_loopback.json via tools/bench_gate.py: request
-// counts exact, completion/error/shed rates as ratios, requests/sec and
-// P99 fetch wall latency as wall metrics (skipped on shared runners).
-//
-//   loopback_matrix [--requests N] [--universe N] [--seed S]
-//                   [--quick] [--json BENCH_loopback.json]
+//   loopback_matrix [--requests N] [--universe N] [--seed S] [--quick]
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -41,7 +41,6 @@
 #include "net/bandwidth_trace.h"
 #include "net/link.h"
 #include "sim/simulator.h"
-#include "util/json.h"
 #include "util/rng.h"
 
 namespace {
@@ -202,7 +201,7 @@ Row run_arm(TransportKind kind, bool faulty,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string requests_s, universe_s, seed_s, json_path;
+  std::string requests_s, universe_s, seed_s;
   bool quick = false;
   cli::StandardOptions standard_options(argc, argv, [&](CliOptions& options) {
     options
@@ -212,10 +211,7 @@ int main(int argc, char** argv) {
                     &universe_s)
         .add_string("--seed", "S", "master seed (default 1)", &seed_s)
         .add_flag("--quick", "CI-sized run: 60 fetches over 16 objects",
-                  &quick)
-        .add_string("--json", "PATH",
-                    "result document (default BENCH_loopback.json)",
-                    &json_path);
+                  &quick);
   });
 
   std::size_t requests =
@@ -225,7 +221,6 @@ int main(int argc, char** argv) {
       universe_s.empty() ? (quick ? 16 : 64)
                          : CliOptions::positive_size("--universe", universe_s);
   std::uint64_t seed = seed_s.empty() ? 1 : CliOptions::positive_size("--seed", seed_s);
-  if (json_path.empty()) json_path = "BENCH_loopback.json";
 
   // One seeded script for every arm, derived from a throwaway store that is
   // populated exactly like each arm's own (same puts, same etags).
@@ -271,46 +266,14 @@ int main(int argc, char** argv) {
                    static_cast<long long>(b.complete_ms));
   }
 
-  // Gate 2: nothing lost, anywhere.
+  // Gate 2: nothing lost, anywhere. Gate 3: every arm inside the band.
   bool all_accounted = true;
-  for (const Row& row : rows) all_accounted &= row.taxonomy_accounted;
-
-  JsonWriter w;
-  w.begin_object();
-  w.key("bench").value("loopback_matrix");
-  w.key("requests_per_arm").value(requests);
-  w.key("universe").value(universe);
-  w.key("seed").value(static_cast<unsigned long long>(seed));
-  w.key("parity_clean").value(parity_clean);
-  w.key("all_taxonomy_accounted").value(all_accounted);
-  w.key("rows").begin_array();
+  bool in_band = true;
   for (const Row& row : rows) {
-    w.begin_object();
-    w.key("transport").value(row.transport);
-    w.key("wire").value(row.wire);
-    w.key("requests").value(row.requests);
-    w.key("completed").value(row.completed);
-    w.key("errored").value(row.errored);
-    w.key("shed").value(row.shed);
-    w.key("taxonomy_accounted").value(row.taxonomy_accounted);
-    w.key("completed_rate").value(row.completed_rate);
-    w.key("error_rate").value(row.error_rate);
-    w.key("shed_rate").value(row.shed_rate);
-    w.key("wall_ms").value(row.wall_ms);
-    w.key("requests_per_sec").value(row.requests_per_sec);
-    w.key("p99_fetch_us").value(row.p99_fetch_us);
-    w.end_object();
+    all_accounted &= row.taxonomy_accounted;
+    in_band &= row.completed_rate >= 0.8 && row.error_rate <= 0.2 &&
+               row.shed_rate <= 0.2;
   }
-  w.end_array();
-  w.end_object();
-
-  std::FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f == nullptr)
-    CliOptions::fail("--json", json_path, "cannot open for writing");
-  std::fputs(w.str().c_str(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
-  std::printf("\nwrote %s\n", json_path.c_str());
 
   if (!parity_clean) {
     std::fprintf(stderr, "FAIL: clean socket arm diverged from the sim arm\n");
@@ -319,6 +282,11 @@ int main(int argc, char** argv) {
   if (!all_accounted) {
     std::fprintf(stderr,
                  "FAIL: requests != completed + errored + shed on some arm\n");
+    return 1;
+  }
+  if (!in_band) {
+    std::fprintf(stderr,
+                 "FAIL: some arm completed < 80%% or errored or shed > 20%%\n");
     return 1;
   }
   return 0;

@@ -16,7 +16,9 @@
 // exact 99th percentile load time of completed viewport-class requests;
 // shed% is the fraction of requests explicitly bounced (429/503). The
 // stranded column must read 0 in every arm: a request may complete or be
-// rejected, but never hang forever.
+// rejected, but never hang forever. The binary exits 1 if any arm strands a
+// request or a repeated run of one seed diverges; tier-1 ctest runs it as
+// overload_matrix_smoke.
 #include <cstdio>
 
 #include "cli/standard_options.h"
@@ -29,12 +31,14 @@ using overload::MultiSessionConfig;
 using overload::MultiSessionResult;
 using overload::Protection;
 
-void row(const MultiSessionResult& r) {
+// Prints one arm's row; false if the arm stranded a request.
+bool row(const MultiSessionResult& r) {
   std::printf("%4d %6.1f %-8s %6zu %6zu %6zu %6zu %8zu %9.1f %9.0f %9.0f %6.1f%% %5d\n",
               r.sessions, r.rate_per_session_per_s, r.protection.c_str(),
               r.requests, r.completed, r.rejected + r.shed, r.failed, r.stranded,
               r.goodput_bytes_per_s / 1000.0, r.p50_viewport_ms, r.p99_viewport_ms,
               100.0 * r.shed_ratio, r.max_brownout_level);
+  return r.stranded == 0;
 }
 
 }  // namespace
@@ -49,6 +53,7 @@ int main(int argc, char** argv) {
               "rate/s", "arm", "reqs", "done", "bounce", "fail", "stranded",
               "goodKB/s", "p50vp ms", "p99vp ms", "shed%", "bmax");
 
+  bool none_stranded = true;
   for (int sessions : {8, 32, 64}) {
     for (double rate : {1.5}) {
       for (Protection arm :
@@ -57,7 +62,7 @@ int main(int argc, char** argv) {
         config.sessions = sessions;
         config.rate_per_session_per_s = rate;
         config.protection = arm;
-        row(run_multi_session(config));
+        none_stranded &= row(run_multi_session(config));
       }
       std::printf("\n");
     }
@@ -72,13 +77,18 @@ int main(int argc, char** argv) {
     config.sessions = 64;
     config.rate_per_session_per_s = 3.0;
     config.protection = arm;
-    row(run_multi_session(config));
+    none_stranded &= row(run_multi_session(config));
   }
 
   std::printf(
       "\n(the full arm keeps viewport-class tail latency flat by spending the\n"
       " downlink on work that can still meet its deadline; the unprotected arm\n"
       " serves everything eventually and nothing on time)\n");
+
+  if (!none_stranded) {
+    std::fprintf(stderr, "FAIL: an arm stranded a request\n");
+    return 1;
+  }
 
   // Determinism gate: the same seeded config must reproduce the identical
   // result document — including every per-session shard — on a repeat run.

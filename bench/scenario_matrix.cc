@@ -18,24 +18,21 @@
 //
 //   scenario_matrix [--base spec.json] [--devices LIST] [--networks LIST]
 //                   [--workloads LIST] [--repeats N] [--sites N]
-//                   [--workers 1,2] [--json BENCH_scenario.json]
+//                   [--workers 1,2]
 //
-// The default base spec is the built-in grid-stress scenario (cache +
-// admission sections on, a dynamic feed, a seeded-random-walk knob left to
-// the network profiles) — the same document shipped as
-// bench/scenarios/grid_stress.json. Note on the cache column: the fig7
-// browsing harness fires exactly one gesture per session, so a prefetch-
-// warmed object is never re-referenced and cache_hit_ratio is structurally
-// 0 for the corpus workloads — the column is reported (and gated) so
-// multi-gesture workloads light it up, not because it moves today. CI's
-// scenario-smoke job runs the reduced grid (--sites 6 --repeats 1) and
-// gates the output against
-// bench/baselines/BENCH_scenario.json via tools/bench_gate.py.
+// The default base spec is the built-in grid-stress scenario
+// (scenario::grid_stress_spec: cache + admission sections on, a dynamic
+// feed, a seeded-random-walk knob left to the network profiles). Note on the
+// cache column: the fig7 browsing harness fires exactly one gesture per
+// session, so a prefetch-warmed object is never re-referenced and
+// cache_hit_ratio is structurally 0 for the corpus workloads — the column is
+// reported so multi-gesture workloads light it up, not because it moves
+// today. Tier-1 ctest runs the reduced grid (--sites 6 --repeats 1) as
+// scenario_matrix_smoke, and ScenarioMatrixGolden pins that grid's rows.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -45,7 +42,6 @@
 #include "scenario/wiring.h"
 #include "sim/parallel_runner.h"
 #include "util/fnv.h"
-#include "util/json.h"
 #include "web/corpus.h"
 #include "web/experiment.h"
 
@@ -54,25 +50,6 @@ namespace {
 using namespace mfhttp;
 using scenario::MatrixCellResult;
 using scenario::ScenarioSpec;
-
-// The built-in grid-stress base: paper defaults plus a live cache and a
-// tight admission throttle so the cache-hit and shed columns measure
-// something in every cell. Kept in sync with bench/scenarios/grid_stress.json.
-constexpr const char* kGridStressJson = R"json({
-  "name": "grid_stress",
-  "seed": 1,
-  "cache": {
-    "cache": {"capacity_bytes": 4000000, "default_ttl_ms": 8000},
-    "prefetch": {"enabled": true, "max_bytes_per_plan": 400000}
-  },
-  "overload": {
-    "admission": {
-      "global_rate_per_s": 60, "global_burst": 24,
-      "session_rate_per_s": 60, "session_burst": 24,
-      "max_inflight_upstream": 12, "max_dispatch_queue": 48
-    }
-  }
-})json";
 
 std::vector<std::string> parse_list(const char* flag, const std::string& s) {
   std::vector<std::string> out;
@@ -169,7 +146,7 @@ MatrixCellResult hand_wired_paper_cell(const MatrixCellResult& like,
 
 int main(int argc, char** argv) {
   std::string base_path, devices_s, networks_s, workloads_s, repeats_s,
-      sites_s, workers_s, json_path;
+      sites_s, workers_s;
   cli::StandardOptions standard_options(argc, argv, [&](CliOptions& options) {
     options
         .add_string("--base", "PATH",
@@ -191,15 +168,13 @@ int main(int argc, char** argv) {
                     &sites_s)
         .add_string("--workers", "LIST",
                     "worker counts for the determinism sweep (default 1,2)",
-                    &workers_s)
-        .add_string("--json", "PATH",
-                    "result document (default BENCH_scenario.json)", &json_path);
+                    &workers_s);
   });
 
   std::string error;
   std::optional<ScenarioSpec> base;
   if (base_path.empty()) {
-    base = ScenarioSpec::from_json(kGridStressJson, &error);
+    base = scenario::grid_stress_spec();
   } else {
     base = ScenarioSpec::load(base_path, &error);
   }
@@ -211,43 +186,24 @@ int main(int argc, char** argv) {
     base->workload.repeats = parse_int("--repeats", repeats_s, 1);
   if (!sites_s.empty())
     base->workload.corpus_sites = parse_int("--sites", sites_s, 0);
-  if (json_path.empty()) json_path = "BENCH_scenario.json";
 
-  const std::vector<std::string> devices =
-      devices_s.empty()
-          ? std::vector<std::string>{"phone_flagship", "phone_lowend", "tablet10"}
-          : parse_list("--devices", devices_s);
-  const std::vector<std::string> networks =
-      networks_s.empty() ? std::vector<std::string>{"wlan", "lte", "umts3g"}
-                         : parse_list("--networks", networks_s);
-  const std::vector<std::string> workloads =
-      workloads_s.empty()
-          ? std::vector<std::string>{"paper_corpus", "client_only",
-                                     "social_feed", "tiled_video"}
-          : parse_list("--workloads", workloads_s);
+  scenario::GridAxes axes;
+  if (!devices_s.empty()) axes.devices = parse_list("--devices", devices_s);
+  if (!networks_s.empty()) axes.networks = parse_list("--networks", networks_s);
+  if (!workloads_s.empty())
+    axes.workloads = parse_list("--workloads", workloads_s);
   const std::vector<std::size_t> worker_counts =
       workers_s.empty() ? std::vector<std::size_t>{1, 2}
                         : CliOptions::positive_size_list("--workers", workers_s);
 
   // The grid, plus the two paper-default rows the identity check owns.
-  std::vector<ScenarioSpec> cells;
-  for (const std::string& d : devices)
-    for (const std::string& n : networks)
-      for (const std::string& w : workloads)
-        cells.push_back(scenario::cell_spec(*base, d, n, w));
-
-  ScenarioSpec paper = ScenarioSpec::paper_default();
-  paper.workload.corpus_sites = base->workload.corpus_sites;
-  if (!repeats_s.empty()) paper.workload.repeats = base->workload.repeats;
-  const std::size_t paper_first = cells.size();
-  cells.push_back(
-      scenario::cell_spec(paper, "phone_flagship", "wlan", "paper_corpus"));
-  cells.push_back(
-      scenario::cell_spec(paper, "phone_flagship", "wlan", "client_only"));
+  const std::vector<ScenarioSpec> cells = scenario::grid_cells(*base, axes);
+  const std::size_t paper_first = cells.size() - 2;
 
   std::printf("=== Scenario matrix: %zu devices x %zu networks x %zu workloads"
               " + 2 paper rows = %zu cells ===\n",
-              devices.size(), networks.size(), workloads.size(), cells.size());
+              axes.devices.size(), axes.networks.size(), axes.workloads.size(),
+              cells.size());
   std::printf("(base '%s', repeats %d, sites %s; workers sweep:",
               base->name.c_str(), base->workload.repeats,
               base->workload.corpus_sites > 0
@@ -287,6 +243,7 @@ int main(int argc, char** argv) {
   bool paper_default_identical = true;
   for (std::size_t k = 0; k < 2; ++k) {
     const MatrixCellResult& via_spec = rows[paper_first + k];
+    const ScenarioSpec& paper = cells[paper_first + k];
     const MatrixCellResult witness = hand_wired_paper_cell(
         via_spec, /*enable_mfhttp=*/k == 0, paper.workload.corpus_sites,
         paper.workload.repeats);
@@ -315,42 +272,6 @@ int main(int argc, char** argv) {
               paper_default_identical ? "yes" : "NO");
   std::printf("deterministic_across_workers:  %s\n",
               deterministic_across_workers ? "yes" : "NO");
-
-  JsonWriter w;
-  w.begin_object();
-  w.key("bench").value("scenario_matrix");
-  w.key("base").value(base->name);
-  w.key("repeats").value(base->workload.repeats);
-  w.key("corpus_sites").value(base->workload.corpus_sites);
-  w.key("paper_default_identical").value(paper_default_identical);
-  w.key("deterministic_across_workers").value(deterministic_across_workers);
-  w.key("rows").begin_array();
-  for (const MatrixCellResult& r : rows) {
-    w.begin_object();
-    w.key("scenario").value(r.scenario);
-    w.key("device").value(r.device);
-    w.key("network").value(r.network);
-    w.key("workload").value(r.workload);
-    w.key("sessions").value(r.sessions);
-    w.key("qoe").value(r.qoe);
-    w.key("viewport_p99_ms").value(static_cast<long long>(r.viewport_p99_ms));
-    w.key("goodput_bytes_per_s").value(r.goodput_bytes_per_s);
-    w.key("shed_rate").value(r.shed_rate);
-    w.key("cache_hit_ratio").value(r.cache_hit_ratio);
-    w.key("fingerprint").value(static_cast<unsigned long long>(r.fingerprint));
-    w.key("wall_ms").value(r.wall_ms);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-
-  std::FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f == nullptr)
-    CliOptions::fail("--json", json_path, "cannot open for writing");
-  std::fputs(w.str().c_str(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
-  std::printf("\nwrote %s\n", json_path.c_str());
 
   return paper_default_identical && deterministic_across_workers ? 0 : 1;
 }

@@ -14,7 +14,6 @@
 #include "prefetch/planner.h"
 #include "sim/arrivals.h"
 #include "sim/simulator.h"
-#include "util/json.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -51,37 +50,6 @@ CacheExperimentConfig::CacheExperimentConfig() {
   cache.prefetch.min_value = 0.0;
   cache.prefetch.max_bytes_per_plan = 250'000;
   cache.prefetch.lead_time_ms = 300;
-}
-
-std::string CacheExperimentResult::to_json() const {
-  JsonWriter w;
-  w.begin_object();
-  w.key("arm").value(arm);
-  w.key("trace").value(trace);
-  w.key("sessions").value(sessions);
-  w.key("requests").value(requests);
-  w.key("completed").value(completed);
-  w.key("failed").value(failed);
-  w.key("on_time").value(on_time);
-  w.key("p50_load_ms").value(p50_load_ms);
-  w.key("p99_load_ms").value(p99_load_ms);
-  w.key("on_time_bytes").value(static_cast<long long>(on_time_bytes));
-  w.key("goodput_bytes_per_s").value(goodput_bytes_per_s);
-  w.key("makespan_ms").value(static_cast<long long>(makespan_ms));
-  w.key("server_link_bytes").value(static_cast<long long>(server_link_bytes));
-  w.key("client_link_bytes").value(static_cast<long long>(client_link_bytes));
-  w.key("total_link_bytes").value(static_cast<long long>(total_link_bytes));
-  w.key("cache_hits").value(cache_hits);
-  w.key("cache_misses").value(cache_misses);
-  w.key("stale_served").value(stale_served);
-  w.key("revalidations").value(revalidations);
-  w.key("evictions").value(evictions);
-  w.key("prefetch_issued").value(prefetch_issued);
-  w.key("prefetch_denied").value(prefetch_denied);
-  w.key("prefetch_useful").value(prefetch_useful);
-  w.key("prefetch_wasted_bytes").value(static_cast<long long>(prefetch_wasted_bytes));
-  w.end_object();
-  return w.str();
 }
 
 CacheExperimentResult run_cache_experiment(const CacheExperimentConfig& config) {

@@ -100,8 +100,6 @@ struct CacheExperimentResult {
   std::size_t prefetch_denied = 0;
   std::size_t prefetch_useful = 0;
   Bytes prefetch_wasted_bytes = 0;  // evicted-unused plus still-unused warm-ups
-
-  std::string to_json() const;
 };
 
 CacheExperimentResult run_cache_experiment(const CacheExperimentConfig& config);

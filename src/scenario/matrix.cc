@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 
 #include "feed/feed_experiment.h"
 #include "gesture/recognizer.h"
@@ -202,6 +203,42 @@ ScenarioSpec cell_spec(const ScenarioSpec& base, const std::string& device,
   spec.workload.kind = *k;  // knobs (repeats, posts, ...) kept from base
   spec.name = base.name + "/" + device + "/" + network + "/" + workload;
   return spec;
+}
+
+ScenarioSpec grid_stress_spec() {
+  std::string error;
+  const std::optional<ScenarioSpec> parsed = ScenarioSpec::from_json(R"json({
+    "name": "grid_stress",
+    "seed": 1,
+    "cache": {
+      "cache": {"capacity_bytes": 4000000, "default_ttl_ms": 8000},
+      "prefetch": {"enabled": true, "max_bytes_per_plan": 400000}
+    },
+    "overload": {
+      "admission": {
+        "global_rate_per_s": 60, "global_burst": 24,
+        "session_rate_per_s": 60, "session_burst": 24,
+        "max_inflight_upstream": 12, "max_dispatch_queue": 48
+      }
+    }
+  })json", &error);
+  MFHTTP_CHECK_MSG(parsed.has_value(), "built-in grid_stress spec is invalid");
+  return *parsed;
+}
+
+std::vector<ScenarioSpec> grid_cells(const ScenarioSpec& base,
+                                     const GridAxes& axes) {
+  std::vector<ScenarioSpec> cells;
+  for (const std::string& d : axes.devices)
+    for (const std::string& n : axes.networks)
+      for (const std::string& w : axes.workloads)
+        cells.push_back(cell_spec(base, d, n, w));
+  ScenarioSpec paper = ScenarioSpec::paper_default();
+  paper.workload.corpus_sites = base.workload.corpus_sites;
+  paper.workload.repeats = base.workload.repeats;
+  cells.push_back(cell_spec(paper, "phone_flagship", "wlan", "paper_corpus"));
+  cells.push_back(cell_spec(paper, "phone_flagship", "wlan", "client_only"));
+  return cells;
 }
 
 MatrixCellResult run_matrix_cell(const ScenarioSpec& spec) {

@@ -1,8 +1,9 @@
-// Scenario-matrix cell runners (bench/scenario_matrix): one cell = one
-// ScenarioSpec = device class × network profile × workload, executed
+// Scenario-matrix grid and cell runners (bench/scenario_matrix): one cell =
+// one ScenarioSpec = device class × network profile × workload, executed
 // serially inside the cell so its aggregate is a pure function of the spec
 // — the matrix bench parallelizes ACROSS cells and byte-compares the
-// deterministic fields at every --workers count.
+// deterministic fields at every --workers count. ScenarioMatrixGolden pins
+// the reduced default grid's rows.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +15,7 @@
 namespace mfhttp::scenario {
 
 struct MatrixCellResult {
-  // Identity keys (tools/bench_gate.py matches rows on these).
+  // Identity: the cell's spec name and its three axes.
   std::string scenario;
   std::string device;
   std::string network;
@@ -44,6 +45,27 @@ struct MatrixCellResult {
 // base). Aborts on unknown names — the grid is validated up front.
 ScenarioSpec cell_spec(const ScenarioSpec& base, const std::string& device,
                        const std::string& network, const std::string& workload);
+
+// The matrix's built-in base, "grid_stress": paper defaults plus a live
+// cache and a tight admission throttle, so the cache-hit and shed columns
+// measure something in every cell.
+ScenarioSpec grid_stress_spec();
+
+// The grid's axes; the defaults are the matrix's default grid.
+struct GridAxes {
+  std::vector<std::string> devices = {"phone_flagship", "phone_lowend",
+                                      "tablet10"};
+  std::vector<std::string> networks = {"wlan", "lte", "umts3g"};
+  std::vector<std::string> workloads = {"paper_corpus", "client_only",
+                                        "social_feed", "tiled_video"};
+};
+
+// Every cell_spec(base, d, n, w) of the grid, devices outermost, then the two
+// paper-default witness cells (phone_flagship × wlan × {paper_corpus,
+// client_only} over ScenarioSpec::paper_default() with base's corpus_sites
+// and repeats), always last.
+std::vector<ScenarioSpec> grid_cells(const ScenarioSpec& base,
+                                     const GridAxes& axes = {});
 
 // Run one cell serially. Pure function of the spec, wall_ms aside.
 MatrixCellResult run_matrix_cell(const ScenarioSpec& spec);

@@ -14,8 +14,8 @@ namespace {
 // exactly) through explicit inverse CDFs instead of going
 // via std:: distributions, whose algorithms are implementation-defined and
 // genuinely differ between libstdc++ and libc++/MSVC. This keeps the
-// timeline — which bench_gate compares at tolerance zero against checked-in
-// baselines — a pure function of the seed across standard libraries. The
+// timeline — which the FrontDoorLoadGolden and FrontDoorMatrixGolden tests
+// pin exactly — a pure function of the seed across standard libraries. The
 // one residual platform input is last-ulp rounding in std::log/std::pow,
 // which the integer quantization downstream (millisecond timestamps, URL
 // indices) makes unobservable in practice.

@@ -1,7 +1,7 @@
 // 64-bit FNV-1a, the hash behind the checked-in decision fingerprints
 // (scenario and fig7-witness rows, the golden-fold tests). Doubles hash by
 // bit pattern, so a fingerprint detects even sub-ulp drift between runs.
-// Changing anything here changes every fingerprint in bench/baselines.
+// Changing anything here changes every fingerprint the golden tests pin.
 #pragma once
 
 #include <cstddef>

@@ -15,7 +15,8 @@
 //     hot-shaped, a churn-shaped and a long-span config, the empty
 //     timeline, and the loud failure past 2^32 ms;
 //   * one built load served by many runs, each matching a fresh build;
-//   * frontdoor_matrix's exact columns for its 10,000-session rows.
+//   * frontdoor_matrix's exact columns for its 10,000- and 50,000-session
+//     rows, and its threaded ratios near the exact inline ones.
 //
 // Suite names match the ThreadSanitizer job's -R 'Shard|Mpsc|FrontDoorLoad|
 // FrontDoorMatrix' selection.
@@ -23,6 +24,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -634,29 +636,34 @@ TEST(FrontDoorLoadReuse, ARunRejectsALoadBuiltFromAnotherConfig) {
 
 // ---------- frontdoor_matrix's exact columns ----------
 
-// The 10,000-session rows of frontdoor_matrix's defaults (4 touches, 4,096
-// objects, seed 1). Routing and the one-shard fingerprint are the values
-// bench/baselines/BENCH_frontdoor.json holds. At two and four shards the
+// Rows of `frontdoor_matrix --sessions 10000,50000` (4 touches, 4,096
+// objects, seed 1), one load per session count. At two and four shards the
 // threaded fingerprint depends on how the workers' ghost bumps interleave
-// (frontdoor.h), so the baseline's is one draw of it; the inline run is
-// exact, and its fingerprint was recorded before the load could be reused.
-FrontDoorResult matrix_row(std::size_t shards, FrontDoorMode mode) {
-  static const FrontDoorLoad load = [] {
+// (frontdoor.h), so the goldens pin the exact inline run; its fingerprints
+// at 10,000 sessions were recorded before the load could be reused.
+FrontDoorResult matrix_row(std::size_t shards, FrontDoorMode mode,
+                           std::size_t sessions = 10000) {
+  static std::map<std::size_t, FrontDoorLoad> loads;
+  auto it = loads.find(sessions);
+  if (it == loads.end()) {
     sim::FrontDoorLoadConfig config;
-    config.sessions = 10000;
-    return build_front_door_load(config);
-  }();
+    config.sessions = sessions;
+    it = loads.emplace(sessions, build_front_door_load(config)).first;
+  }
   FrontDoorParams params;
-  params.load = load.config;
+  params.load = it->second.config;
   params.apply_scaled_admission();
   params.shards = shards;
-  return run_front_door(load, params, mode);
+  return run_front_door(it->second, params, mode);
 }
 
 TEST(FrontDoorMatrixGolden, RoutingFingerprintsUnchanged) {
   EXPECT_EQ(routing_fingerprint(10000, 1), 4528205893761378691ull);
   EXPECT_EQ(routing_fingerprint(10000, 2), 123459182304424130ull);
   EXPECT_EQ(routing_fingerprint(10000, 4), 1695220815491088258ull);
+  EXPECT_EQ(routing_fingerprint(50000, 1), 9631230601233613187ull);
+  EXPECT_EQ(routing_fingerprint(50000, 2), 11217860785415734819ull);
+  EXPECT_EQ(routing_fingerprint(50000, 4), 3108422850782474657ull);
 }
 
 TEST(FrontDoorMatrixGolden, OneShardRowUnchanged) {
@@ -678,6 +685,65 @@ TEST(FrontDoorMatrixGolden, InlineShardedRowsUnchanged) {
   EXPECT_EQ(four.fingerprint, 4661103404356710786ull);
   EXPECT_EQ(four.routing_fp, 1695220815491088258ull);
   EXPECT_EQ(four.requests, 79954u);
+}
+
+// A threaded row at two or four shards is not exact (frontdoor.h). Its hit
+// ratio and shed rate stay within 0.08 of the exact inline row, and inside
+// the band around the threaded values frontdoor_matrix recorded: the hit
+// ratio at most 0.08 below, the shed rate at most 0.08 above.
+void expect_threaded_near_inline(const FrontDoorResult& exact, std::size_t shards,
+                                 std::size_t sessions, double recorded_hit,
+                                 double recorded_shed) {
+  SCOPED_TRACE(testing::Message() << sessions << " sessions, " << shards << " shards");
+  const FrontDoorResult threaded =
+      matrix_row(shards, FrontDoorMode::kThreaded, sessions);
+  EXPECT_EQ(threaded.requests, exact.requests);
+  EXPECT_NEAR(threaded.cache_hit_ratio, exact.cache_hit_ratio, 0.08);
+  EXPECT_NEAR(threaded.shed_rate, exact.shed_rate, 0.08);
+  EXPECT_GE(threaded.cache_hit_ratio, recorded_hit - 0.08);
+  EXPECT_LE(threaded.shed_rate, recorded_shed + 0.08);
+}
+
+TEST(FrontDoorMatrixGolden, ThreadedRatiosStayNearInline) {
+  expect_threaded_near_inline(matrix_row(2, FrontDoorMode::kInline), 2, 10000,
+                              0.37555344323, 0.0306676338895);
+  expect_threaded_near_inline(matrix_row(4, FrontDoorMode::kInline), 4, 10000,
+                              0.294544363009, 0.0845236010706);
+}
+
+// One 50,000-session shard count per test, so that each stays well inside
+// the per-test timeout under ASan/UBSan (TSan skips them: the 10,000-session
+// rows race the same threaded code). The inline row is exact; at one shard
+// the threaded row must equal it, at two and four it must stay near it.
+FrontDoorResult expect_fifty_thousand_session_row(std::size_t shards,
+                                                  std::uint64_t fingerprint,
+                                                  std::uint64_t routing_fp,
+                                                  std::size_t rejected) {
+  const FrontDoorResult r = matrix_row(shards, FrontDoorMode::kInline, 50000);
+  EXPECT_EQ(r.fingerprint, fingerprint);
+  EXPECT_EQ(r.routing_fp, routing_fp);
+  EXPECT_EQ(r.requests, 400022u);
+  EXPECT_EQ(r.rejected, rejected);
+  return r;
+}
+
+TEST(FrontDoorMatrixGolden, FiftyThousandSessionsOneShardUnchanged) {
+  const FrontDoorResult exact = expect_fifty_thousand_session_row(
+      1, 16440568574657139648ull, 9631230601233613187ull, 747);
+  EXPECT_EQ(matrix_row(1, FrontDoorMode::kThreaded, 50000).deterministic_json(),
+            exact.deterministic_json());
+}
+
+TEST(FrontDoorMatrixGolden, FiftyThousandSessionsTwoShardsUnchanged) {
+  const FrontDoorResult exact = expect_fifty_thousand_session_row(
+      2, 9859599101907386634ull, 11217860785415734819ull, 36944);
+  expect_threaded_near_inline(exact, 2, 50000, 0.383966381849, 0.0970746608937);
+}
+
+TEST(FrontDoorMatrixGolden, FiftyThousandSessionsFourShardsUnchanged) {
+  const FrontDoorResult exact = expect_fifty_thousand_session_row(
+      4, 5104932803595650823ull, 3108422850782474657ull, 65512);
+  expect_threaded_near_inline(exact, 4, 50000, 0.315152666603, 0.1612436316);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Tests for the overload-protection subsystem (ISSUE 3): token buckets,
 // admission control (bounded queues, priority guards, shedding order),
 // brownout hysteresis, the JSON config loader, and the multi-session driver
-// (determinism, zero stranded requests, protection beating no protection).
+// (determinism, zero stranded requests, protection beating no protection,
+// the overload.* counters it exports).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "overload/admission.h"
 #include "overload/brownout.h"
 #include "overload/config.h"
@@ -522,6 +524,17 @@ TEST(MultiSession, ProtectionBeatsNoProtectionUnderOverload) {
   const MultiSessionResult full = run_multi_session(small_config(Protection::kFull));
   EXPECT_GT(full.goodput_bytes_per_s, none.goodput_bytes_per_s);
   EXPECT_GT(full.shed_ratio, 0.0);  // protection is doing something
+}
+
+// overload_matrix's full arm exports its admission counters.
+TEST(MultiSession, FullArmExportsOverloadCounters) {
+  obs::metrics().reset();
+  run_multi_session(small_config(Protection::kFull));
+  const obs::Registry& m = obs::metrics();
+  EXPECT_GT(m.counter_value("overload.admission.admitted_total"), 0u);
+  EXPECT_GT(m.counter_value("overload.admission.rejected_total") +
+                m.counter_value("overload.admission.shed_total"),
+            0u);
 }
 
 }  // namespace

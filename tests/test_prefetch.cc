@@ -1,8 +1,9 @@
 // Tests for the prediction-driven prefetch subsystem: the planner's
 // value-density budgeting, the Prefetcher's launch/cancel lifecycle against
 // MitmProxy (a new fling invalidates the old predicted path), admission
-// gating of speculative warm-ups, the tile scheduler's prefetch list, and
-// the JSON cache/prefetch configuration.
+// gating of speculative warm-ups, the tile scheduler's prefetch list, the
+// JSON cache/prefetch configuration, and the counters cache_matrix's
+// experiment exports.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -15,6 +16,7 @@
 #include "obs/metrics.h"
 #include "overload/admission.h"
 #include "prefetch/cache_config.h"
+#include "prefetch/cache_experiment.h"
 #include "prefetch/planner.h"
 #include "prefetch/prefetcher.h"
 #include "video/dash.h"
@@ -380,6 +382,20 @@ TEST(CacheConfigTest, ReportsSchemaAndParseErrors) {
 
   EXPECT_FALSE(CacheConfig::from_json("{nope", &error).has_value());
   EXPECT_NE(error.find("line"), std::string::npos);
+}
+
+// cache_matrix's cache+prefetch arm exports cache and prefetch counters.
+TEST(CacheExperiment, ExportsCacheAndPrefetchCounters) {
+  obs::metrics().reset();
+  prefetch::CacheExperimentConfig config;
+  config.sessions = 4;
+  config.horizon_ms = 5'000;
+  const prefetch::CacheExperimentResult r = prefetch::run_cache_experiment(config);
+  EXPECT_GT(r.prefetch_issued, 0u);
+  const obs::Registry& m = obs::metrics();
+  EXPECT_GT(m.counter_value("http.cache.hits_total"), 0u);
+  EXPECT_GT(m.counter_value("http.cache.misses_total"), 0u);
+  EXPECT_GT(m.counter_value("prefetch.planner.items_planned_total"), 0u);
 }
 
 }  // namespace

@@ -2,14 +2,17 @@
 // JSON round-trip and diagnostics, the device/network/workload registries,
 // handover compilation into fault plans, paper-default equivalence of the
 // scenario wiring with the hand-built fig7 harness, matrix-cell
-// determinism across worker counts, the dynamic-feed append path, and the
-// --scenario flag on cli::StandardOptions.
+// determinism across worker counts, scenario_matrix's reduced default grid
+// row by row and the subsystems its counters cover, the dynamic-feed append
+// path, and the --scenario flag on cli::StandardOptions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <optional>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -18,10 +21,13 @@
 #include "fault/fault_plan.h"
 #include "feed/feed_experiment.h"
 #include "gesture/synthetic.h"
+#include "obs/metrics.h"
 #include "scenario/matrix.h"
 #include "scenario/scenario_spec.h"
 #include "scenario/wiring.h"
 #include "sim/parallel_runner.h"
+#include "util/json.h"
+#include "util/strings.h"
 #include "web/corpus.h"
 #include "web/experiment.h"
 
@@ -369,6 +375,93 @@ TEST(ScenarioMatrix, VideoCellProducesLoadTimes) {
   EXPECT_NE(r.fingerprint, 0u);
 }
 
+// ---------- scenario_matrix's reduced default grid ----------
+
+// One row per cell of `scenario_matrix --sites 6 --repeats 1` over the
+// built-in grid_stress base: scenario, sessions, viewport P99 (ms),
+// fingerprint, then QoE, goodput (B/s), shed rate and cache hit ratio at
+// %.12g. Every column is a pure function of the spec.
+constexpr const char* kReducedGridGolden = R"(
+grid_stress/phone_flagship/wlan/paper_corpus 6 312 8113602749657646811 0.771048132382 7190.83055556 0 0
+grid_stress/phone_flagship/wlan/client_only 6 312 8113602749657646811 0.771048132382 7190.83055556 0 0
+grid_stress/phone_flagship/wlan/social_feed 1 -1 13114934225118867430 0.6 275435.033333 0 0
+grid_stress/phone_flagship/wlan/tiled_video 1 4370 6381267270318175689 1 290261.733333 0 0
+grid_stress/phone_flagship/lte/paper_corpus 6 510 16076784328218734039 0.683123756063 7190.83055556 0 0
+grid_stress/phone_flagship/lte/client_only 6 510 16076784328218734039 0.683123756063 7190.83055556 0 0
+grid_stress/phone_flagship/lte/social_feed 1 -1 3683278333260613808 0.2 275435.033333 0 0
+grid_stress/phone_flagship/lte/tiled_video 1 5975 18089418855539703605 1 290261.733333 0 0
+grid_stress/phone_flagship/umts3g/paper_corpus 6 2560 18276942535754289287 0.326073709391 7190.83055556 0 0
+grid_stress/phone_flagship/umts3g/client_only 6 2560 18276942535754289287 0.326073709391 7190.83055556 0 0
+grid_stress/phone_flagship/umts3g/social_feed 1 -1 12611344243064190490 0 236552.133333 0 0
+grid_stress/phone_flagship/umts3g/tiled_video 1 29955 7269846754837751595 0.688888888889 199664.333333 0 0
+grid_stress/phone_lowend/wlan/paper_corpus 6 312 8113602749657646811 0.771048132382 7190.83055556 0 0
+grid_stress/phone_lowend/wlan/client_only 6 312 8113602749657646811 0.771048132382 7190.83055556 0 0
+grid_stress/phone_lowend/wlan/social_feed 1 -1 1370205750749034408 1 213582.166667 0 0
+grid_stress/phone_lowend/wlan/tiled_video 1 4470 12130842955864167740 1 296790.733333 0 0
+grid_stress/phone_lowend/lte/paper_corpus 6 510 16076784328218734039 0.683123756063 7190.83055556 0 0
+grid_stress/phone_lowend/lte/client_only 6 510 16076784328218734039 0.683123756063 7190.83055556 0 0
+grid_stress/phone_lowend/lte/social_feed 1 -1 12774882726741544630 0 213582.166667 0 0
+grid_stress/phone_lowend/lte/tiled_video 1 6085 12094099473874475253 1 296790.733333 0 0
+grid_stress/phone_lowend/umts3g/paper_corpus 6 2560 18276942535754289287 0.326073709391 7190.83055556 0 0
+grid_stress/phone_lowend/umts3g/client_only 6 2560 18276942535754289287 0.326073709391 7190.83055556 0 0
+grid_stress/phone_lowend/umts3g/social_feed 1 -1 9344351336187837251 0 200760.433333 0 0
+grid_stress/phone_lowend/umts3g/tiled_video 1 29820 10836094118425487382 0.689655172414 198723.3 0 0
+grid_stress/tablet10/wlan/paper_corpus 6 312 8113602749657646811 0.771048132382 7190.83055556 0 0
+grid_stress/tablet10/wlan/client_only 6 312 8113602749657646811 0.771048132382 7190.83055556 0 0
+grid_stress/tablet10/wlan/social_feed 1 -1 7609776871508891647 1 368113.266667 0 0
+grid_stress/tablet10/wlan/tiled_video 1 4325 16426188092599890246 1 287082.2 0 0
+grid_stress/tablet10/lte/paper_corpus 6 510 16076784328218734039 0.683123756063 7190.83055556 0 0
+grid_stress/tablet10/lte/client_only 6 510 16076784328218734039 0.683123756063 7190.83055556 0 0
+grid_stress/tablet10/lte/social_feed 1 -1 15383419967003743974 0.25 368113.266667 0 0
+grid_stress/tablet10/lte/tiled_video 1 5930 17352409626589189351 1 287082.2 0 0
+grid_stress/tablet10/umts3g/paper_corpus 6 2560 18276942535754289287 0.326073709391 7190.83055556 0 0
+grid_stress/tablet10/umts3g/client_only 6 2560 18276942535754289287 0.326073709391 7190.83055556 0 0
+grid_stress/tablet10/umts3g/social_feed 1 -1 12443807450847858570 0 236552.133333 0 0
+grid_stress/tablet10/umts3g/tiled_video 1 29820 6581644917055685478 0.708812260536 198717.8 0 0
+paper_default/phone_flagship/wlan/paper_corpus 6 312 8113602749657646811 0.771048132382 7190.83055556 0 0
+paper_default/phone_flagship/wlan/client_only 6 312 8113602749657646811 0.771048132382 7190.83055556 0 0
+)";
+
+std::string golden_line(const scenario::MatrixCellResult& r) {
+  return strformat("%s %zu %lld %llu %.12g %.12g %.12g %.12g", r.scenario.c_str(),
+                   r.sessions, static_cast<long long>(r.viewport_p99_ms),
+                   static_cast<unsigned long long>(r.fingerprint), r.qoe,
+                   r.goodput_bytes_per_s, r.shed_rate, r.cache_hit_ratio);
+}
+
+TEST(ScenarioMatrixGolden, ReducedGridRowsUnchanged) {
+  ScenarioSpec base = scenario::grid_stress_spec();
+  base.workload.repeats = 1;
+  base.workload.corpus_sites = 6;
+  const std::vector<ScenarioSpec> cells = scenario::grid_cells(base);
+
+  std::istringstream golden(kReducedGridGolden);
+  std::vector<std::string> want;
+  for (std::string line; std::getline(golden, line);)
+    if (!line.empty()) want.push_back(line);
+  ASSERT_EQ(cells.size(), want.size());
+  for (std::size_t i = 0; i < cells.size(); ++i)
+    EXPECT_EQ(golden_line(scenario::run_matrix_cell(cells[i])), want[i]);
+}
+
+// Every subsystem the grid drives exports counters. The web ones are the
+// block-list's, which a grid cell registers but never increments.
+TEST(ScenarioMatrix, MetricsCoverEverySubsystem) {
+  for (const char* workload : {"paper_corpus", "social_feed", "tiled_video"})
+    scenario::run_matrix_cell(tiny_cell(workload));
+
+  const std::optional<JsonValue> snapshot =
+      parse_json(obs::metrics().snapshot_json());
+  ASSERT_TRUE(snapshot.has_value());
+  const JsonValue* counters = snapshot->find("counters");
+  ASSERT_NE(counters, nullptr);
+  std::set<std::string> subsystems;
+  for (const auto& entry : counters->object_value)
+    subsystems.insert(entry.first.substr(0, entry.first.find('.')));
+  for (const char* want : {"core", "http", "net", "video", "web"})
+    EXPECT_EQ(subsystems.count(want), 1u) << "no counter from " << want;
+}
+
 // ---------- dynamic feed appends ----------
 
 TEST(MiddlewareAppend, AppendedObjectsJoinTheNextAnalysis) {
@@ -506,8 +599,8 @@ TEST(StandardOptionsScenario, PositionalArgumentSurvives) {
 }
 
 TEST(StandardOptionsScenario, LossyCellularScenarioCompilesToBuiltinPlan) {
-  // CI's failure-injection job runs resilience_matrix under this spec; its
-  // ambient plan must be the canonical FaultPlan::lossy_cellular().
+  // ctest's resilience_matrix_smoke runs resilience_matrix under this spec;
+  // its ambient plan must be the canonical FaultPlan::lossy_cellular().
   std::string why;
   const auto spec = ScenarioSpec::load(
       std::string(MFHTTP_SOURCE_DIR) + "/bench/scenarios/lossy_cellular.json", &why);

@@ -14,7 +14,9 @@
 //   * the chaos harness end to end — a crash plan under supervision fails
 //     new sessions over and completes at least as much as the
 //     unsupervised run, with every event accounted for; and the shards=1
-//     byte-identity gate holds with supervision enabled and no faults.
+//     byte-identity gate holds with supervision enabled and no faults;
+//   * chaos_matrix's fault-free arm — its default load's event and request
+//     counts, all served.
 //
 // Suite names match the ThreadSanitizer job's -R 'Supervisor|Chaos'
 // selection.
@@ -518,6 +520,27 @@ TEST(ChaosFrontDoor, SupervisionOnWithNoFaultsKeepsByteIdentity) {
   EXPECT_EQ(threaded_run.shed_events, 0u);
   EXPECT_EQ(threaded_run.failover_sessions, 0u);
   EXPECT_EQ(threaded_run.wedged_declared, 0u);
+}
+
+// chaos_matrix's default load (2,000 sessions x 3 touches over 2,048
+// objects, seed 1), served fault-free at its two shard counts: the exact
+// counts its baseline arm must reproduce, with nothing shed.
+TEST(ChaosMatrixGolden, DefaultLoadCountsUnchanged) {
+  FrontDoorParams params;
+  params.load.sessions = 2000;
+  params.load.touches_per_session = 3;
+  params.load.url_universe = 2048;
+  params.load.session_arrival_per_s = 2000;
+  params.apply_scaled_admission();
+  const FrontDoorLoad load = build_front_door_load(params.load);
+  for (std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
+    params.shards = shards;
+    const FrontDoorResult r = run_front_door(load, params, FrontDoorMode::kInline);
+    EXPECT_EQ(r.events, 6000u) << shards << " shards";
+    EXPECT_EQ(r.requests, 11984u) << shards << " shards";
+    EXPECT_EQ(r.completed, 11984u) << shards << " shards";
+    EXPECT_EQ(r.rejected, 0u) << shards << " shards";
+  }
 }
 
 }  // namespace
